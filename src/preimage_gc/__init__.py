@@ -16,7 +16,6 @@ from .errors import (
     DegenerateModelError,
     InstabilityError,
     InsufficientSamplesError,
-    PanelUnderflowError,
     PreimageGCError,
     RankError,
     ShapeError,
@@ -25,10 +24,8 @@ from .errors import (
 from .data import (
     LaggedDesign,
     TimeSeriesPanel,
-    exclude_node,
     ingest_csv,
     lag_embed,
-    normalize,
     normalize_columns,
     panel_to_csv,
 )
@@ -94,7 +91,6 @@ __all__ = [
     "LINEAR5_COEFFICIENTS",
     "LaggedDesign",
     "MEDIAN_RBF",
-    "PanelUnderflowError",
     "PipelineConfig",
     "PreimageGCError",
     "PreimageMap",
@@ -105,7 +101,6 @@ __all__ = [
     "UndefinedAucError",
     "VarModelFit",
     "causality_index",
-    "exclude_node",
     "fit_kernel_pca",
     "fit_var",
     "generate",
@@ -117,7 +112,6 @@ __all__ = [
     "learn_preimage",
     "linear_gc_baseline",
     "median_bandwidth",
-    "normalize",
     "normalize_columns",
     "off_diagonal",
     "panel_to_csv",

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .causality import PipelineConfig, infer_graph
-from .errors import ConfigError, ShapeError, UndefinedAucError
+from .errors import ConfigError, PreimageGCError, ShapeError, UndefinedAucError
 from .synthgen import GENERATOR_IDS, generate
 
 
@@ -123,8 +123,8 @@ def _run_cell(task):
         graph = infer_graph(dataset.panel, config)
         auc = roc_auc(off_diagonal(graph.delta), off_diagonal(dataset.ground_truth))
         return CellRecord(generator_id, method_id, T, seed, auc=auc)
-    except Exception as err:
-        # failures are data: record and keep sweeping
+    except (PreimageGCError, np.linalg.LinAlgError) as err:
+        # numerical failures are data: record and keep sweeping; bugs raise
         return CellRecord(
             generator_id,
             method_id,

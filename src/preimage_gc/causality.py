@@ -23,7 +23,14 @@ from .errors import (
     RankError,
     ShapeError,
 )
-from .kernels import KernelPcaModel, KernelSpec, fit_kernel_pca, median_bandwidth, project
+from .kernels import (
+    KernelPcaModel,
+    KernelSpec,
+    _check_p_select,
+    fit_kernel_pca,
+    median_bandwidth,
+    project,
+)
 from .preimage import PreimageMap, learn_preimage, reconstruct
 from .varm import VarModelFit, fit_var, predict, residual_variance_about
 
@@ -53,14 +60,7 @@ class PipelineConfig:
             raise ValueError(
                 f"kernel must be a KernelSpec, {MEDIAN_RBF!r}, or {IDENTITY!r}; got {k!r}"
             )
-        p = self.p_select
-        if isinstance(p, bool) or not isinstance(p, (int, np.integer, float, np.floating)):
-            raise ValueError(f"p_select must be an int count or float fraction, got {p!r}")
-        if isinstance(p, (float, np.floating)):
-            if not 0.0 < p <= 1.0:
-                raise ValueError(f"fractional p_select must lie in (0, 1], got {p}")
-        elif p < 1:
-            raise ValueError(f"integer p_select must be >= 1, got {p}")
+        _check_p_select(self.p_select)
         if int(self.lag) != self.lag or self.lag < 1:
             raise ValueError(f"lag must be a positive integer, got {self.lag}")
         if self.ridge_var < 0 or self.ridge_preimage < 0:
@@ -86,15 +86,19 @@ class FullModelResult:
 
 
 @contextmanager
-def _stage(name):
-    """Prefix library errors with the pipeline stage they arose in."""
+def _tagged(prefix):
+    """Prefix the message of library errors raised inside with ``prefix``.
+
+    Tags stack: the pipeline stage ("[pca]") goes on first, the
+    left-out node ("excluding node 'n0':") outside it.
+    """
     try:
         yield
     except PreimageGCError as err:
         if err.args and isinstance(err.args[0], str):
-            err.args = (f"[{name}] {err.args[0]}",) + err.args[1:]
+            err.args = (f"{prefix} {err.args[0]}",) + err.args[1:]
         else:
-            err.args = (f"[{name}]",) + err.args
+            err.args = (prefix,) + err.args
         raise
 
 
@@ -116,13 +120,13 @@ def _fit_pipeline(
             f"need at least lag + 2 = {config.lag + 2} rows, got {T}"
         )
 
-    with _stage("normalize"):
+    with _tagged("[normalize]"):
         if config.normalize_input:
             X = normalize_columns(values, node_names)
         else:
             X = values.copy()
 
-    with _stage("pca"):
+    with _tagged("[pca]"):
         if config.kernel == IDENTITY:
             kpca = None
             H = X
@@ -145,11 +149,11 @@ def _fit_pipeline(
                 kpca = fit_kernel_pca(spec, X, int(err.achievable_rank))
             H = project(kpca, X)
 
-    with _stage("var"):
+    with _tagged("[var]"):
         var_fit = fit_var(H, config.lag, config.ridge_var)
         H_hat = predict(var_fit, H)
 
-    with _stage("preimage"):
+    with _tagged("[preimage]"):
         Y_t = X[config.lag :]
         pmap = learn_preimage(Y_t, H[config.lag :], config.ridge_preimage)
         Y_hat = reconstruct(pmap, H_hat)
@@ -287,12 +291,8 @@ def infer_graph(panel: TimeSeriesPanel, config: PipelineConfig | None = None) ->
     for i in range(N):
         reduced_values = np.delete(values, i, axis=1)
         reduced_names = names[:i] + names[i + 1 :]
-        try:
+        with _tagged(f"excluding node {names[i]!r}:"):
             reduced = _fit_pipeline(reduced_values, config, cap_rank=True, node_names=reduced_names)
-        except PreimageGCError as err:
-            if err.args and isinstance(err.args[0], str):
-                err.args = (f"excluding node {names[i]!r}: {err.args[0]}",) + err.args[1:]
-            raise
         sigma_reduced = reduced.residual_variance
         rest = [j for j in range(N) if j != i]
         for k, j in enumerate(rest):

@@ -13,7 +13,6 @@ from .errors import (
     CsvSchemaError,
     DegenerateInputError,
     InsufficientSamplesError,
-    PanelUnderflowError,
     ShapeError,
 )
 
@@ -159,33 +158,6 @@ def normalize_columns(values, node_names=None) -> np.ndarray:
             f"{label} has zero variance and cannot be normalized"
         )
     return (values - means) / stds
-
-
-def normalize(panel: TimeSeriesPanel) -> TimeSeriesPanel:
-    """Return a panel whose columns have mean 0 and population variance 1."""
-    out = normalize_columns(panel.values, panel.node_names)
-    return TimeSeriesPanel(values=out, node_names=panel.node_names)
-
-
-def exclude_node(panel: TimeSeriesPanel, index: int) -> TimeSeriesPanel:
-    """Drop one node's column, keeping the others in order.
-
-    A 2-node panel cannot lose a node (the remainder would have no
-    conditioning set), so that raises PanelUnderflowError.
-    """
-    N = panel.n_nodes
-    if not 0 <= index < N:
-        raise IndexError(f"node index {index} out of range for {N} nodes")
-    if N == 2:
-        raise PanelUnderflowError(
-            "cannot exclude a node from a 2-node panel; "
-            "the remainder would be univariate"
-        )
-    keep = [j for j in range(N) if j != index]
-    return TimeSeriesPanel(
-        values=panel.values[:, keep],
-        node_names=tuple(panel.node_names[j] for j in keep),
-    )
 
 
 def lag_embed(values, lag: int) -> LaggedDesign:

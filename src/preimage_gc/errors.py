@@ -53,10 +53,6 @@ class RankError(PreimageGCError):
         self.achievable_rank = achievable_rank
 
 
-class PanelUnderflowError(PreimageGCError):
-    """Removing a node would leave no conditioning set (2-node panel)."""
-
-
 class InstabilityError(PreimageGCError):
     """A synthetic trajectory diverged.
 

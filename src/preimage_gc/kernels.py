@@ -122,6 +122,17 @@ class KernelPcaModel:
         return self.dual_coefficients.shape[1]
 
 
+def _check_p_select(p_select):
+    """Accept an int count >= 1 or a float fraction in (0, 1]; else ValueError."""
+    if isinstance(p_select, bool) or not isinstance(p_select, (int, np.integer, float, np.floating)):
+        raise ValueError(f"p_select must be an int count or float fraction, got {p_select!r}")
+    if isinstance(p_select, (float, np.floating)):
+        if not 0.0 < p_select <= 1.0:
+            raise ValueError(f"fractional p_select must lie in (0, 1], got {p_select}")
+    elif p_select < 1:
+        raise ValueError(f"integer p_select must be >= 1, got {p_select}")
+
+
 def fit_kernel_pca(spec: KernelSpec, X, p_select) -> KernelPcaModel:
     """Eigendecompose the double-centered gram of X and keep leading axes.
 
@@ -138,13 +149,7 @@ def fit_kernel_pca(spec: KernelSpec, X, p_select) -> KernelPcaModel:
     M = X.shape[0]
     if M < 2:
         raise InsufficientSamplesError("kernel PCA needs at least 2 points")
-    if isinstance(p_select, bool) or not isinstance(p_select, (int, np.integer, float, np.floating)):
-        raise ValueError(f"p_select must be an int count or float fraction, got {p_select!r}")
-    if isinstance(p_select, (float, np.floating)):
-        if not 0.0 < p_select <= 1.0:
-            raise ValueError(f"fractional p_select must lie in (0, 1], got {p_select}")
-    elif p_select < 1:
-        raise ValueError(f"integer p_select must be >= 1, got {p_select}")
+    _check_p_select(p_select)
 
     K = gram(spec, X, X)
     col_means = K.mean(axis=0)

@@ -6,9 +6,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import RankError, ShapeError
+from .errors import ShapeError
+from .varm import _solve_ridge
 
 DEFAULT_RIDGE = 1e-3
 
@@ -45,8 +45,6 @@ def learn_preimage(Y, H, ridge_lambda: float = DEFAULT_RIDGE) -> PreimageMap:
         raise ShapeError(
             f"row mismatch: Y has {Y.shape[0]} rows, H has {H.shape[0]}"
         )
-    if ridge_lambda < 0:
-        raise ValueError(f"ridge_lambda must be >= 0, got {ridge_lambda}")
     T, P = H.shape
     if T < P:
         warnings.warn(
@@ -54,18 +52,7 @@ def learn_preimage(Y, H, ridge_lambda: float = DEFAULT_RIDGE) -> PreimageMap:
             "the fit is underdetermined",
             stacklevel=2,
         )
-    if ridge_lambda == 0.0:
-        rank = np.linalg.matrix_rank(H)
-        if rank < P:
-            raise RankError(
-                f"feature matrix has rank {rank} < {P}; "
-                "use a positive ridge_lambda",
-                achievable_rank=int(rank),
-            )
-        Gt, *_ = np.linalg.lstsq(H, Y, rcond=None)
-    else:
-        G = H.T @ H + ridge_lambda * np.eye(P)
-        Gt = scipy.linalg.solve(G, H.T @ Y, assume_a="pos")
+    Gt = _solve_ridge(H, Y, ridge_lambda, "feature matrix")
     fit_error = float(np.mean((Y - H @ Gt) ** 2))
     return PreimageMap(
         gamma=Gt.T, ridge_lambda=float(ridge_lambda), training_fit_error=fit_error

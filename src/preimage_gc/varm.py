@@ -51,18 +51,45 @@ class VarModelFit:
         return np.vstack([A.T for A in self.coefficients])
 
 
+def _solve_ridge(X, Y, ridge_lambda, label) -> np.ndarray:
+    """B minimizing ||Y - X B||^2 + ridge_lambda ||B||^2.
+
+    With ridge_lambda = 0 a rank-deficient X is refused outright; the
+    RankError suggests the fix instead of silently picking one of the
+    infinitely many minimizers. A ridge too small to make X^T X + lambda I
+    positive definite is a RankError too. label names X in the messages.
+    """
+    if ridge_lambda < 0:
+        raise ValueError(f"ridge_lambda must be >= 0, got {ridge_lambda}")
+    n = X.shape[1]
+    if ridge_lambda == 0.0:
+        rank = np.linalg.matrix_rank(X)
+        if rank < n:
+            raise RankError(
+                f"{label} has rank {rank} < {n}; use a positive ridge_lambda",
+                achievable_rank=int(rank),
+            )
+        B, *_ = np.linalg.lstsq(X, Y, rcond=None)
+        return B
+    G = X.T @ X + ridge_lambda * np.eye(n)
+    try:
+        return scipy.linalg.solve(G, X.T @ Y, assume_a="pos")
+    except np.linalg.LinAlgError as err:
+        raise RankError(
+            f"ridge solve on the {label} failed ({err}); "
+            f"use a larger ridge_lambda than {ridge_lambda}"
+        ) from err
+
+
 def fit_var(series, lag: int = 1, ridge_lambda: float = DEFAULT_RIDGE) -> VarModelFit:
     """Least-squares (ridge_lambda > 0: ridge) fit of an interceptless VAR.
 
-    With ridge_lambda = 0 a rank-deficient design is refused outright;
-    the RankError suggests the fix instead of silently picking one of the
-    infinitely many minimizers.
+    A rank-deficient design at ridge_lambda = 0, or a ridge too small to
+    make the solve positive definite, raises RankError.
     """
     series = np.asarray(series, dtype=float)
     if series.ndim != 2:
         raise ShapeError(f"series must be 2-d, got ndim={series.ndim}")
-    if ridge_lambda < 0:
-        raise ValueError(f"ridge_lambda must be >= 0, got {ridge_lambda}")
     T, D = series.shape
     emb = lag_embed(series, lag)
     recommended = lag + D * lag + 1
@@ -73,18 +100,7 @@ def fit_var(series, lag: int = 1, ridge_lambda: float = DEFAULT_RIDGE) -> VarMod
             stacklevel=2,
         )
     Z, Y = emb.design, emb.targets
-    if ridge_lambda == 0.0:
-        rank = np.linalg.matrix_rank(Z)
-        if rank < Z.shape[1]:
-            raise RankError(
-                f"design has rank {rank} < {Z.shape[1]}; "
-                "use a positive ridge_lambda",
-                achievable_rank=int(rank),
-            )
-        B, *_ = np.linalg.lstsq(Z, Y, rcond=None)
-    else:
-        G = Z.T @ Z + ridge_lambda * np.eye(Z.shape[1])
-        B = scipy.linalg.solve(G, Z.T @ Y, assume_a="pos")
+    B = _solve_ridge(Z, Y, ridge_lambda, "design")
     residuals = Y - Z @ B
     coefficients = tuple(B[ell * D : (ell + 1) * D, :].T for ell in range(lag))
     return VarModelFit(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import preimage_gc.bench as bench_module
 from preimage_gc import (
     IDENTITY,
     CellRecord,
@@ -196,6 +197,14 @@ class TestRunBenchmark:
         assert all(r.auc is None for r in report.records)
         assert all("RankError" in r.error for r in report.records)
         assert report.summaries[0].note == "no successful records"
+
+    def test_programming_errors_raise(self, monkeypatch):
+        def broken(panel, config):
+            raise TypeError("not a numerical failure")
+
+        monkeypatch.setattr(bench_module, "infer_graph", broken)
+        with pytest.raises(TypeError, match="not a numerical failure"):
+            run_benchmark(["linear5"], self.small_methods(), [50], 1, jobs=1)
 
     def test_explicit_seed_list(self):
         report = run_benchmark(["logistic2"], self.small_methods()[:1], [50], [7, 9])

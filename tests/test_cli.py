@@ -116,6 +116,23 @@ class TestInfer:
         assert code == 1
         assert "row 3" in capsys.readouterr().err
 
+    def test_singular_ridge_solve_is_tagged_runtime_error(self, tmp_path, capsys):
+        # c = 2a makes the design singular; a 1e-300 ridge cannot fix that
+        a, b = np.random.default_rng(0).normal(size=(2, 200)).tolist()
+        rows = "\n".join(f"{x!r},{y!r},{2 * x!r}" for x, y in zip(a, b))
+        data = tmp_path / "collinear.csv"
+        data.write_text("a,b,c\n" + rows + "\n")
+        config = tmp_path / "tiny_ridge.ini"
+        config.write_text(
+            "[pipeline]\nkernel = linear-identity\n"
+            "ridge_var = 1e-300\nridge_preimage = 1e-300\n"
+        )
+        code = run(["infer", str(data), "--config", str(config), "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "[var]" in err
+        assert "ridge_lambda" in err
+
     def test_repeat_is_byte_identical(self, tmp_path):
         data = self.synth_csv(tmp_path, gen="fanin3", T=90, seed=5)
         a, b = tmp_path / "a", tmp_path / "b"

@@ -11,12 +11,10 @@ from preimage_gc import (
     CsvSchemaError,
     DegenerateInputError,
     InsufficientSamplesError,
-    PanelUnderflowError,
     TimeSeriesPanel,
-    exclude_node,
     ingest_csv,
     lag_embed,
-    normalize,
+    normalize_columns,
     panel_to_csv,
 )
 
@@ -102,72 +100,35 @@ class TestIngestCsv:
 class TestNormalize:
     def test_hand_example(self):
         # [1, 2, 3]: mean 2, population std sqrt(2/3)
-        panel = make_panel(np.array([[1.0, 0.0], [2.0, 1.0], [3.0, 2.0]]))
-        out = normalize(panel)
+        out = normalize_columns(np.array([[1.0, 0.0], [2.0, 1.0], [3.0, 2.0]]))
         expected = 1.0 / np.sqrt(2.0 / 3.0)
-        np.testing.assert_allclose(
-            out.values[:, 0], [-expected, 0.0, expected], atol=1e-12
-        )
+        np.testing.assert_allclose(out[:, 0], [-expected, 0.0, expected], atol=1e-12)
 
     def test_result_has_zero_mean_unit_variance(self):
         rng = np.random.default_rng(0)
-        out = normalize(make_panel(rng.normal(5.0, 3.0, size=(40, 4))))
-        np.testing.assert_allclose(out.values.mean(axis=0), 0.0, atol=1e-12)
-        np.testing.assert_allclose(out.values.std(axis=0), 1.0, atol=1e-12)
+        out = normalize_columns(rng.normal(5.0, 3.0, size=(40, 4)))
+        np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-12)
+        np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-12)
 
     def test_already_normalized_is_fixed_point(self):
         # column [-1, 1] has mean 0 and population variance 1 exactly
-        panel = make_panel(np.array([[-1.0, 1.0], [1.0, -1.0]]))
-        out = normalize(panel)
-        np.testing.assert_allclose(out.values, panel.values, atol=1e-12)
+        values = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        np.testing.assert_allclose(normalize_columns(values), values, atol=1e-12)
 
     def test_constant_column_names_node(self):
-        panel = make_panel(
-            np.array([[1.0, 7.0], [2.0, 7.0], [3.0, 7.0]]), names=("ok", "flat")
-        )
+        values = np.array([[1.0, 7.0], [2.0, 7.0], [3.0, 7.0]])
         with pytest.raises(DegenerateInputError, match="flat"):
-            normalize(panel)
+            normalize_columns(values, ("ok", "flat"))
+        with pytest.raises(DegenerateInputError, match="column 1"):
+            normalize_columns(values)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_idempotent(self, seed):
         rng = np.random.default_rng(seed)
-        panel = make_panel(rng.normal(size=(12, 3)) * rng.uniform(0.5, 20.0))
-        once = normalize(panel)
-        twice = normalize(once)
-        np.testing.assert_allclose(twice.values, once.values, atol=1e-10)
-
-
-class TestExcludeNode:
-    def test_drops_middle_column(self):
-        panel = make_panel(np.arange(12.0).reshape(4, 3), names=("a", "b", "c"))
-        out = exclude_node(panel, 1)
-        assert out.node_names == ("a", "c")
-        np.testing.assert_array_equal(out.values, panel.values[:, [0, 2]])
-
-    def test_matches_naive_copy(self):
-        rng = np.random.default_rng(1)
-        panel = make_panel(rng.normal(size=(10, 5)))
-        for i in range(5):
-            out = exclude_node(panel, i)
-            keep = [j for j in range(5) if j != i]
-            np.testing.assert_array_equal(out.values, panel.values[:, keep])
-
-    def test_out_of_range_index(self):
-        panel = make_panel(np.zeros((3, 3)) + np.arange(3))
-        with pytest.raises(IndexError):
-            exclude_node(panel, 3)
-
-    def test_two_node_panel_underflows(self):
-        panel = make_panel(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        with pytest.raises(PanelUnderflowError):
-            exclude_node(panel, 0)
-
-    def test_input_not_mutated(self):
-        panel = make_panel(np.arange(6.0).reshape(2, 3))
-        before = panel.values.copy()
-        exclude_node(panel, 0)
-        np.testing.assert_array_equal(panel.values, before)
+        once = normalize_columns(rng.normal(size=(12, 3)) * rng.uniform(0.5, 20.0))
+        twice = normalize_columns(once)
+        np.testing.assert_allclose(twice, once, atol=1e-10)
 
 
 class TestLagEmbed:
