@@ -14,6 +14,7 @@ from .errors import (
     CsvSchemaError,
     DegenerateInputError,
     DegenerateModelError,
+    EigensolverError,
     InstabilityError,
     InsufficientSamplesError,
     PreimageGCError,
@@ -81,6 +82,7 @@ __all__ = [
     "CsvSchemaError",
     "DegenerateInputError",
     "DegenerateModelError",
+    "EigensolverError",
     "FullModelResult",
     "GENERATOR_IDS",
     "IDENTITY",

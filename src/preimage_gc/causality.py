@@ -29,7 +29,6 @@ from .kernels import (
     _check_p_select,
     fit_kernel_pca,
     median_bandwidth,
-    project,
 )
 from .preimage import PreimageMap, learn_preimage, reconstruct
 from .varm import VarModelFit, fit_var, predict, residual_variance_about
@@ -147,7 +146,8 @@ def _fit_pipeline(
                 if not soft:
                     raise
                 kpca = fit_kernel_pca(spec, X, int(err.achievable_rank))
-            H = project(kpca, X)
+            # project(kpca, X) without a second gram: Kc @ U / sqrt(lam) = U sqrt(lam)
+            H = kpca.dual_coefficients * kpca.eigenvalues
 
     with _tagged("[var]"):
         var_fit = fit_var(H, config.lag, config.ridge_var)

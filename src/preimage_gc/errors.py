@@ -53,6 +53,10 @@ class RankError(PreimageGCError):
         self.achievable_rank = achievable_rank
 
 
+class EigensolverError(PreimageGCError):
+    """An eigendecomposition failed to converge."""
+
+
 class InstabilityError(PreimageGCError):
     """A synthetic trajectory diverged.
 

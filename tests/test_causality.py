@@ -21,8 +21,10 @@ from preimage_gc import (
     infer_graph,
     linear_gc_baseline,
     normalize_columns,
+    project,
     run_full_model,
 )
+from preimage_gc.kernels import LANCZOS_MIN_ORDER
 
 
 def random_panel(T, N, seed, names=None):
@@ -30,6 +32,31 @@ def random_panel(T, N, seed, names=None):
     if names is None:
         names = tuple(f"n{j}" for j in range(N))
     return TimeSeriesPanel(rng.normal(size=(T, N)), names)
+
+
+def lstsq_granger_log_ratios(values, lag):
+    """Reference linear Granger log variance ratios from numpy least squares.
+
+    Interceptless VAR(lag) per target node on the mean-centered panel
+    (the pipeline's unit-variance scaling cannot change a variance
+    ratio), once with every node's past and once without node i's.
+    """
+    Y = values - values.mean(axis=0)
+    T, N = Y.shape
+    past = np.stack([Y[lag - ell : T - ell] for ell in range(1, lag + 1)], axis=1)
+    targets = Y[lag:]
+
+    def residual_variance(j, causes):
+        design = past[:, :, causes].reshape(len(targets), -1)
+        coef, *_ = np.linalg.lstsq(design, targets[:, j], rcond=None)
+        return np.var(targets[:, j] - design @ coef)
+
+    raw = np.zeros((N, N))
+    for i in range(N):
+        rest = [k for k in range(N) if k != i]
+        for j in rest:
+            raw[i, j] = math.log(residual_variance(j, rest) / residual_variance(j, list(range(N))))
+    return raw
 
 
 def chain_panel(T, seed):
@@ -123,6 +150,15 @@ class TestRunFullModel:
         assert result.kpca.spec.bandwidth == 0.7
         assert result.features.shape == (60, 10)
 
+    def test_training_features_equal_projection(self):
+        # the pipeline reads training coordinates off the fit instead of
+        # projecting the training points again; both eigensolver paths
+        for T in (120, LANCZOS_MIN_ORDER + 50):
+            panel = random_panel(T, 3, seed=5)
+            result = run_full_model(panel)
+            ref = project(result.kpca, result.normalized)
+            assert np.max(np.abs(result.features - ref)) <= 1e-10 * np.max(np.abs(ref)), T
+
 
 class TestInferGraph:
     def test_degenerate_config_equals_baseline_exactly(self):
@@ -137,6 +173,14 @@ class TestInferGraph:
             b = linear_gc_baseline(panel, lag=lag)
             assert np.array_equal(a.delta, b.delta), lag
             assert np.array_equal(a.raw_log_ratios, b.raw_log_ratios), lag
+
+    def test_linear_baseline_matches_plain_lstsq(self):
+        panel = chain_panel(200, seed=6)
+        for lag in (1, 2, 3):
+            graph = linear_gc_baseline(panel, lag=lag)
+            raw = lstsq_granger_log_ratios(panel.values, lag)
+            np.testing.assert_allclose(graph.raw_log_ratios, raw, rtol=0, atol=1e-10, err_msg=f"lag {lag}")
+            np.testing.assert_allclose(graph.delta, np.maximum(raw, 0.0), rtol=0, atol=1e-10, err_msg=f"lag {lag}")
 
     def test_linear_kernel_approximates_baseline(self):
         # a genuine linear-kernel feature space is a rotation of the

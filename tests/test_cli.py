@@ -4,7 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+import preimage_gc.kernels as kernels_module
 from preimage_gc import ingest_csv
 from preimage_gc.cli import main
 
@@ -132,6 +134,33 @@ class TestInfer:
         err = capsys.readouterr().err
         assert "[var]" in err
         assert "ridge_lambda" in err
+
+    def test_eigensolver_failure_is_tagged_runtime_error(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(kernels_module.scipy.linalg, "eigh", fail)
+        data = self.synth_csv(tmp_path)
+        code = run(["infer", str(data), "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "[pca]" in err
+        assert "did not converge" in err
+
+    def test_lanczos_failure_falls_back_to_dense(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
+
+        T = kernels_module.LANCZOS_MIN_ORDER + 20
+        data = self.synth_csv(tmp_path, gen="logistic2", T=T, seed=2)
+        failed, dense = tmp_path / "failed", tmp_path / "dense"
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels_module, "eigsh", fail)
+            assert run(["infer", str(data), "--out", str(failed)]) == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels_module, "LANCZOS_MIN_ORDER", T + 1)
+            assert run(["infer", str(data), "--out", str(dense)]) == 0
+        assert (failed / "graph.json").read_bytes() == (dense / "graph.json").read_bytes()
 
     def test_repeat_is_byte_identical(self, tmp_path):
         data = self.synth_csv(tmp_path, gen="fanin3", T=90, seed=5)

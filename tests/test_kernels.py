@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.sparse.linalg import ArpackNoConvergence
 
+import preimage_gc.kernels as kernels_module
 from preimage_gc import (
     DegenerateInputError,
     KernelSpec,
@@ -13,6 +16,7 @@ from preimage_gc import (
     median_bandwidth,
     project,
 )
+from preimage_gc.kernels import EIGENVALUE_RTOL, LANCZOS_MIN_ORDER
 
 
 def classical_pca_scores(X):
@@ -186,6 +190,121 @@ class TestFitKernelPca:
             fit_kernel_pca(KernelSpec("linear"), X, 1.5)
         with pytest.raises(ValueError):
             fit_kernel_pca(KernelSpec("linear"), X, True)
+
+
+def centered_gram(spec, X):
+    K = gram(spec, X, X)
+    col_means = K.mean(axis=0)
+    return K - col_means[None, :] - col_means[:, None] + K.mean()
+
+
+def dense_kernel_pca(spec, X, p_select):
+    """Reference: full eigh of the centered gram, the documented selection
+    rule and sign rule; returns (eigenvalues, dual coefficients)."""
+    evals, evecs = np.linalg.eigh(centered_gram(spec, X))
+    evals, evecs = np.maximum(evals[::-1], 0.0), evecs[:, ::-1]
+    rank = int(np.count_nonzero(evals > EIGENVALUE_RTOL * evals[0]))
+    if isinstance(p_select, float):
+        cum = np.cumsum(evals[:rank])
+        P = min(int(np.searchsorted(cum, p_select * cum[-1])) + 1, rank)
+    else:
+        P = p_select
+    A = evecs[:, :P] / np.sqrt(evals[:P])
+    A *= np.sign(A[np.argmax(np.abs(A), axis=0), np.arange(P)])
+    return evals[:P], A
+
+
+class TestLanczosPath:
+    """Above LANCZOS_MIN_ORDER points the top eigenpairs come from Lanczos;
+    they must agree with a dense eigh, and whatever Lanczos cannot settle
+    must go to the dense path."""
+
+    M = LANCZOS_MIN_ORDER + 100
+
+    @pytest.fixture
+    def solver_calls(self, monkeypatch):
+        calls = {"eigsh": 0, "eigh": 0}
+        eigsh, eigh = kernels_module.eigsh, scipy.linalg.eigh
+
+        def counted_eigsh(*args, **kwargs):
+            calls["eigsh"] += 1
+            return eigsh(*args, **kwargs)
+
+        def counted_eigh(*args, **kwargs):
+            calls["eigh"] += 1
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(kernels_module, "eigsh", counted_eigsh)
+        monkeypatch.setattr(kernels_module.scipy.linalg, "eigh", counted_eigh)
+        return calls
+
+    def rbf_case(self):
+        X = np.random.default_rng(13).normal(size=(self.M, 3))
+        return KernelSpec("rbf", bandwidth=median_bandwidth(X)), X
+
+    def rank3_case(self):
+        return KernelSpec("linear"), np.random.default_rng(14).normal(size=(self.M, 3))
+
+    def assert_matches_dense(self, spec, X, p_select):
+        lam_ref, A_ref = dense_kernel_pca(spec, X, p_select)
+        model = fit_kernel_pca(spec, X, p_select)
+        assert model.n_components == len(lam_ref)
+        np.testing.assert_allclose(model.eigenvalues, lam_ref, rtol=1e-12, atol=1e-12 * lam_ref[0])
+        np.testing.assert_allclose(model.dual_coefficients, A_ref, rtol=0, atol=1e-8 * np.abs(A_ref).max())
+
+    @pytest.mark.parametrize("p_select", [0.95, 7])
+    def test_rbf_matches_dense(self, solver_calls, p_select):
+        self.assert_matches_dense(*self.rbf_case(), p_select)
+        assert solver_calls == {"eigsh": 1, "eigh": 0}
+
+    @pytest.mark.parametrize("p_select", [0.95, 3])
+    def test_rank3_linear_matches_dense(self, solver_calls, p_select):
+        self.assert_matches_dense(*self.rank3_case(), p_select)
+        assert solver_calls == {"eigsh": 1, "eigh": 0}
+
+    def test_overrequest_reports_achievable_rank(self, solver_calls):
+        with pytest.raises(RankError) as exc:
+            fit_kernel_pca(*self.rank3_case(), 4)
+        assert exc.value.achievable_rank == 3
+        assert solver_calls == {"eigsh": 1, "eigh": 1}
+
+    def test_low_rank_gram_settles_on_converged_pairs(self, solver_calls, monkeypatch):
+        # rbf on 1-d points: the spectrum reaches the rounding floor within
+        # LANCZOS_PAIRS, and the run stops at LANCZOS_RESTARTS unfinished
+        outcomes = []
+        eigsh = kernels_module.eigsh
+
+        def recorded(*args, **kwargs):
+            try:
+                result = eigsh(*args, **kwargs)
+            except ArpackNoConvergence:
+                outcomes.append("unfinished")
+                raise
+            outcomes.append("finished")
+            return result
+
+        monkeypatch.setattr(kernels_module, "eigsh", recorded)
+        X = np.random.default_rng(15).uniform(size=(self.M, 1))
+        self.assert_matches_dense(KernelSpec("rbf", bandwidth=median_bandwidth(X)), X, 0.95)
+        assert outcomes == ["unfinished"]
+        assert solver_calls == {"eigsh": 1, "eigh": 0}
+
+    def test_unfinished_run_missing_a_top_pair_goes_dense(self, solver_calls, monkeypatch):
+        spec, X = self.rbf_case()
+        evals, evecs = np.linalg.eigh(centered_gram(spec, X))
+        converged = [-1, -2, -3, -5, -6]  # the 4th largest pair is missing
+
+        def unfinished(*args, **kwargs):
+            raise ArpackNoConvergence("ARPACK error -1: No convergence", evals[converged], evecs[:, converged])
+
+        monkeypatch.setattr(kernels_module, "eigsh", unfinished)
+        self.assert_matches_dense(spec, X, 4)
+        assert solver_calls["eigh"] == 1
+
+    @pytest.mark.parametrize("p_select, eigsh_calls", [(0.999, 1), (1.0, 0)])
+    def test_large_mass_targets_go_dense(self, solver_calls, p_select, eigsh_calls):
+        self.assert_matches_dense(*self.rbf_case(), p_select)
+        assert solver_calls == {"eigsh": eigsh_calls, "eigh": 1}
 
 
 class TestProject:
