@@ -116,23 +116,42 @@ class BenchmarkReport:
         return json.dumps([asdict(s) for s in self.summaries], indent=2) + "\n"
 
 
-def _run_cell(task):
-    generator_id, method_id, config, T, seed = task
+def _run_panel(task, progress=None):
+    """Generate one (generator, T, seed) panel and score every method on it.
+
+    Returns one CellRecord per method, in method order, and passes each to
+    ``progress`` (if given) as soon as it is complete.
+    """
+    generator_id, T, seed, methods = task
+    generation_error = None
     try:
         dataset = generate(generator_id, T, seed)
-        graph = infer_graph(dataset.panel, config)
-        auc = roc_auc(off_diagonal(graph.delta), off_diagonal(dataset.ground_truth))
-        return CellRecord(generator_id, method_id, T, seed, auc=auc)
     except (PreimageGCError, np.linalg.LinAlgError) as err:
+        generation_error = err
+    records = []
+    for method_id, config in methods:
+        auc, error = None, generation_error
+        if error is None:
+            try:
+                graph = infer_graph(dataset.panel, config)
+                auc = roc_auc(
+                    off_diagonal(graph.delta), off_diagonal(dataset.ground_truth)
+                )
+            except (PreimageGCError, np.linalg.LinAlgError) as err:
+                error = err
         # numerical failures are data: record and keep sweeping; bugs raise
-        return CellRecord(
+        record = CellRecord(
             generator_id,
             method_id,
             T,
             seed,
-            auc=None,
-            error=f"{type(err).__name__}: {err}",
+            auc=auc,
+            error=None if error is None else f"{type(error).__name__}: {error}",
         )
+        records.append(record)
+        if progress is not None:
+            progress(record)
+    return records
 
 
 def run_benchmark(
@@ -146,10 +165,12 @@ def run_benchmark(
     """Score every (generator, method, T, seed) cell and summarize.
 
     methods is a list of (method_id, PipelineConfig) pairs; seeds is a
-    count (0..seeds-1) or an explicit list. Cells are independent, so
-    jobs > 1 runs them in worker processes; records always come back in
-    grid order, so the report is identical regardless of jobs.
-    ``progress`` (if given) is called with each completed CellRecord.
+    count (0..seeds-1) or an explicit list. Each (generator, T, seed)
+    panel is generated once and every method runs on it. Panels are
+    independent, so jobs > 1 runs them in worker processes; records
+    always come back in grid order (generator, method, T, seed), so the
+    report is identical regardless of jobs. ``progress`` (if given) is
+    called with each completed CellRecord, in completion order.
     """
     generators = list(generators)
     if not generators:
@@ -179,28 +200,28 @@ def run_benchmark(
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
 
-    tasks = [
-        (g, method_id, config, T, s)
-        for g in generators
-        for method_id, config in methods
-        for T in T_grid
-        for s in seed_list
-    ]
-
-    records = []
+    # one task per panel, so each panel is generated once for all methods
+    tasks = [(g, T, s, methods) for g in generators for T in T_grid for s in seed_list]
     if jobs == 1:
-        for task in tasks:
-            record = _run_cell(task)
-            records.append(record)
-            if progress is not None:
-                progress(record)
+        panels = [_run_panel(task, progress) for task in tasks]
     else:
+        panels = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             # map preserves task order, keeping assembly deterministic
-            for record in pool.map(_run_cell, tasks):
-                records.append(record)
+            for panel in pool.map(_run_panel, tasks):
+                panels.append(panel)
                 if progress is not None:
-                    progress(record)
+                    for record in panel:
+                        progress(record)
+
+    # tasks run generator -> T -> seed; records go out generator -> method -> T -> seed
+    per_generator = len(T_grid) * len(seed_list)
+    records = [
+        panel[m]
+        for start in range(0, len(panels), per_generator)
+        for m in range(len(methods))
+        for panel in panels[start:start + per_generator]
+    ]
 
     return BenchmarkReport(
         records=tuple(records), summaries=tuple(summarize(records))

@@ -113,7 +113,14 @@ def median_bandwidth(X) -> float:
         raise InsufficientSamplesError(
             "median bandwidth needs at least 2 points"
         )
-    med = float(np.median(pdist(X)))
+    if not np.all(np.isfinite(X)):
+        raise DegenerateInputError("median bandwidth needs finite points")
+    # np.median's selection, partitioning the fresh pdist buffer in place
+    # instead of a copy of it
+    d = pdist(X)
+    k = d.size // 2
+    d.partition(k)
+    med = float(d[k] if d.size % 2 else np.mean([d[:k].max(), d[k]]))
     if med <= 0.0:
         raise DegenerateInputError(
             "median pairwise distance is zero (points coincide)"

@@ -127,13 +127,28 @@ def _node_streams(seed, n_nodes):
     return [np.random.Generator(np.random.PCG64(ss)) for ss in children]
 
 
+def _diverged(step, params):
+    return InstabilityError(
+        f"trajectory diverged at step {step} (|y| >= {MAGNITUDE_BOUND:g})",
+        step=step,
+        params=params,
+    )
+
+
 def _guard(state, step, params):
+    # A NaN anywhere makes the max NaN, which never compares >= the bound.
     if np.max(np.abs(state)) >= MAGNITUDE_BOUND:
-        raise InstabilityError(
-            f"trajectory diverged at step {step} (|y| >= {MAGNITUDE_BOUND:g})",
-            step=step,
-            params=params,
-        )
+        raise _diverged(step, params)
+
+
+# The stepped generators below run on Python floats: per-step numpy calls
+# on a 3-5 element state cost more than the arithmetic. Two rules keep the
+# floats bit-identical to numpy scalars: tanh stays np.tanh (math.tanh
+# differs from numpy's SIMD tanh), and squares stay ``v ** 2`` (libm pow,
+# as np.float64 ** 2 computes; v * v rounds differently). Checking every
+# step keeps a finite state below the bound, so float ``**`` cannot
+# overflow. A state whose largest magnitude reaches the bound goes to
+# ``_guard``, which applies numpy's NaN semantics exactly.
 
 
 def _gen_logistic2(T, seed, params):
@@ -160,59 +175,57 @@ def _gen_logistic2(T, seed, params):
     return out, gt
 
 
+def _stream_noise(streams, scale, total):
+    return np.column_stack(
+        [stream.normal(0.0, scale, size=total) for stream in streams]
+    )
+
+
 def _gen_fanout3(T, seed, params):
     burn = params["burn_in"]
-    total = burn + T
-    streams = _node_streams(seed, 3)
-    noise = np.column_stack(
-        [streams[j].normal(0.0, params["noise"], size=total) for j in range(3)]
-    )
-    y = np.zeros(3)
-    out = np.empty((T, 3))
-    for t in range(total):
-        y = np.array(
-            [
-                params["a_hub"] * y[0] + noise[t, 0],
-                params["tanh_gain"] * np.tanh(y[0])
-                + params["tanh_self"] * y[1]
-                + noise[t, 1],
-                params["square_gain"] * y[0] ** 2
-                + params["square_self"] * y[2]
-                + noise[t, 2],
-            ]
+    noise = _stream_noise(_node_streams(seed, 3), params["noise"], burn + T)
+    a_hub = params["a_hub"]
+    tanh_gain, tanh_self = params["tanh_gain"], params["tanh_self"]
+    square_gain, square_self = params["square_gain"], params["square_self"]
+    y0 = y1 = y2 = 0.0
+    rows = []
+    for t, (n0, n1, n2) in enumerate(noise.tolist()):
+        y0, y1, y2 = (
+            a_hub * y0 + n0,
+            tanh_gain * float(np.tanh(y0)) + tanh_self * y1 + n1,
+            square_gain * y0 ** 2 + square_self * y2 + n2,
         )
-        _guard(y, t, params)
+        if max(abs(y0), abs(y1), abs(y2)) >= MAGNITUDE_BOUND:
+            _guard(np.array([y0, y1, y2]), t, params)
         if t >= burn:
-            out[t - burn] = y
+            rows.append((y0, y1, y2))
     gt = np.array([[0, 1, 1], [0, 0, 0], [0, 0, 0]])
-    return out, gt
+    return np.array(rows), gt
 
 
 def _gen_fanin3(T, seed, params):
     burn = params["burn_in"]
-    total = burn + T
-    streams = _node_streams(seed, 3)
-    noise = np.column_stack(
-        [streams[j].normal(0.0, params["noise"], size=total) for j in range(3)]
-    )
-    y = np.zeros(3)
-    out = np.empty((T, 3))
-    for t in range(total):
-        y = np.array(
-            [
-                params["a_root"] * y[0] + noise[t, 0],
-                params["a_root"] * y[1] + noise[t, 1],
-                params["tanh_gain"] * np.tanh(y[0])
-                + params["square_gain"] * y[1] ** 2
-                + params["sink_self"] * y[2]
-                + noise[t, 2],
-            ]
+    noise = _stream_noise(_node_streams(seed, 3), params["noise"], burn + T)
+    a_root = params["a_root"]
+    tanh_gain, square_gain = params["tanh_gain"], params["square_gain"]
+    sink_self = params["sink_self"]
+    y0 = y1 = y2 = 0.0
+    rows = []
+    for t, (n0, n1, n2) in enumerate(noise.tolist()):
+        y0, y1, y2 = (
+            a_root * y0 + n0,
+            a_root * y1 + n1,
+            tanh_gain * float(np.tanh(y0))
+            + square_gain * y1 ** 2
+            + sink_self * y2
+            + n2,
         )
-        _guard(y, t, params)
+        if max(abs(y0), abs(y1), abs(y2)) >= MAGNITUDE_BOUND:
+            _guard(np.array([y0, y1, y2]), t, params)
         if t >= burn:
-            out[t - burn] = y
+            rows.append((y0, y1, y2))
     gt = np.array([[0, 0, 1], [0, 0, 1], [0, 0, 0]])
-    return out, gt
+    return np.array(rows), gt
 
 
 def _coefficients_matrix(params):
@@ -232,51 +245,58 @@ def _gen_linear5(T, seed, params):
     A = _coefficients_matrix(params)
     N = A.shape[0]
     burn = params["burn_in"]
-    total = burn + T
-    streams = _node_streams(seed, N)
-    noise = np.column_stack(
-        [streams[j].normal(0.0, params["noise"], size=total) for j in range(N)]
-    )
+    # row t of the noise becomes the state y_t in place
+    traj = _stream_noise(_node_streams(seed, N), params["noise"], burn + T)
     y = np.zeros(N)
-    out = np.empty((T, N))
-    for t in range(total):
-        y = A @ y + noise[t]
-        _guard(y, t, params)
-        if t >= burn:
-            out[t - burn] = y
-    return out, _gt_from_coefficients(A)
+    # a divergent run overflows after the step that trips the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(traj.shape[0]):
+            traj[t] += A @ y
+            y = traj[t]
+        tripped = np.flatnonzero(np.max(np.abs(traj), axis=1) >= MAGNITUDE_BOUND)
+    if tripped.size:
+        raise _diverged(int(tripped[0]), params)
+    return traj[burn:], _gt_from_coefficients(A)
+
+
+_SELF, _SQUARE, _TANH = range(3)
 
 
 def _gen_nonlinear5(T, seed, params):
     A = _coefficients_matrix(params)
     N = A.shape[0]
     burn = params["burn_in"]
-    total = burn + T
-    streams = _node_streams(seed, N)
-    noise = np.column_stack(
-        [streams[j].normal(0.0, params["noise"], size=total) for j in range(N)]
-    )
-    y = np.zeros(N)
-    out = np.empty((T, N))
-    for t in range(total):
-        tanh_y = np.tanh(y)
-        new = noise[t].copy()
-        for j in range(N):
-            for i in range(N):
-                a = A[j, i]
-                if a == 0.0:
-                    continue
-                if i == j:
-                    new[j] += a * y[i]
-                elif (j, i) in NONLINEAR5_SQUARED:
-                    new[j] += a * y[i] ** 2
-                else:
-                    new[j] += a * tanh_y[i]
+    noise = _stream_noise(_node_streams(seed, N), params["noise"], burn + T)
+    # nonzero (effect, cause, coef, kind) terms, accumulated effect-major
+    terms = []
+    for j in range(N):
+        for i in range(N):
+            a = float(A[j, i])
+            if a == 0.0:
+                continue
+            if i == j:
+                kind = _SELF
+            elif (j, i) in NONLINEAR5_SQUARED:
+                kind = _SQUARE
+            else:
+                kind = _TANH
+            terms.append((j, i, a, kind))
+    y = [0.0] * N
+    rows = []
+    for t, new in enumerate(noise.tolist()):
+        for j, i, a, kind in terms:
+            v = y[i]
+            if kind == _TANH:
+                v = float(np.tanh(v))
+            elif kind == _SQUARE:
+                v = v ** 2
+            new[j] += a * v
         y = new
-        _guard(y, t, params)
+        if max(map(abs, y)) >= MAGNITUDE_BOUND:
+            _guard(np.array(y), t, params)
         if t >= burn:
-            out[t - burn] = y
-    return out, _gt_from_coefficients(A)
+            rows.append(y)
+    return np.array(rows), _gt_from_coefficients(A)
 
 
 _BUILDERS = {

@@ -12,9 +12,12 @@ from preimage_gc import (
     IDENTITY,
     CellRecord,
     ConfigError,
+    InstabilityError,
     PipelineConfig,
     ShapeError,
     UndefinedAucError,
+    generate,
+    infer_graph,
     off_diagonal,
     roc_auc,
     run_benchmark,
@@ -185,10 +188,12 @@ class TestRunBenchmark:
         assert a.summaries == b.summaries
 
     def test_parallel_equals_serial(self):
-        args = (["fanout3"], self.small_methods(), [50], 3)
+        args = (["fanout3", "logistic2"], self.small_methods(), [50, 60], 3)
         serial = run_benchmark(*args, jobs=1)
-        parallel = run_benchmark(*args, jobs=2)
+        seen = []
+        parallel = run_benchmark(*args, jobs=2, progress=seen.append)
         assert serial.records == parallel.records
+        assert sorted(seen, key=serial.records.index) == list(serial.records)
 
     def test_failures_recorded_not_raised(self):
         # a component count far above the achievable rank fails per cell
@@ -205,6 +210,45 @@ class TestRunBenchmark:
         monkeypatch.setattr(bench_module, "infer_graph", broken)
         with pytest.raises(TypeError, match="not a numerical failure"):
             run_benchmark(["linear5"], self.small_methods(), [50], 1, jobs=1)
+
+    def test_each_panel_generated_once(self, monkeypatch):
+        calls = []
+
+        def counting_generate(generator_id, T, seed):
+            calls.append((generator_id, T, seed))
+            return generate(generator_id, T, seed)
+
+        monkeypatch.setattr(bench_module, "generate", counting_generate)
+        seen = []
+        generators, T_grid, seeds = ["fanin3", "logistic2"], [60, 50], [3, 1]
+        report = run_benchmark(
+            generators, self.small_methods(), T_grid, seeds, progress=seen.append
+        )
+        assert len(calls) == len(set(calls)) == 2 * 2 * 2
+        keys = [(r.generator_id, r.method_id, r.T, r.seed) for r in report.records]
+        assert keys == [
+            (g, m, T, s)
+            for g in generators
+            for m in ("kernel", "linear-gc")
+            for T in T_grid
+            for s in seeds
+        ]
+        assert sorted(seen, key=report.records.index) == list(report.records)
+
+    def test_generation_failure_recorded_for_every_method(self, monkeypatch):
+        def unstable_generate(generator_id, T, seed):
+            return generate(generator_id, T, seed, params={"square_self": 1.5})
+
+        monkeypatch.setattr(bench_module, "generate", unstable_generate)
+        with pytest.raises(InstabilityError) as exc:
+            unstable_generate("fanout3", 50, 0)
+        report = run_benchmark(["fanout3"], self.small_methods(), [50], 2)
+        assert [r.method_id for r in report.records] == [
+            "kernel", "kernel", "linear-gc", "linear-gc"
+        ]
+        assert all(r.auc is None for r in report.records)
+        assert report.records[0].error == f"InstabilityError: {exc.value}"
+        assert len({r.error for r in report.records}) == 1
 
     def test_explicit_seed_list(self):
         report = run_benchmark(["logistic2"], self.small_methods()[:1], [50], [7, 9])
@@ -228,6 +272,20 @@ class TestRunBenchmark:
             ["logistic2"], self.small_methods()[:1], [50], 2, progress=seen.append
         )
         assert len(seen) == 2
+
+    def test_progress_reports_each_cell_as_it_completes(self, monkeypatch):
+        events = []
+
+        def logging_infer_graph(panel, config):
+            events.append("infer")
+            return infer_graph(panel, config)
+
+        monkeypatch.setattr(bench_module, "infer_graph", logging_infer_graph)
+        run_benchmark(
+            ["logistic2"], self.small_methods(), [50], 2,
+            progress=lambda record: events.append("progress"),
+        )
+        assert events == ["infer", "progress"] * 4
 
     def test_serialization_round_trip(self):
         report = run_benchmark(["logistic2"], self.small_methods(), [50], 2)

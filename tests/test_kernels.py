@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.spatial.distance import pdist
 
 import preimage_gc.kernels as kernels_module
 from preimage_gc import (
@@ -109,6 +110,21 @@ class TestMedianBandwidth:
     def test_identical_points_degenerate(self):
         with pytest.raises(DegenerateInputError):
             median_bandwidth(np.ones((5, 2)))
+
+    def test_equals_numpy_median_of_pdist(self):
+        rng = np.random.default_rng(8)
+        # 2..9 points give pair counts 1, 3, 6, 10, 15, 21, 28, 36: odd and even
+        for n in [2, 3, 4, 5, 6, 7, 8, 9, 40, 101]:
+            for dim in (1, 3):
+                X = rng.normal(size=(n, dim))
+                assert median_bandwidth(X) == float(np.median(pdist(X)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_points_rejected(self, bad):
+        X = np.random.default_rng(9).normal(size=(12, 2))
+        X[3, 1] = bad
+        with pytest.raises(DegenerateInputError, match="finite"):
+            median_bandwidth(X)
 
 
 class TestFitKernelPca:

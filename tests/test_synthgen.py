@@ -1,5 +1,7 @@
 """Benchmark generators: ground truths, determinism, stability."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,144 @@ from preimage_gc import (
     generate,
     ground_truth_edges,
 )
+from preimage_gc.synthgen import (
+    MAGNITUDE_BOUND,
+    NONLINEAR5_SQUARED,
+    _coefficients_matrix,
+    _gt_from_coefficients,
+    _node_streams,
+    _resolve_params,
+)
 
 FIVE_NODE_EDGES = [(0, 1), (1, 2), (1, 3), (3, 4)]
+
+
+# Reference implementations: the per-step numpy loops that the float
+# loops in synthgen replaced, kept as they were. Compared on this machine
+# rather than against a stored hash, because np.tanh is SIMD-dependent.
+
+
+def _ref_guard(state, step, params):
+    if np.max(np.abs(state)) >= MAGNITUDE_BOUND:
+        raise InstabilityError(
+            f"trajectory diverged at step {step} (|y| >= {MAGNITUDE_BOUND:g})",
+            step=step,
+            params=params,
+        )
+
+
+def _ref_fanout3(T, seed, params):
+    burn = params["burn_in"]
+    total = burn + T
+    streams = _node_streams(seed, 3)
+    noise = np.column_stack(
+        [streams[j].normal(0.0, params["noise"], size=total) for j in range(3)]
+    )
+    y = np.zeros(3)
+    out = np.empty((T, 3))
+    for t in range(total):
+        y = np.array(
+            [
+                params["a_hub"] * y[0] + noise[t, 0],
+                params["tanh_gain"] * np.tanh(y[0])
+                + params["tanh_self"] * y[1]
+                + noise[t, 1],
+                params["square_gain"] * y[0] ** 2
+                + params["square_self"] * y[2]
+                + noise[t, 2],
+            ]
+        )
+        _ref_guard(y, t, params)
+        if t >= burn:
+            out[t - burn] = y
+    gt = np.array([[0, 1, 1], [0, 0, 0], [0, 0, 0]])
+    return out, gt
+
+
+def _ref_fanin3(T, seed, params):
+    burn = params["burn_in"]
+    total = burn + T
+    streams = _node_streams(seed, 3)
+    noise = np.column_stack(
+        [streams[j].normal(0.0, params["noise"], size=total) for j in range(3)]
+    )
+    y = np.zeros(3)
+    out = np.empty((T, 3))
+    for t in range(total):
+        y = np.array(
+            [
+                params["a_root"] * y[0] + noise[t, 0],
+                params["a_root"] * y[1] + noise[t, 1],
+                params["tanh_gain"] * np.tanh(y[0])
+                + params["square_gain"] * y[1] ** 2
+                + params["sink_self"] * y[2]
+                + noise[t, 2],
+            ]
+        )
+        _ref_guard(y, t, params)
+        if t >= burn:
+            out[t - burn] = y
+    gt = np.array([[0, 0, 1], [0, 0, 1], [0, 0, 0]])
+    return out, gt
+
+
+def _ref_linear5(T, seed, params):
+    A = _coefficients_matrix(params)
+    N = A.shape[0]
+    burn = params["burn_in"]
+    total = burn + T
+    streams = _node_streams(seed, N)
+    noise = np.column_stack(
+        [streams[j].normal(0.0, params["noise"], size=total) for j in range(N)]
+    )
+    y = np.zeros(N)
+    out = np.empty((T, N))
+    for t in range(total):
+        y = A @ y + noise[t]
+        _ref_guard(y, t, params)
+        if t >= burn:
+            out[t - burn] = y
+    return out, _gt_from_coefficients(A)
+
+
+def _ref_nonlinear5(T, seed, params):
+    A = _coefficients_matrix(params)
+    N = A.shape[0]
+    burn = params["burn_in"]
+    total = burn + T
+    streams = _node_streams(seed, N)
+    noise = np.column_stack(
+        [streams[j].normal(0.0, params["noise"], size=total) for j in range(N)]
+    )
+    y = np.zeros(N)
+    out = np.empty((T, N))
+    for t in range(total):
+        tanh_y = np.tanh(y)
+        new = noise[t].copy()
+        for j in range(N):
+            for i in range(N):
+                a = A[j, i]
+                if a == 0.0:
+                    continue
+                if i == j:
+                    new[j] += a * y[i]
+                elif (j, i) in NONLINEAR5_SQUARED:
+                    new[j] += a * y[i] ** 2
+                else:
+                    new[j] += a * tanh_y[i]
+        y = new
+        _ref_guard(y, t, params)
+        if t >= burn:
+            out[t - burn] = y
+    return out, _gt_from_coefficients(A)
+
+
+REFERENCES = {
+    "fanout3": _ref_fanout3,
+    "fanin3": _ref_fanin3,
+    "linear5": _ref_linear5,
+    "nonlinear5": _ref_nonlinear5,
+}
 
 
 class TestGroundTruths:
@@ -140,3 +278,72 @@ class TestParameters:
     def test_burn_in_must_be_nonnegative(self):
         with pytest.raises(ValueError, match="burn_in"):
             generate("linear5", 60, 0, params={"burn_in": -1})
+
+
+# a 4-node system with a squared (3, 1) coupling, negative terms and no
+# self term on node 2
+FOUR_NODE_COEFFICIENTS = np.array(
+    [
+        [0.40, 0.00, 0.00, 0.30],
+        [-0.50, 0.55, 0.00, 0.00],
+        [0.00, 0.35, 0.00, 0.00],
+        [0.00, 0.45, -0.30, 0.25],
+    ]
+)
+
+OVERRIDES = {
+    "fanout3": {"a_hub": 0.8, "tanh_gain": 1.4, "square_self": 0.2, "burn_in": 0},
+    "fanin3": {"a_root": -0.6, "square_gain": 0.9, "noise": 0.3, "burn_in": 17},
+    "linear5": {"coefficients": FOUR_NODE_COEFFICIENTS, "burn_in": 5},
+    "nonlinear5": {"coefficients": FOUR_NODE_COEFFICIENTS, "noise": 0.4},
+}
+
+# Each diverges in a few dozen steps: during the default burn-in, and in
+# the kept window when burn_in is 10.
+UNSTABLE = {
+    "fanout3": {"square_self": 1.5},
+    "fanin3": {"a_root": 1.3},
+    "linear5": {"coefficients": np.diag([0.5, 1.6, 0.3])},
+    "nonlinear5": {"coefficients": FOUR_NODE_COEFFICIENTS + np.diag([0, 0, 0, 1.4])},
+}
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("gen", sorted(REFERENCES))
+    @pytest.mark.parametrize("T", [50, 137, 500])
+    def test_default_params_bit_identical(self, gen, T):
+        for seed in (0, 1, 7, 12345):
+            params = _resolve_params(gen, {})
+            want, want_gt = REFERENCES[gen](T, seed, params)
+            got = generate(gen, T, seed)
+            assert np.array_equal(got.panel.values, want)
+            assert np.array_equal(got.ground_truth, want_gt)
+
+    @pytest.mark.parametrize("gen", sorted(REFERENCES))
+    def test_overridden_params_bit_identical(self, gen):
+        # several seeds: a 1-ulp change in one square often rounds away
+        for T, seed in [(60, 3)] + [(200, s) for s in range(6)]:
+            params = _resolve_params(gen, OVERRIDES[gen])
+            want, want_gt = REFERENCES[gen](T, seed, params)
+            got = generate(gen, T, seed, params=OVERRIDES[gen])
+            assert np.array_equal(got.panel.values, want)
+            assert np.array_equal(got.ground_truth, want_gt)
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("gen", sorted(REFERENCES))
+    @pytest.mark.parametrize("burn_in", [1000, 10])
+    def test_same_step_and_message_as_reference(self, gen, burn_in):
+        overrides = dict(UNSTABLE[gen], burn_in=burn_in)
+        params = _resolve_params(gen, overrides)
+        with pytest.raises(InstabilityError) as want:
+            REFERENCES[gen](60, 5, params)
+        # the run blows up inside the kept window only when burn_in is short
+        assert (want.value.step >= burn_in) == (burn_in == 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InstabilityError) as got:
+                generate(gen, 60, 5, params=overrides)
+        assert got.value.step == want.value.step
+        assert str(got.value) == str(want.value)
+        assert got.value.params["burn_in"] == burn_in
