@@ -6,7 +6,10 @@ import csv
 import io
 import json
 import math
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -15,6 +18,11 @@ from scipy.stats import rankdata
 from .causality import PipelineConfig, infer_graph
 from .errors import ConfigError, PreimageGCError, ShapeError, UndefinedAucError
 from .synthgen import GENERATOR_IDS, generate
+
+# The environment bench workers start in. numpy's and scipy's OpenBLAS
+# each size their thread pool once, when loaded, to the core count, so
+# jobs workers would each run that many BLAS threads.
+_WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
 def roc_auc(scores, labels) -> float:
@@ -154,6 +162,36 @@ def _run_panel(task, progress=None):
     return records
 
 
+@contextmanager
+def _environ(overrides):
+    """Set environment variables for the duration of the block."""
+    saved = {name: os.environ.get(name) for name in overrides}
+    os.environ.update(overrides)
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
+
+
+def _map_in_workers(fn, tasks, jobs):
+    """fn over tasks in jobs spawned worker processes, results in task order.
+
+    Spawned, not forked, workers load numpy and scipy afresh, in
+    _WORKER_ENV; this process keeps its own BLAS threads and environment.
+    """
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
+        # the pool starts its spawned workers as tasks are submitted,
+        # and map submits every task before it returns
+        with _environ(_WORKER_ENV):
+            results = pool.map(fn, tasks)
+        yield from results
+
+
 def run_benchmark(
     generators,
     methods,
@@ -167,10 +205,11 @@ def run_benchmark(
     methods is a list of (method_id, PipelineConfig) pairs; seeds is a
     count (0..seeds-1) or an explicit list. Each (generator, T, seed)
     panel is generated once and every method runs on it. Panels are
-    independent, so jobs > 1 runs them in worker processes; records
-    always come back in grid order (generator, method, T, seed), so the
-    report is identical regardless of jobs. ``progress`` (if given) is
-    called with each completed CellRecord, in completion order.
+    independent, so jobs > 1 runs them in worker processes with one BLAS
+    thread each; records always come back in grid order (generator,
+    method, T, seed), so the report is identical regardless of jobs.
+    ``progress`` (if given) is called with each completed CellRecord, in
+    completion order.
     """
     generators = list(generators)
     if not generators:
@@ -206,13 +245,12 @@ def run_benchmark(
         panels = [_run_panel(task, progress) for task in tasks]
     else:
         panels = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            # map preserves task order, keeping assembly deterministic
-            for panel in pool.map(_run_panel, tasks):
-                panels.append(panel)
-                if progress is not None:
-                    for record in panel:
-                        progress(record)
+        # map preserves task order, keeping assembly deterministic
+        for panel in _map_in_workers(_run_panel, tasks, jobs):
+            panels.append(panel)
+            if progress is not None:
+                for record in panel:
+                    progress(record)
 
     # tasks run generator -> T -> seed; records go out generator -> method -> T -> seed
     per_generator = len(T_grid) * len(seed_list)

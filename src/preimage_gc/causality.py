@@ -27,8 +27,8 @@ from .kernels import (
     KernelPcaModel,
     KernelSpec,
     _check_p_select,
+    _median_rbf_gram,
     fit_kernel_pca,
-    median_bandwidth,
 )
 from .preimage import PreimageMap, learn_preimage, reconstruct
 from .varm import VarModelFit, fit_var, predict, residual_variance_about
@@ -131,11 +131,11 @@ def _fit_pipeline(
             H = X
         else:
             if isinstance(config.kernel, KernelSpec):
-                spec = config.kernel
+                spec, K = config.kernel, None
             else:
-                spec = KernelSpec(kind="rbf", bandwidth=median_bandwidth(X))
+                spec, K = _median_rbf_gram(X)
             try:
-                kpca = fit_kernel_pca(spec, X, config.p_select)
+                kpca = fit_kernel_pca(spec, X, config.p_select, _gram=K)
             except RankError as err:
                 soft = (
                     cap_rank

@@ -6,9 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dsymv
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
-from scipy.spatial.distance import cdist, pdist
+from scipy.linalg.blas import dgemm, dgemv, dnrm2, dscal, dsymv
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import (
     DegenerateInputError,
@@ -23,25 +22,31 @@ KERNEL_KINDS = ("rbf", "linear", "polynomial")
 # Relative eigenvalue cutoff below which a component is treated as null.
 EIGENVALUE_RTOL = 1e-10
 
-# Matrix order from which kernel PCA takes its top eigenpairs from one
-# Lanczos run instead of a full dense eigendecomposition: the smallest
-# order at which Lanczos was no slower on any panel measured. Median
-# times of the two solvers on rbf grams of the synthetic panels, rbf on
-# one-dimensional points included (2 cores, scipy 1.17.1, OpenBLAS
-# 0.3.30), dense vs Lanczos: M = 200: 3.2-4.5 ms vs 2.9-5.6 ms;
-# M = 300: 6.2-10.0 ms vs 4.1-6.3 ms; M = 500: 19-25 ms vs 5.5-7.3 ms;
-# M = 1000: 96-127 ms vs 14-19 ms.
-LANCZOS_MIN_ORDER = 300
-# Pairs in the one Lanczos run for a fractional p_select, and the most
-# an integer p_select may ask for (it asks for p_select + 1). The
-# synthetic panels keep P = 2-22 at p_select = 0.95; a target that 32
-# pairs do not reach goes to the dense path.
-LANCZOS_PAIRS = 32
-# ARPACK restarts the one run may take. The synthetic panels converge in
-# at most 2; a gram whose numerical rank is below LANCZOS_PAIRS (rbf on
-# one-dimensional points) needs 10-18 to pin pairs at the rounding-noise
-# floor, and gets by on the pairs that have converged by the third.
-LANCZOS_RESTARTS = 3
+# Matrix order from which kernel PCA takes its top eigenpairs from a
+# self-stopping Lanczos run instead of a full dense eigendecomposition:
+# the smallest order measured at which Lanczos was faster on every gram,
+# with a margin. Worst ratio of the two solvers' median times on one
+# gram (Lanczos / dense), over the rbf grams of the synthetic panels
+# at p_select = 0.95, full and leave-one-out, 2 seeds (2 cores, scipy
+# 1.17.1, OpenBLAS 0.3.30): M = 150: 1.08 (linear5); M = 175: 0.89;
+# M = 200: 0.64; M = 250: 0.45. At M = 100 Lanczos lost on linear5 and
+# nonlinear5 (up to 2.2 vs 1.4 ms); at M = 1000 it took 1-11 ms against
+# 96-132 ms.
+LANCZOS_MIN_ORDER = 200
+# Most Lanczos steps before the dense path takes over. On those grams at
+# M = 200-1000 a run settles p_select = 0.95 within 54 steps (P = 2-22)
+# and 0.99 within 96 but for 1 of 138 grams (P = 3-51); 0.999 (P up to
+# 54) falls back on 52 of them. A run cut off here costs 7.9 ms against
+# 4.6 ms for dense at M = 200, 12 vs 28 ms at M = 500 and 25 vs 141 ms
+# at M = 1000.
+LANCZOS_MAX_STEPS = 96
+# Lanczos steps between two tests of the Ritz pairs. Each test is a
+# tridiagonal eigendecomposition of 0.1-0.5 ms; over those grams every
+# 6 steps was as fast as every 8 or 12 and faster than every 2 or 4.
+LANCZOS_CHECK_EVERY = 6
+# ARPACK's tol=0 convergence test: LAPACK's unit roundoff and its 2/3 power.
+_EPS = np.finfo(float).eps / 2
+_EPS23 = _EPS ** (2.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -91,11 +96,7 @@ def gram(spec: KernelSpec, X, Z) -> np.ndarray:
             f"point dimensions differ: {X.shape[1]} vs {Z.shape[1]}"
         )
     if spec.kind == "rbf":
-        # in place: at T = 1000 each T x T temporary costs about a millisecond;
-        # pairwise distances are exactly symmetric, so no symmetrizing either
-        K = cdist(X, Z, "sqeuclidean")
-        np.divide(K, -2.0 * spec.bandwidth**2, out=K)
-        return np.exp(K, out=K)
+        return _rbf_of_squared(cdist(X, Z, "sqeuclidean"), spec.bandwidth)
     if spec.kind == "linear":
         K = X @ Z.T
     else:
@@ -106,8 +107,17 @@ def gram(spec: KernelSpec, X, Z) -> np.ndarray:
     return K
 
 
-def median_bandwidth(X) -> float:
-    """Median pairwise euclidean distance, the usual rbf length scale."""
+def _rbf_of_squared(D, bandwidth):
+    """exp(-D / (2 bandwidth^2)) over squared distances D, in place.
+
+    In place: at T = 1000 each T x T temporary costs about a millisecond;
+    pairwise distances are exactly symmetric, so no symmetrizing either.
+    """
+    np.divide(D, -2.0 * bandwidth**2, out=D)
+    return np.exp(D, out=D)
+
+
+def _bandwidth_points(X):
     X = _as_points(X, "X")
     if X.shape[0] < 2:
         raise InsufficientSamplesError(
@@ -115,17 +125,47 @@ def median_bandwidth(X) -> float:
         )
     if not np.all(np.isfinite(X)):
         raise DegenerateInputError("median bandwidth needs finite points")
-    # np.median's selection, partitioning the fresh pdist buffer in place
-    # instead of a copy of it
-    d = pdist(X)
+    return X
+
+
+def _median_distance(d, squared=False):
+    """np.median of the pairwise distances d, partitioning d in place.
+
+    With squared, d holds squared distances and the median is taken of
+    the square roots of its one or two middle values: sqrt is monotone,
+    and sqrt of a squared pdist distance equals the pdist distance bit
+    for bit.
+    """
     k = d.size // 2
     d.partition(k)
-    med = float(d[k] if d.size % 2 else np.mean([d[:k].max(), d[k]]))
+    middle = np.array([d[k]] if d.size % 2 else [d[:k].max(), d[k]])
+    if squared:
+        np.sqrt(middle, out=middle)
+    med = float(np.mean(middle))
     if med <= 0.0:
         raise DegenerateInputError(
             "median pairwise distance is zero (points coincide)"
         )
     return med
+
+
+def median_bandwidth(X) -> float:
+    """Median pairwise euclidean distance, the usual rbf length scale."""
+    return _median_distance(pdist(_bandwidth_points(X)))
+
+
+def _median_rbf_gram(X):
+    """The median-bandwidth rbf spec for X and its gram K(X, X).
+
+    Both come from one pdist of squared distances, which is spread into
+    the gram before it is partitioned for the median; equal bit for bit
+    to median_bandwidth(X) and gram(spec, X, X).
+    """
+    X = _bandwidth_points(X)
+    d = pdist(X, "sqeuclidean")
+    K = squareform(d)
+    spec = KernelSpec("rbf", bandwidth=_median_distance(d, squared=True))
+    return spec, _rbf_of_squared(K, spec.bandwidth)
 
 
 @dataclass(frozen=True)
@@ -203,61 +243,84 @@ def _dense_top(Kc, p_select):
     return evals[:P], evecs[:, :P]
 
 
-def _lanczos_top(Kc, p_select):
-    """The same eigenpairs as _dense_top from one bounded Lanczos run.
+def _ritz_settled(alpha, beta, residual, total, p_select):
+    """The top Ritz pairs of a Lanczos tridiagonal, if they settle p_select.
 
-    Returns None, leaving the answer (and any RankError) to the dense
-    path, when the request is larger than LANCZOS_PAIRS, when the run's
-    pairs do not reach the mass target or include a null component, and
-    when ARPACK fails. A run cut off after LANCZOS_RESTARTS answers from
-    the pairs that did converge, if they are provably the top ones. A
-    fraction's total mass is trace(Kc), the sum of all eigenvalues, so
-    the top pairs alone settle the count.
+    alpha and beta are the tridiagonal's diagonal and off-diagonal, and
+    residual is the norm of the next Lanczos vector. A Ritz pair has
+    converged by ARPACK's tol=0 test. Returns (values, vectors in the
+    Lanczos basis) of the top P pairs when the leading converged ones
+    settle the count and the P-th is not null, else None.
     """
-    fraction = isinstance(p_select, (float, np.floating))
-    if fraction:
-        if p_select == 1.0:
-            return None
-        k = LANCZOS_PAIRS
-    else:
-        k = int(p_select) + 1
-        if k > LANCZOS_PAIRS:
-            return None
-    M = Kc.shape[0]
-    # Kc is symmetric, so its transpose is itself in Fortran order: dsymv
-    # reads it without a copy, and far faster than a threaded gemv.
-    upper = Kc.T
-    op = LinearOperator((M, M), matvec=lambda v: dsymv(1.0, upper, v), dtype=float)
-    # Not a vector of ones: Kc annihilates it.
-    v0 = np.random.default_rng(0).standard_normal(M)
-    partial = False
-    try:
-        evals, evecs = eigsh(op, k=k, which="LA", tol=0, v0=v0, maxiter=LANCZOS_RESTARTS)
-    except ArpackNoConvergence as err:
-        evals, evecs, partial = err.eigenvalues, err.eigenvectors, True
-    except ArpackError:
-        return None
-    order = np.argsort(evals)[::-1]
-    evals = np.maximum(evals[order], 0.0)
-    evecs = evecs[:, order]
-
-    total = np.trace(Kc)
-    if fraction:
-        P = int(np.searchsorted(np.cumsum(evals), p_select * total, side="left")) + 1
+    theta, S = scipy.linalg.eigh_tridiagonal(alpha, beta, check_finite=False)
+    theta, S = theta[::-1], S[:, ::-1]
+    converged = residual * np.abs(S[-1]) <= _EPS * np.maximum(_EPS23, np.abs(theta))
+    # the leading run of converged pairs; Lanczos finds the top ones first
+    c = int(np.argmin(converged)) if not converged.all() else converged.size
+    if isinstance(p_select, (float, np.floating)):
+        cum = np.cumsum(np.maximum(theta[:c], 0.0))
+        P = int(np.searchsorted(cum, p_select * total, side="left")) + 1
     else:
         P = int(p_select)
-    if P > evals.size or not evals[P - 1] > EIGENVALUE_RTOL * evals[0]:
+    if P > c or not theta[P - 1] > EIGENVALUE_RTOL * theta[0]:
         return None
-    # The converged part of an unfinished run need not be the top of the
-    # spectrum. It is when no eigenvalue left out can exceed the smallest
-    # kept one: Kc is positive semidefinite, so the mass left out bounds
-    # each eigenvalue left out.
-    if partial and not evals[P - 1] > total - evals.sum():
-        return None
-    return evals[:P], evecs[:, :P]
+    return theta[:P], S[:, :P]
 
 
-def fit_kernel_pca(spec: KernelSpec, X, p_select) -> KernelPcaModel:
+def _lanczos_top(Kc, p_select):
+    """The same eigenpairs as _dense_top from a Lanczos run that stops
+    as soon as they are settled.
+
+    The run keeps every Lanczos vector and reorthogonalises each new one
+    against all of them (classical Gram-Schmidt, twice). Every
+    LANCZOS_CHECK_EVERY steps it tests the Ritz pairs: a fraction's
+    total mass is trace(Kc), the sum of all eigenvalues, so the top
+    converged pairs alone settle the count. Returns None, leaving the
+    answer (and any RankError) to the dense path, for p_select == 1.0,
+    after LANCZOS_MAX_STEPS steps, and when the Krylov space becomes
+    invariant before the count is settled.
+    """
+    if isinstance(p_select, (float, np.floating)) and p_select == 1.0:
+        return None
+    total = float(np.trace(Kc))
+    # centering spreads a non-finite entry onto the diagonal
+    if not np.isfinite(total):
+        return None
+    M = Kc.shape[0]
+    steps = min(LANCZOS_MAX_STEPS, M)
+    # a residual at the rounding level of one matvec: the Krylov space is invariant
+    breakdown = _EPS * np.sqrt(M) * total
+    # Kc is symmetric, so its transpose is itself in Fortran order: dsymv
+    # reads it without a copy. Every BLAS call goes to scipy's OpenBLAS.
+    upper = Kc.T
+    Q = np.empty((M, steps + 1), order="F")
+    alpha = np.empty(steps)
+    beta = np.empty(steps)
+    # Not a vector of ones: Kc annihilates it.
+    v0 = np.random.default_rng(0).standard_normal(M)
+    Q[:, 0] = dscal(1.0 / dnrm2(v0), v0)
+    for j in range(steps):
+        basis = Q[:, : j + 1]
+        w = dsymv(1.0, upper, Q[:, j])
+        h = dgemv(1.0, basis, w, trans=1)
+        w = dgemv(-1.0, basis, h, beta=1.0, y=w, overwrite_y=1)
+        h2 = dgemv(1.0, basis, w, trans=1)
+        w = dgemv(-1.0, basis, h2, beta=1.0, y=w, overwrite_y=1)
+        alpha[j] = h[j] + h2[j]
+        beta[j] = dnrm2(w)
+        invariant = not beta[j] > breakdown
+        if invariant or (j + 1) % LANCZOS_CHECK_EVERY == 0 or j + 1 == steps:
+            pairs = _ritz_settled(alpha[: j + 1], beta[:j], beta[j], total, p_select)
+            if pairs is not None:
+                theta, S = pairs
+                return theta, dgemm(1.0, basis, S)
+            if invariant:
+                return None
+        Q[:, j + 1] = dscal(1.0 / beta[j], w)
+    return None
+
+
+def fit_kernel_pca(spec: KernelSpec, X, p_select, *, _gram=None) -> KernelPcaModel:
     """Eigendecompose the double-centered gram of X and keep leading axes.
 
     p_select picks the component count: an int asks for exactly that many
@@ -270,10 +333,13 @@ def fit_kernel_pca(spec: KernelSpec, X, p_select) -> KernelPcaModel:
     largest-magnitude dual entry is positive. The training points'
     own coordinates are therefore dual_coefficients * eigenvalues.
 
-    From LANCZOS_MIN_ORDER points up, the top eigenpairs come from one
-    Lanczos run; below it, and whenever that run cannot answer, from a
-    dense eigendecomposition. A failure of the dense solver raises
-    EigensolverError.
+    From LANCZOS_MIN_ORDER points up, the top eigenpairs come from a
+    Lanczos run that stops once they are settled; below it, and whenever
+    that run cannot answer, from a dense eigendecomposition. A failure of
+    the dense solver raises EigensolverError.
+
+    _gram, for callers that already hold gram(spec, X, X), is used
+    instead of a new gram and centered in place.
     """
     X = _as_points(X, "X")
     M = X.shape[0]
@@ -281,7 +347,7 @@ def fit_kernel_pca(spec: KernelSpec, X, p_select) -> KernelPcaModel:
         raise InsufficientSamplesError("kernel PCA needs at least 2 points")
     _check_p_select(p_select)
 
-    Kc = gram(spec, X, X)
+    Kc = gram(spec, X, X) if _gram is None else _gram
     col_means = Kc.mean(axis=0)
     grand_mean = float(Kc.mean())
     # centered in place, the same operations in the same order as

@@ -1,6 +1,7 @@
 """ROC-AUC and the sweep harness."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -194,6 +195,16 @@ class TestRunBenchmark:
         parallel = run_benchmark(*args, jobs=2, progress=seen.append)
         assert serial.records == parallel.records
         assert sorted(seen, key=serial.records.index) == list(serial.records)
+
+    def test_workers_run_one_blas_thread(self, monkeypatch):
+        # the BLAS libraries read these when a worker loads them; this
+        # process's own environment is left as it was
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"] * 2
+        assert list(bench_module._map_in_workers(os.getenv, names, 2)) == ["1"] * 4
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
+        assert "OMP_NUM_THREADS" not in os.environ
 
     def test_failures_recorded_not_raised(self):
         # a component count far above the achievable rank fails per cell

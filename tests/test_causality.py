@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import preimage_gc.causality as causality_module
 from preimage_gc import (
@@ -25,6 +27,7 @@ from preimage_gc import (
     run_full_model,
 )
 from preimage_gc.kernels import LANCZOS_MIN_ORDER
+from preimage_gc.synthgen import generate
 
 
 def random_panel(T, N, seed, names=None):
@@ -285,6 +288,47 @@ class TestInferGraph:
             ]
             medians.append(np.median(deltas))
         assert medians[1] >= medians[0]
+
+
+class TestInferGraphProperties:
+    """Invariants of whole infer_graph runs on synthetic panels, T <= 150."""
+
+    @given(
+        st.sampled_from(["fanin3", "nonlinear5"]),
+        st.integers(min_value=60, max_value=150),
+        st.integers(min_value=0, max_value=2**16),
+        st.data(),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_node_permutation_permutes_delta(self, generator_id, T, seed, data):
+        panel = generate(generator_id, T, seed).panel
+        perm = data.draw(st.permutations(range(panel.n_nodes)))
+        permuted = TimeSeriesPanel(
+            panel.values[:, perm], tuple(panel.node_names[p] for p in perm)
+        )
+        a = infer_graph(panel)
+        b = infer_graph(permuted)
+        np.testing.assert_allclose(b.delta, a.delta[np.ix_(perm, perm)], rtol=0, atol=1e-8)
+
+    @given(
+        st.sampled_from(["logistic2", "fanout3", "linear5"]),
+        st.integers(min_value=60, max_value=150),
+        st.integers(min_value=0, max_value=2**16),
+        st.data(),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_affine_column_rescaling_leaves_delta_unchanged(self, generator_id, T, seed, data):
+        panel = generate(generator_id, T, seed).panel
+        j = data.draw(st.integers(min_value=0, max_value=panel.n_nodes - 1))
+        scale = data.draw(st.floats(min_value=0.01, max_value=100.0))
+        sign = data.draw(st.sampled_from([-1.0, 1.0]))
+        shift = data.draw(st.floats(min_value=-100.0, max_value=100.0))
+        values = panel.values.copy()
+        values[:, j] = sign * scale * values[:, j] + shift
+        config = PipelineConfig(normalize_input=True)
+        a = infer_graph(panel, config)
+        b = infer_graph(TimeSeriesPanel(values, panel.node_names), config)
+        np.testing.assert_allclose(b.delta, a.delta, rtol=0, atol=1e-8)
 
 
 class TestCausalGraph:

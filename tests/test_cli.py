@@ -4,7 +4,6 @@ import json
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
 
 import preimage_gc.kernels as kernels_module
 from preimage_gc import ingest_csv
@@ -148,19 +147,26 @@ class TestInfer:
         assert "did not converge" in err
 
     def test_lanczos_failure_falls_back_to_dense(self, tmp_path, monkeypatch):
-        def fail(*args, **kwargs):
-            raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
+        # a run cut off by the step cap settles nothing: every fit goes dense
+        answers = []
+        lanczos = kernels_module._lanczos_top
+
+        def recorded(*args, **kwargs):
+            answers.append(lanczos(*args, **kwargs))
+            return answers[-1]
 
         T = kernels_module.LANCZOS_MIN_ORDER + 20
         data = self.synth_csv(tmp_path, gen="logistic2", T=T, seed=2)
-        failed, dense = tmp_path / "failed", tmp_path / "dense"
+        capped, dense = tmp_path / "capped", tmp_path / "dense"
         with monkeypatch.context() as patch:
-            patch.setattr(kernels_module, "eigsh", fail)
-            assert run(["infer", str(data), "--out", str(failed)]) == 0
+            patch.setattr(kernels_module, "_lanczos_top", recorded)
+            patch.setattr(kernels_module, "LANCZOS_MAX_STEPS", 2)
+            assert run(["infer", str(data), "--out", str(capped)]) == 0
+        assert answers == [None] * 3
         with monkeypatch.context() as patch:
             patch.setattr(kernels_module, "LANCZOS_MIN_ORDER", T + 1)
             assert run(["infer", str(data), "--out", str(dense)]) == 0
-        assert (failed / "graph.json").read_bytes() == (dense / "graph.json").read_bytes()
+        assert (capped / "graph.json").read_bytes() == (dense / "graph.json").read_bytes()
 
     def test_repeat_is_byte_identical(self, tmp_path):
         data = self.synth_csv(tmp_path, gen="fanin3", T=90, seed=5)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.sparse.linalg import ArpackNoConvergence
 from scipy.spatial.distance import pdist
 
 import preimage_gc.kernels as kernels_module
@@ -15,9 +14,11 @@ from preimage_gc import (
     fit_kernel_pca,
     gram,
     median_bandwidth,
+    normalize_columns,
     project,
 )
 from preimage_gc.kernels import EIGENVALUE_RTOL, LANCZOS_MIN_ORDER
+from preimage_gc.synthgen import GENERATOR_IDS, generate
 
 
 def classical_pca_scores(X):
@@ -118,6 +119,14 @@ class TestMedianBandwidth:
             for dim in (1, 3):
                 X = rng.normal(size=(n, dim))
                 assert median_bandwidth(X) == float(np.median(pdist(X)))
+
+    @pytest.mark.parametrize("n", [6, 8, 201, 203])
+    def test_one_pdist_gram_equals_bandwidth_and_gram(self, n):
+        # n = 6, 203 give odd pair counts, n = 8, 201 even ones
+        X = np.random.default_rng(n).normal(size=(n, 3))
+        spec, K = kernels_module._median_rbf_gram(X)
+        assert spec == KernelSpec("rbf", bandwidth=median_bandwidth(X))
+        assert np.array_equal(K, gram(spec, X, X))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_points_rejected(self, bad):
@@ -231,28 +240,40 @@ def dense_kernel_pca(spec, X, p_select):
 
 
 class TestLanczosPath:
-    """Above LANCZOS_MIN_ORDER points the top eigenpairs come from Lanczos;
-    they must agree with a dense eigh, and whatever Lanczos cannot settle
-    must go to the dense path."""
+    """From LANCZOS_MIN_ORDER points the top eigenpairs come from a
+    self-stopping Lanczos run; they must agree with a dense eigh, and
+    whatever the run cannot settle must go to the dense path."""
 
     M = LANCZOS_MIN_ORDER + 100
 
     @pytest.fixture
     def solver_calls(self, monkeypatch):
-        calls = {"eigsh": 0, "eigh": 0}
-        eigsh, eigh = kernels_module.eigsh, scipy.linalg.eigh
+        calls = {"lanczos": 0, "eigh": 0}
+        lanczos, eigh = kernels_module._lanczos_top, scipy.linalg.eigh
 
-        def counted_eigsh(*args, **kwargs):
-            calls["eigsh"] += 1
-            return eigsh(*args, **kwargs)
+        def counted_lanczos(*args, **kwargs):
+            calls["lanczos"] += 1
+            return lanczos(*args, **kwargs)
 
         def counted_eigh(*args, **kwargs):
             calls["eigh"] += 1
             return eigh(*args, **kwargs)
 
-        monkeypatch.setattr(kernels_module, "eigsh", counted_eigsh)
+        monkeypatch.setattr(kernels_module, "_lanczos_top", counted_lanczos)
         monkeypatch.setattr(kernels_module.scipy.linalg, "eigh", counted_eigh)
         return calls
+
+    @pytest.fixture
+    def matvecs(self, monkeypatch):
+        count = [0]
+        dsymv = kernels_module.dsymv
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return dsymv(*args, **kwargs)
+
+        monkeypatch.setattr(kernels_module, "dsymv", counted)
+        return count
 
     def rbf_case(self):
         X = np.random.default_rng(13).normal(size=(self.M, 3))
@@ -271,56 +292,92 @@ class TestLanczosPath:
     @pytest.mark.parametrize("p_select", [0.95, 7])
     def test_rbf_matches_dense(self, solver_calls, p_select):
         self.assert_matches_dense(*self.rbf_case(), p_select)
-        assert solver_calls == {"eigsh": 1, "eigh": 0}
+        assert solver_calls == {"lanczos": 1, "eigh": 0}
 
     @pytest.mark.parametrize("p_select", [0.95, 3])
     def test_rank3_linear_matches_dense(self, solver_calls, p_select):
         self.assert_matches_dense(*self.rank3_case(), p_select)
-        assert solver_calls == {"eigsh": 1, "eigh": 0}
+        assert solver_calls == {"lanczos": 1, "eigh": 0}
 
     def test_overrequest_reports_achievable_rank(self, solver_calls):
         with pytest.raises(RankError) as exc:
             fit_kernel_pca(*self.rank3_case(), 4)
         assert exc.value.achievable_rank == 3
-        assert solver_calls == {"eigsh": 1, "eigh": 1}
+        assert solver_calls == {"lanczos": 1, "eigh": 1}
 
-    def test_low_rank_gram_settles_on_converged_pairs(self, solver_calls, monkeypatch):
+    def test_overrequest_on_a_tiny_gram_reports_achievable_rank(self, solver_calls):
+        # eigenvalues below ARPACK's absolute floor eps^(2/3): rounding-noise
+        # pairs pass the convergence test, and the rank check rejects them
+        spec, X = self.rank3_case()
+        with pytest.raises(RankError) as exc:
+            fit_kernel_pca(spec, 1e-7 * X, 4)
+        assert exc.value.achievable_rank == 3
+        assert solver_calls == {"lanczos": 1, "eigh": 1}
+
+    def test_low_rank_gram_settles_on_converged_pairs(self, solver_calls, matvecs):
         # rbf on 1-d points: the spectrum reaches the rounding floor within
-        # LANCZOS_PAIRS, and the run stops at LANCZOS_RESTARTS unfinished
-        outcomes = []
-        eigsh = kernels_module.eigsh
-
-        def recorded(*args, **kwargs):
-            try:
-                result = eigsh(*args, **kwargs)
-            except ArpackNoConvergence:
-                outcomes.append("unfinished")
-                raise
-            outcomes.append("finished")
-            return result
-
-        monkeypatch.setattr(kernels_module, "eigsh", recorded)
+        # a few dozen pairs; the run stops once the top few have converged
         X = np.random.default_rng(15).uniform(size=(self.M, 1))
         self.assert_matches_dense(KernelSpec("rbf", bandwidth=median_bandwidth(X)), X, 0.95)
-        assert outcomes == ["unfinished"]
-        assert solver_calls == {"eigsh": 1, "eigh": 0}
+        assert solver_calls == {"lanczos": 1, "eigh": 0}
+        assert matvecs[0] <= 4 * kernels_module.LANCZOS_CHECK_EVERY
 
-    def test_unfinished_run_missing_a_top_pair_goes_dense(self, solver_calls, monkeypatch):
-        spec, X = self.rbf_case()
-        evals, evecs = np.linalg.eigh(centered_gram(spec, X))
-        converged = [-1, -2, -3, -5, -6]  # the 4th largest pair is missing
+    def test_breakdown_on_rank3_gram_goes_dense(self, solver_calls, matvecs):
+        # the Krylov space of a rank-3 gram is invariant after about 4
+        # steps; 4 components cannot be settled there, and the run stops
+        # instead of stepping through rounding noise up to the cap
+        spec, X = self.rank3_case()
+        assert kernels_module._lanczos_top(centered_gram(spec, X), 4) is None
+        assert matvecs[0] <= kernels_module.LANCZOS_CHECK_EVERY
+        with pytest.raises(RankError):
+            fit_kernel_pca(spec, X, 4)
+        assert solver_calls == {"lanczos": 2, "eigh": 1}
 
-        def unfinished(*args, **kwargs):
-            raise ArpackNoConvergence("ARPACK error -1: No convergence", evals[converged], evecs[:, converged])
+    def test_start_vector_blind_to_the_top_pair_goes_dense(self):
+        # Kc = u u' + 5 w w' with u the run's own start vector and w
+        # orthogonal to it: the run breaks down after one step having seen
+        # only the eigenvalue 1 and must not report it as the top pair
+        u = np.random.default_rng(0).standard_normal(self.M)
+        u /= np.linalg.norm(u)
+        w = np.random.default_rng(1).standard_normal(self.M)
+        w -= (w @ u) * u
+        w /= np.linalg.norm(w)
+        Kc = np.outer(u, u) + 5.0 * np.outer(w, w)
+        assert kernels_module._lanczos_top(Kc, 0.95) is None
+        lam, _ = kernels_module._dense_top(Kc, 0.95)
+        np.testing.assert_allclose(lam, [5.0, 1.0], rtol=1e-12)
 
-        monkeypatch.setattr(kernels_module, "eigsh", unfinished)
-        self.assert_matches_dense(spec, X, 4)
-        assert solver_calls["eigh"] == 1
+    def test_mass_target_within_the_step_cap_matches_dense(self, solver_calls):
+        self.assert_matches_dense(*self.rbf_case(), 0.999)
+        assert solver_calls == {"lanczos": 1, "eigh": 0}
 
-    @pytest.mark.parametrize("p_select, eigsh_calls", [(0.999, 1), (1.0, 0)])
-    def test_large_mass_targets_go_dense(self, solver_calls, p_select, eigsh_calls):
-        self.assert_matches_dense(*self.rbf_case(), p_select)
-        assert solver_calls == {"eigsh": eigsh_calls, "eigh": 1}
+    def test_full_mass_goes_dense(self, solver_calls, matvecs):
+        self.assert_matches_dense(*self.rbf_case(), 1.0)
+        assert solver_calls == {"lanczos": 1, "eigh": 1}
+        assert matvecs[0] == 0
+
+    def test_step_cap_goes_dense(self, solver_calls, monkeypatch):
+        # 0.999 needs 38 components here, more than 12 steps can settle
+        monkeypatch.setattr(kernels_module, "LANCZOS_MAX_STEPS", 12)
+        self.assert_matches_dense(*self.rbf_case(), 0.999)
+        assert solver_calls == {"lanczos": 1, "eigh": 1}
+
+    @pytest.mark.parametrize("generator_id", GENERATOR_IDS)
+    @pytest.mark.parametrize("T", [200, 300])
+    def test_equals_dense_on_every_synthetic_panel(self, generator_id, T):
+        # the pipeline's own centered grams, full panel and each node left out
+        values = generate(generator_id, T, 0).panel.values
+        for i in range(-1, values.shape[1]):
+            X = normalize_columns(values if i < 0 else np.delete(values, i, axis=1))
+            Kc = centered_gram(KernelSpec("rbf", bandwidth=median_bandwidth(X)), X)
+            pairs = kernels_module._lanczos_top(Kc, 0.95)
+            assert pairs is not None, i
+            (lam, U), (lam_ref, U_ref) = pairs, kernels_module._dense_top(Kc, 0.95)
+            assert len(lam) == len(lam_ref), i
+            np.testing.assert_allclose(lam, lam_ref, rtol=1e-12, atol=0)
+            U = U * np.sign(np.sum(U * U_ref, axis=0))
+            A, A_ref = U / np.sqrt(lam), U_ref / np.sqrt(lam_ref)
+            np.testing.assert_allclose(A, A_ref, rtol=0, atol=1e-8 * np.abs(A_ref).max())
 
 
 class TestProject:
