@@ -101,6 +101,15 @@ def _tagged(prefix):
         raise
 
 
+def _fit_kpca(kernel, X, p_select):
+    """fit_kernel_pca on X; the median rbf takes its bandwidth and gram
+    from one _median_rbf_gram call."""
+    if isinstance(kernel, KernelSpec):
+        return fit_kernel_pca(kernel, X, p_select)
+    spec, K = _median_rbf_gram(X)
+    return fit_kernel_pca(spec, X, p_select, _gram=K)
+
+
 def _fit_pipeline(
     values, config: PipelineConfig, cap_rank: bool = False, node_names=None
 ) -> FullModelResult:
@@ -130,12 +139,8 @@ def _fit_pipeline(
             kpca = None
             H = X
         else:
-            if isinstance(config.kernel, KernelSpec):
-                spec, K = config.kernel, None
-            else:
-                spec, K = _median_rbf_gram(X)
             try:
-                kpca = fit_kernel_pca(spec, X, config.p_select, _gram=K)
+                kpca = _fit_kpca(config.kernel, X, config.p_select)
             except RankError as err:
                 soft = (
                     cap_rank
@@ -145,7 +150,8 @@ def _fit_pipeline(
                 )
                 if not soft:
                     raise
-                kpca = fit_kernel_pca(spec, X, int(err.achievable_rank))
+                # the failed fit centered its gram in place: build a fresh one
+                kpca = _fit_kpca(config.kernel, X, int(err.achievable_rank))
             # project(kpca, X) without a second gram: Kc @ U / sqrt(lam) = U sqrt(lam)
             H = kpca.dual_coefficients * kpca.eigenvalues
 

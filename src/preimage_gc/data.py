@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -110,6 +111,8 @@ def ingest_csv(source) -> TimeSeriesPanel:
         dupes = sorted({n for n in header if header.count(n) > 1})
         raise CsvSchemaError(f"duplicate column names: {', '.join(dupes)}")
     n_cols = len(header)
+    # math.isfinite on Python floats and one store per row; a list of all
+    # rows would instead hold every cell as a Python object until the end
     rows = np.empty((len(lines) - 1, n_cols))
     for r, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
@@ -117,17 +120,19 @@ def ingest_csv(source) -> TimeSeriesPanel:
             raise CsvFormatError(
                 f"row {r} has {len(cells)} cells, expected {n_cols}"
             )
+        row = []
         for c, cell in enumerate(cells):
             try:
                 value = float(cell)
             except ValueError:
-                value = np.nan
-            if not np.isfinite(value):
+                value = math.nan
+            if not math.isfinite(value):
                 raise CsvParseError(
                     f"row {r}, column {header[c]!r}: "
                     f"cannot parse {cell.strip()!r} as a finite number"
                 )
-            rows[r - 2, c] = value
+            row.append(value)
+        rows[r - 2] = row
     return TimeSeriesPanel(values=rows, node_names=tuple(header))
 
 
@@ -142,21 +147,26 @@ def panel_to_csv(panel: TimeSeriesPanel) -> str:
 def normalize_columns(values, node_names=None) -> np.ndarray:
     """Center each column and scale to unit population variance.
 
-    Raises DegenerateInputError on a zero-variance column, naming the node
-    when names are given.
+    Raises DegenerateInputError on a zero-variance column, and on one
+    whose standard deviation overflows, naming the node when names are
+    given.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ShapeError(f"expected a 2-d array, got ndim={values.ndim}")
     means = values.mean(axis=0)
-    stds = values.std(axis=0)  # population convention, ddof=0
-    flat = np.flatnonzero(stds == 0.0)
-    if flat.size:
-        j = int(flat[0])
+    # an overflow is reported below as the column's error, not as a warning
+    with np.errstate(over="ignore"):
+        stds = values.std(axis=0)  # population convention, ddof=0
+    bad = np.flatnonzero((stds == 0.0) | ~np.isfinite(stds))
+    if bad.size:
+        j = int(bad[0])
         label = node_names[j] if node_names is not None else f"column {j}"
-        raise DegenerateInputError(
-            f"{label} has zero variance and cannot be normalized"
+        problem = (
+            "has zero variance" if stds[j] == 0.0
+            else "has a standard deviation that overflows float64"
         )
+        raise DegenerateInputError(f"{label} {problem} and cannot be normalized")
     return (values - means) / stds
 
 

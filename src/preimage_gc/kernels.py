@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dgemm, dgemv, dnrm2, dscal, dsymv
+from scipy.linalg.blas import daxpy, ddot, dgemm, dgemv, dnrm2, dscal, dsymv
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import (
@@ -157,15 +157,21 @@ def median_bandwidth(X) -> float:
 def _median_rbf_gram(X):
     """The median-bandwidth rbf spec for X and its gram K(X, X).
 
-    Both come from one pdist of squared distances, which is spread into
-    the gram before it is partitioned for the median; equal bit for bit
-    to median_bandwidth(X) and gram(spec, X, X).
+    Both come from one pdist of squared distances: the median from a
+    partitioned copy, the kernel on the T(T-1)/2 condensed entries before
+    squareform spreads them, and a unit diagonal, exp(-0) of the gram's
+    zero self-distances; equal bit for bit to median_bandwidth(X) and
+    gram(spec, X, X).
     """
     X = _bandwidth_points(X)
     d = pdist(X, "sqeuclidean")
-    K = squareform(d)
-    spec = KernelSpec("rbf", bandwidth=_median_distance(d, squared=True))
-    return spec, _rbf_of_squared(K, spec.bandwidth)
+    scratch = d.copy()
+    spec = KernelSpec("rbf", bandwidth=_median_distance(scratch, squared=True))
+    # freed before squareform, so the peak stays the condensed vector and the gram
+    del scratch
+    K = squareform(_rbf_of_squared(d, spec.bandwidth))
+    np.fill_diagonal(K, 1.0)
+    return spec, K
 
 
 @dataclass(frozen=True)
@@ -267,32 +273,42 @@ def _ritz_settled(alpha, beta, residual, total, p_select):
     return theta[:P], S[:, :P]
 
 
-def _lanczos_top(Kc, p_select):
-    """The same eigenpairs as _dense_top from a Lanczos run that stops
-    as soon as they are settled.
+def _lanczos_top(K, col_means, p_select):
+    """The eigenpairs _dense_top would take from the centered gram, from a
+    Lanczos run on the uncentered gram K that stops as soon as they are
+    settled.
 
-    The run keeps every Lanczos vector and reorthogonalises each new one
-    against all of them (classical Gram-Schmidt, twice). Every
-    LANCZOS_CHECK_EVERY steps it tests the Ritz pairs: a fraction's
-    total mass is trace(Kc), the sum of all eigenvalues, so the top
-    converged pairs alone settle the count. Returns None, leaving the
-    answer (and any RankError) to the dense path, for p_select == 1.0,
-    after LANCZOS_MAX_STEPS steps, and when the Krylov space becomes
-    invariant before the count is settled.
+    K is never centered: with its column means c and g = mean(c), each
+    step forms Kc q = K q - (c'q - g 1'q) 1 - (1'q) c, the centering of
+    kernel PCA (Schoelkopf, Smola and Mueller 1998), and K is left as it
+    was. The run keeps every Lanczos vector and reorthogonalises each new
+    one against all of them (classical Gram-Schmidt, twice). Every
+    LANCZOS_CHECK_EVERY steps it tests the Ritz pairs: a fraction's total
+    mass is trace(Kc) = trace(K) - M g, the sum of all eigenvalues, so
+    the top converged pairs alone settle the count. Returns None, leaving
+    the answer (and any RankError) to the dense path, for p_select ==
+    1.0, for a non-finite gram, after LANCZOS_MAX_STEPS steps, and when
+    the Krylov space becomes invariant before the count is settled.
     """
-    if isinstance(p_select, (float, np.floating)) and p_select == 1.0:
+    fraction = isinstance(p_select, (float, np.floating))
+    if fraction and p_select == 1.0:
         return None
-    total = float(np.trace(Kc))
-    # centering spreads a non-finite entry onto the diagonal
+    M = K.shape[0]
+    g = float(np.mean(col_means))
+    total = float(np.trace(K)) - M * g
+    # a non-finite entry reaches g through its column's mean
     if not np.isfinite(total):
         return None
-    M = Kc.shape[0]
+    # converged mass is at most the sum of all Ritz values, the trace
+    # alpha.sum() of the tridiagonal: while that is short of a fraction's
+    # target (less a rounding margin), a test of the Ritz pairs cannot settle
+    unreachable = p_select * total * (1.0 - 1e-9) if fraction else -np.inf
     steps = min(LANCZOS_MAX_STEPS, M)
     # a residual at the rounding level of one matvec: the Krylov space is invariant
     breakdown = _EPS * np.sqrt(M) * total
-    # Kc is symmetric, so its transpose is itself in Fortran order: dsymv
+    # K is symmetric, so its transpose is itself in Fortran order: dsymv
     # reads it without a copy. Every BLAS call goes to scipy's OpenBLAS.
-    upper = Kc.T
+    upper = K.T
     Q = np.empty((M, steps + 1), order="F")
     alpha = np.empty(steps)
     beta = np.empty(steps)
@@ -301,7 +317,11 @@ def _lanczos_top(Kc, p_select):
     Q[:, 0] = dscal(1.0 / dnrm2(v0), v0)
     for j in range(steps):
         basis = Q[:, : j + 1]
-        w = dsymv(1.0, upper, Q[:, j])
+        q = Q[:, j]
+        s = q.sum()
+        w = dsymv(1.0, upper, q)
+        w -= ddot(col_means, q) - g * s
+        w = daxpy(col_means, w, a=-s)
         h = dgemv(1.0, basis, w, trans=1)
         w = dgemv(-1.0, basis, h, beta=1.0, y=w, overwrite_y=1)
         h2 = dgemv(1.0, basis, w, trans=1)
@@ -309,7 +329,8 @@ def _lanczos_top(Kc, p_select):
         alpha[j] = h[j] + h2[j]
         beta[j] = dnrm2(w)
         invariant = not beta[j] > breakdown
-        if invariant or (j + 1) % LANCZOS_CHECK_EVERY == 0 or j + 1 == steps:
+        check = (j + 1) % LANCZOS_CHECK_EVERY == 0 or j + 1 == steps
+        if invariant or (check and alpha[: j + 1].sum() >= unreachable):
             pairs = _ritz_settled(alpha[: j + 1], beta[:j], beta[j], total, p_select)
             if pairs is not None:
                 theta, S = pairs
@@ -334,12 +355,14 @@ def fit_kernel_pca(spec: KernelSpec, X, p_select, *, _gram=None) -> KernelPcaMod
     own coordinates are therefore dual_coefficients * eigenvalues.
 
     From LANCZOS_MIN_ORDER points up, the top eigenpairs come from a
-    Lanczos run that stops once they are settled; below it, and whenever
-    that run cannot answer, from a dense eigendecomposition. A failure of
-    the dense solver raises EigensolverError.
+    Lanczos run on the uncentered gram that stops once they are settled;
+    below it, and whenever that run cannot answer, from a dense
+    eigendecomposition of the gram centered in place. A failure of the
+    dense solver raises EigensolverError.
 
     _gram, for callers that already hold gram(spec, X, X), is used
-    instead of a new gram and centered in place.
+    instead of a new gram; it is left as it was when Lanczos answers
+    and centered in place otherwise.
     """
     X = _as_points(X, "X")
     M = X.shape[0]
@@ -347,17 +370,24 @@ def fit_kernel_pca(spec: KernelSpec, X, p_select, *, _gram=None) -> KernelPcaMod
         raise InsufficientSamplesError("kernel PCA needs at least 2 points")
     _check_p_select(p_select)
 
-    Kc = gram(spec, X, X) if _gram is None else _gram
-    col_means = Kc.mean(axis=0)
-    grand_mean = float(Kc.mean())
-    # centered in place, the same operations in the same order as
-    # K - col_means[None, :] - col_means[:, None] + grand_mean
-    Kc -= col_means[None, :]
-    Kc -= col_means[:, None]
-    Kc += grand_mean
-
-    pairs = _lanczos_top(Kc, p_select) if M >= LANCZOS_MIN_ORDER else None
-    lam, U = pairs if pairs is not None else _dense_top(Kc, p_select)
+    K = gram(spec, X, X) if _gram is None else _gram
+    pairs = None
+    if M >= LANCZOS_MIN_ORDER:
+        # column means in one BLAS pass over K, read as its own transpose
+        col_means = dgemv(1.0 / M, K.T, np.ones(M))
+        pairs = _lanczos_top(K, col_means, p_select)
+    if pairs is not None:
+        grand_mean = float(np.mean(col_means))
+        lam, U = pairs
+    else:
+        col_means = K.mean(axis=0)
+        grand_mean = float(K.mean())
+        # centered in place, the same operations in the same order as
+        # K - col_means[None, :] - col_means[:, None] + grand_mean
+        K -= col_means[None, :]
+        K -= col_means[:, None]
+        K += grand_mean
+        lam, U = _dense_top(K, p_select)
     A = U / np.sqrt(lam)[None, :]
     for p in range(A.shape[1]):
         if A[np.argmax(np.abs(A[:, p])), p] < 0:

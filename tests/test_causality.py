@@ -141,6 +141,18 @@ class TestRunFullModel:
         with pytest.raises(DegenerateInputError, match=r"\[normalize\].*flat"):
             run_full_model(panel)
 
+    @pytest.mark.parametrize("method", ["kernel", "linear-gc"])
+    def test_overflowing_panel_fails_in_normalize(self, method):
+        # both paths used to blame a later stage: "[pca] median pairwise
+        # distance is zero" and "[var] design has rank 0"
+        from preimage_gc import generate
+
+        panel = generate("nonlinear5", 100, 0).panel
+        huge = TimeSeriesPanel(panel.values * 1e200, panel.node_names)
+        run = infer_graph if method == "kernel" else linear_gc_baseline
+        with pytest.raises(DegenerateInputError, match=rf"\[normalize\] {panel.node_names[0]} .*overflows"):
+            run(huge)
+
     def test_too_short_panel(self):
         panel = random_panel(4, 2, seed=2)
         with pytest.raises(InsufficientSamplesError):
@@ -255,6 +267,27 @@ class TestInferGraph:
         config = PipelineConfig(kernel=KernelSpec("linear"), p_select=3)
         graph = infer_graph(panel, config)
         assert np.all(np.isfinite(graph.delta))
+
+    def test_capped_median_rbf_refit_builds_its_own_gram(self, monkeypatch):
+        # 40 components fit the 2-node logistic2 panel, not the 1-node
+        # reduced ones; the capped refit must equal a direct fit at the
+        # achievable rank and take its gram from the same one-pdist path
+        import preimage_gc.kernels as kernels_module
+        from preimage_gc import generate
+
+        def no_gram(*args, **kwargs):
+            raise AssertionError("kernels.gram called")
+
+        values = generate("logistic2", 300, 0).panel.values[:, [1]]
+        config = PipelineConfig(p_select=40)
+        monkeypatch.setattr(kernels_module, "gram", no_gram)
+        capped = causality_module._fit_pipeline(values, config, cap_rank=True)
+        P = capped.kpca.n_components
+        assert P < 40
+        direct = causality_module._fit_pipeline(values, PipelineConfig(p_select=P))
+        assert capped.kpca.spec == direct.kpca.spec
+        np.testing.assert_array_equal(capped.features, direct.features)
+        np.testing.assert_array_equal(capped.residual_variance, direct.residual_variance)
 
     def test_overrequested_p_select_still_fails_on_full_panel(self):
         panel = random_panel(100, 3, seed=10)

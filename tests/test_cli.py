@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import preimage_gc.kernels as kernels_module
-from preimage_gc import ingest_csv
+from preimage_gc import TimeSeriesPanel, ingest_csv, panel_to_csv
 from preimage_gc.cli import main
 
 PIPELINE_INI = """\
@@ -116,6 +116,22 @@ class TestInfer:
         code = run(["infer", str(bad), "--out", str(tmp_path)])
         assert code == 1
         assert "row 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config_text", [None, "[pipeline]\nkernel = linear-identity\n"])
+    def test_overflowing_panel_is_tagged_runtime_error(self, tmp_path, capsys, config_text):
+        data = self.synth_csv(tmp_path)
+        panel = ingest_csv(data)
+        huge = tmp_path / "huge.csv"
+        huge.write_text(panel_to_csv(TimeSeriesPanel(panel.values * 1e200, panel.node_names)))
+        args = ["infer", str(huge), "--out", str(tmp_path / "result")]
+        if config_text is not None:
+            config = tmp_path / "pipeline.ini"
+            config.write_text(config_text)
+            args += ["--config", str(config)]
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert "[normalize]" in err
+        assert panel.node_names[0] in err
 
     def test_singular_ridge_solve_is_tagged_runtime_error(self, tmp_path, capsys):
         # c = 2a makes the design singular; a 1e-300 ridge cannot fix that

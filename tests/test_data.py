@@ -77,6 +77,14 @@ class TestIngestCsv:
         with pytest.raises(CsvParseError, match="finite"):
             ingest_csv("a,b\n1,nan\n3,4\n")
 
+    def test_first_bad_cell_in_row_major_order_is_reported(self):
+        # an inf cell precedes an unparsable one in the same row
+        with pytest.raises(CsvParseError, match=r"row 3, column 'b': cannot parse 'inf'"):
+            ingest_csv("a,b,c\n1,2,3\n4,inf,x\n5,y,6\n")
+        # a bad cell precedes a later row's wrong cell count
+        with pytest.raises(CsvParseError, match="row 2, column 'c'"):
+            ingest_csv("a,b,c\n1,2,-inf\n4,5\n")
+
     def test_duplicate_header_rejected(self):
         with pytest.raises(CsvSchemaError, match="duplicate.*a"):
             ingest_csv("a,a\n1,2\n")
@@ -119,6 +127,14 @@ class TestNormalize:
         values = np.array([[1.0, 7.0], [2.0, 7.0], [3.0, 7.0]])
         with pytest.raises(DegenerateInputError, match="flat"):
             normalize_columns(values, ("ok", "flat"))
+        with pytest.raises(DegenerateInputError, match="column 1"):
+            normalize_columns(values)
+
+    def test_overflowing_column_names_node(self):
+        # a population std of 1e200-scale values squares past float64
+        values = np.array([[1.0, 2.0], [2.0, -3.0], [3.0, 5.0]]) * np.array([1.0, 1e200])
+        with pytest.raises(DegenerateInputError, match="huge.*overflows"):
+            normalize_columns(values, ("ok", "huge"))
         with pytest.raises(DegenerateInputError, match="column 1"):
             normalize_columns(values)
 

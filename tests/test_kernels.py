@@ -327,7 +327,8 @@ class TestLanczosPath:
         # steps; 4 components cannot be settled there, and the run stops
         # instead of stepping through rounding noise up to the cap
         spec, X = self.rank3_case()
-        assert kernels_module._lanczos_top(centered_gram(spec, X), 4) is None
+        K = gram(spec, X, X)
+        assert kernels_module._lanczos_top(K, K.mean(axis=0), 4) is None
         assert matvecs[0] <= kernels_module.LANCZOS_CHECK_EVERY
         with pytest.raises(RankError):
             fit_kernel_pca(spec, X, 4)
@@ -343,7 +344,8 @@ class TestLanczosPath:
         w -= (w @ u) * u
         w /= np.linalg.norm(w)
         Kc = np.outer(u, u) + 5.0 * np.outer(w, w)
-        assert kernels_module._lanczos_top(Kc, 0.95) is None
+        # zero column means: the run's operator is Kc itself
+        assert kernels_module._lanczos_top(Kc, np.zeros(self.M), 0.95) is None
         lam, _ = kernels_module._dense_top(Kc, 0.95)
         np.testing.assert_allclose(lam, [5.0, 1.0], rtol=1e-12)
 
@@ -356,6 +358,23 @@ class TestLanczosPath:
         assert solver_calls == {"lanczos": 1, "eigh": 1}
         assert matvecs[0] == 0
 
+    def test_lanczos_answer_leaves_the_gram_uncentered(self, solver_calls):
+        spec, X = self.rbf_case()
+        K = gram(spec, X, X)
+        model = fit_kernel_pca(spec, X, 0.95, _gram=K)
+        assert solver_calls == {"lanczos": 1, "eigh": 0}
+        assert np.array_equal(K, gram(spec, X, X))
+        np.testing.assert_allclose(model.col_means, K.mean(axis=0), rtol=1e-14)
+        assert model.grand_mean == pytest.approx(K.mean(), rel=1e-14)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_gram_goes_dense(self, matvecs, bad):
+        spec, X = self.rbf_case()
+        K = gram(spec, X, X)
+        K[3, 5] = K[5, 3] = bad
+        assert kernels_module._lanczos_top(K, K.mean(axis=0), 0.95) is None
+        assert matvecs[0] == 0
+
     def test_step_cap_goes_dense(self, solver_calls, monkeypatch):
         # 0.999 needs 38 components here, more than 12 steps can settle
         monkeypatch.setattr(kernels_module, "LANCZOS_MAX_STEPS", 12)
@@ -365,14 +384,16 @@ class TestLanczosPath:
     @pytest.mark.parametrize("generator_id", GENERATOR_IDS)
     @pytest.mark.parametrize("T", [200, 300])
     def test_equals_dense_on_every_synthetic_panel(self, generator_id, T):
-        # the pipeline's own centered grams, full panel and each node left out
+        # the pipeline's own grams, full panel and each node left out: the
+        # run centers implicitly, the dense reference explicitly
         values = generate(generator_id, T, 0).panel.values
         for i in range(-1, values.shape[1]):
             X = normalize_columns(values if i < 0 else np.delete(values, i, axis=1))
-            Kc = centered_gram(KernelSpec("rbf", bandwidth=median_bandwidth(X)), X)
-            pairs = kernels_module._lanczos_top(Kc, 0.95)
+            spec = KernelSpec("rbf", bandwidth=median_bandwidth(X))
+            K = gram(spec, X, X)
+            pairs = kernels_module._lanczos_top(K, K.mean(axis=0), 0.95)
             assert pairs is not None, i
-            (lam, U), (lam_ref, U_ref) = pairs, kernels_module._dense_top(Kc, 0.95)
+            (lam, U), (lam_ref, U_ref) = pairs, kernels_module._dense_top(centered_gram(spec, X), 0.95)
             assert len(lam) == len(lam_ref), i
             np.testing.assert_allclose(lam, lam_ref, rtol=1e-12, atol=0)
             U = U * np.sign(np.sum(U * U_ref, axis=0))
