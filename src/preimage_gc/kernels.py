@@ -371,16 +371,13 @@ def fit_kernel_pca(spec: KernelSpec, X, p_select, *, _gram=None) -> KernelPcaMod
     _check_p_select(p_select)
 
     K = gram(spec, X, X) if _gram is None else _gram
-    pairs = None
-    if M >= LANCZOS_MIN_ORDER:
-        # column means in one BLAS pass over K, read as its own transpose
-        col_means = dgemv(1.0 / M, K.T, np.ones(M))
-        pairs = _lanczos_top(K, col_means, p_select)
+    # one pass, shared by the Lanczos run and the dense path's centering
+    col_means = K.mean(axis=0)
+    pairs = _lanczos_top(K, col_means, p_select) if M >= LANCZOS_MIN_ORDER else None
     if pairs is not None:
         grand_mean = float(np.mean(col_means))
         lam, U = pairs
     else:
-        col_means = K.mean(axis=0)
         grand_mean = float(K.mean())
         # centered in place, the same operations in the same order as
         # K - col_means[None, :] - col_means[:, None] + grand_mean

@@ -7,7 +7,7 @@ It measures what the roadmap's north star asks every speed claim to
 quote, on the source tree given by --src (default: this checkout's src/):
 
 - kernel infer_graph latency on the nonlinear5 panel of seed 0 at
-  T = 500, 1000 and 2000, best of --repeats calls after one warm-up call;
+  T = 500, 1000 and 2000, best of 3 calls (INFER_REPEATS) after one warm-up call;
 - the wall time of `preimage-gc bench --config configs/full_sweep.ini`
   at --jobs 1 and at --jobs 2, each in a fresh interpreter (start-up and
   import included), with the sha256 of the records.csv and summaries.json
@@ -40,6 +40,7 @@ SWEEP_CONFIG = ROOT / "configs" / "full_sweep.ini"
 INFER_GENERATOR = "nonlinear5"
 INFER_SEED = 0
 INFER_T = (500, 1000, 2000)
+INFER_REPEATS = 3
 SWEEP_JOBS = (1, 2)
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -67,7 +68,7 @@ def machine():
     }
 
 
-def infer_latency(repeats):
+def infer_latency():
     """Best and every wall time of infer_graph, in ms, per T."""
     from preimage_gc import generate, infer_graph
 
@@ -76,7 +77,7 @@ def infer_latency(repeats):
         panel = generate(INFER_GENERATOR, T, INFER_SEED).panel
         infer_graph(panel)
         times = []
-        for _ in range(repeats):
+        for _ in range(INFER_REPEATS):
             start = time.perf_counter()
             infer_graph(panel)
             times.append(1e3 * (time.perf_counter() - start))
@@ -110,10 +111,7 @@ def main(argv=None):
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the preimage_gc package to measure")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_6.json")
-    parser.add_argument("--repeats", type=int, default=3, help="infer calls per T")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
 
     src = args.src.resolve()
     sys.path.insert(0, str(src))
@@ -127,8 +125,8 @@ def main(argv=None):
                 "generator": INFER_GENERATOR,
                 "seed": INFER_SEED,
                 "kernel": "rbf, median bandwidth, p_select 0.95, lag 1",
-                "repeats": args.repeats,
-                "T": infer_latency(args.repeats),
+                "repeats": INFER_REPEATS,
+                "T": infer_latency(),
             },
             "full_sweep": {f"jobs_{jobs}": sweep_wall(src, jobs, work) for jobs in SWEEP_JOBS},
         }
