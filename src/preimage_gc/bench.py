@@ -13,7 +13,6 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .causality import PipelineConfig, infer_graph
 from .errors import ConfigError, PreimageGCError, ShapeError, UndefinedAucError
@@ -25,11 +24,29 @@ from .synthgen import GENERATOR_IDS, generate
 _WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
+def _average_ranks(x):
+    """1-based ranks of x, each tie group sharing the mean of its positions.
+
+    The "average" method of scipy.stats.rankdata, without importing
+    scipy.stats. Every rank is an integer or a half-integer, so both
+    agree exactly. x must hold no NaN.
+    """
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    # each tie group is a run of equal values in sorted order: [start, end)
+    bounds = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1], True])
+    # the mean of the 1-based positions start + 1 .. end
+    group_ranks = (bounds[:-1] + bounds[1:] + 1) / 2.0
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(group_ranks, np.diff(bounds))
+    return ranks
+
+
 def roc_auc(scores, labels) -> float:
     """Probability a random positive outranks a random negative, ties 1/2.
 
     Computed from rank sums (the Mann-Whitney statistic with average
-    ranks), so it is exact under ties.
+    ranks), so it is exact under ties. Non-finite scores are refused.
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
@@ -41,6 +58,8 @@ def roc_auc(scores, labels) -> float:
         )
     if not np.all(np.isin(labels, (0, 1))):
         raise ValueError("labels must be 0/1")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
     positive = labels == 1
     n_pos = int(positive.sum())
     n_neg = labels.shape[0] - n_pos
@@ -48,7 +67,7 @@ def roc_auc(scores, labels) -> float:
         raise UndefinedAucError(
             f"need both classes, got {n_pos} positives and {n_neg} negatives"
         )
-    ranks = rankdata(scores)
+    ranks = _average_ranks(scores)
     auc = (ranks[positive].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     return float(auc)
 

@@ -146,6 +146,15 @@ def _median_distance(d, squared=False):
         raise DegenerateInputError(
             "median pairwise distance is zero (points coincide)"
         )
+    # the rbf divides by 2 med^2: squared as a numpy float, since a
+    # Python float's ** raises OverflowError
+    with np.errstate(over="ignore"):
+        denominator = 2.0 * np.float64(med) ** 2
+    if not np.isfinite(denominator):
+        raise DegenerateInputError(
+            f"pairwise distances overflow float64 (median {med!r}, squared "
+            "for the rbf); rescale the input or normalize it"
+        )
     return med
 
 

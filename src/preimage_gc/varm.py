@@ -63,13 +63,14 @@ def _solve_ridge(X, Y, ridge_lambda, label) -> np.ndarray:
         raise ValueError(f"ridge_lambda must be >= 0, got {ridge_lambda}")
     n = X.shape[1]
     if ridge_lambda == 0.0:
-        rank = np.linalg.matrix_rank(X)
+        # lstsq's rank uses matrix_rank's cutoff, max(X.shape) * eps * s_max,
+        # from the one SVD the solve makes anyway
+        B, _, rank, _ = np.linalg.lstsq(X, Y, rcond=None)
         if rank < n:
             raise RankError(
                 f"{label} has rank {rank} < {n}; use a positive ridge_lambda",
                 achievable_rank=int(rank),
             )
-        B, *_ = np.linalg.lstsq(X, Y, rcond=None)
         return B
     G = X.T @ X + ridge_lambda * np.eye(n)
     try:

@@ -85,6 +85,30 @@ class TestRocAuc:
         assert roc_auc(np.exp(scores), labels) == pytest.approx(base, abs=1e-12)
         assert roc_auc(3.0 * scores + 7.0, labels) == pytest.approx(base, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            roc_auc([0.1, bad, 0.3], [0, 1, 1])
+
+
+class TestAverageRanks:
+    # few distinct values, so most draws hold several tie groups
+    @given(
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=40),
+        st.floats(min_value=1e-3, max_value=1e3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_scipy_rankdata(self, values, scale):
+        from scipy.stats import rankdata
+
+        x = np.array(values, dtype=float) * scale
+        ranks = bench_module._average_ranks(x)
+        assert np.array_equal(ranks, rankdata(x))
+
+    def test_signed_zeros_tie(self):
+        ranks = bench_module._average_ranks(np.array([0.0, -0.0, 1.0]))
+        np.testing.assert_array_equal(ranks, [1.5, 1.5, 3.0])
+
 
 class TestOffDiagonal:
     def test_row_major_order(self):

@@ -153,6 +153,22 @@ class TestRunFullModel:
         with pytest.raises(DegenerateInputError, match=rf"\[normalize\] {panel.node_names[0]} .*overflows"):
             run(huge)
 
+    @pytest.mark.parametrize("scale", [1e155, 1e200])
+    def test_overflowing_distances_fail_in_pca_without_normalize(self, scale):
+        # used to end in "[pca] centered gram has rank 0 (all points identical?)"
+        panel = generate("nonlinear5", 100, 0).panel
+        huge = TimeSeriesPanel(panel.values * scale, panel.node_names)
+        with pytest.raises(DegenerateInputError, match=r"\[pca\] pairwise distances overflow"):
+            infer_graph(huge, PipelineConfig(normalize_input=False))
+
+    def test_largest_scale_below_overflow_still_fits_without_normalize(self):
+        # the rbf with the median bandwidth is scale-free up to rounding
+        panel = generate("nonlinear5", 100, 0).panel
+        config = PipelineConfig(normalize_input=False)
+        base = infer_graph(panel, config)
+        huge = infer_graph(TimeSeriesPanel(panel.values * 1e154, panel.node_names), config)
+        np.testing.assert_allclose(huge.delta, base.delta, rtol=1e-9, atol=1e-12)
+
     def test_too_short_panel(self):
         panel = random_panel(4, 2, seed=2)
         with pytest.raises(InsufficientSamplesError):

@@ -1,10 +1,15 @@
 """CLI behavior: files, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import preimage_gc
 import preimage_gc.kernels as kernels_module
 from preimage_gc import TimeSeriesPanel, ingest_csv, panel_to_csv
 from preimage_gc.cli import main
@@ -132,6 +137,16 @@ class TestInfer:
         err = capsys.readouterr().err
         assert "[normalize]" in err
         assert panel.node_names[0] in err
+
+    def test_overflowing_distances_without_normalize_is_tagged_runtime_error(self, tmp_path, capsys):
+        data = self.synth_csv(tmp_path)
+        panel = ingest_csv(data)
+        huge = tmp_path / "huge.csv"
+        huge.write_text(panel_to_csv(TimeSeriesPanel(panel.values * 1e200, panel.node_names)))
+        config = tmp_path / "pipeline.ini"
+        config.write_text("[pipeline]\nnormalize = false\n")
+        assert run(["infer", str(huge), "--config", str(config), "--out", str(tmp_path / "result")]) == 1
+        assert "[pca] pairwise distances overflow" in capsys.readouterr().err
 
     def test_singular_ridge_solve_is_tagged_runtime_error(self, tmp_path, capsys):
         # c = 2a makes the design singular; a 1e-300 ridge cannot fix that
@@ -321,3 +336,21 @@ class TestParser:
             main(["--help"])
         assert exc.value.code == 0
         assert "infer" in capsys.readouterr().out
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # a fresh interpreter, as every CLI run and every bench worker starts
+    package_root = Path(preimage_gc.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(package_root), os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, preimage_gc.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -135,6 +135,21 @@ class TestMedianBandwidth:
         with pytest.raises(DegenerateInputError, match="finite"):
             median_bandwidth(X)
 
+    @pytest.mark.parametrize("scale", [1e155, 1e200])
+    def test_overflowing_distances_rejected(self, scale):
+        # an infinite median used to pass as a bandwidth and make a NaN gram
+        X = np.random.default_rng(10).normal(size=(12, 2)) * scale
+        with pytest.raises(DegenerateInputError, match="overflow"):
+            median_bandwidth(X)
+        with pytest.raises(DegenerateInputError, match="overflow"):
+            kernels_module._median_rbf_gram(X)
+
+    def test_square_overflowing_finite_median_rejected(self):
+        # distances near 1e155 are finite, their squares are not
+        X = np.array([[0.0], [1e155], [3e155]])
+        with pytest.raises(DegenerateInputError, match="overflow"):
+            median_bandwidth(X)
+
 
 class TestFitKernelPca:
     def test_linear_kernel_matches_classical_pca(self):

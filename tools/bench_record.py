@@ -12,14 +12,19 @@ quote, on the source tree given by --src (default: this checkout's src/):
   at --jobs 1 and at --jobs 2, each in a fresh interpreter (start-up and
   import included), with the sha256 of the records.csv and summaries.json
   it wrote, so that two trees can be checked for identical results;
+- cold start, best of 3 fresh interpreters each (COLD_REPEATS): the time
+  `import preimage_gc.cli` takes, and the wall time of
+  `python -m preimage_gc infer` on the nonlinear5 panel of seed 0 at
+  T = 1000, each with the largest peak RSS of its children, and the
+  sha256 of the graph.json infer wrote;
 - the machine: core count, Python, numpy and scipy versions, the BLAS
   build each of numpy and scipy loads, and the BLAS thread variables.
 
 The record goes under its label into the --out file (default
-BENCH_6.json beside this checkout's README); records under other labels
+BENCH_7.json beside this checkout's README); records under other labels
 are kept, so one file can hold a parent and a change measured alike.
-The sweep's outputs go to a scratch directory under the checkout that is
-removed afterwards.
+The sweep's and infer's outputs go to a scratch directory under the
+checkout that is removed afterwards.
 """
 
 from __future__ import annotations
@@ -41,6 +46,12 @@ INFER_GENERATOR = "nonlinear5"
 INFER_SEED = 0
 INFER_T = (500, 1000, 2000)
 INFER_REPEATS = 3
+COLD_T = 1000
+COLD_REPEATS = 3
+IMPORT_TIMER = (
+    "import time; start = time.perf_counter(); import preimage_gc.cli; "
+    "print(time.perf_counter() - start)"
+)
 SWEEP_JOBS = (1, 2)
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -105,12 +116,64 @@ def sweep_wall(src, jobs, work):
     }
 
 
+def _child(argv, env):
+    """Wall seconds, peak RSS in MB and stdout of one child run to its end.
+
+    A child's peak RSS starts from the RSS of this process when it forks,
+    so it is the child's own only while this process is the smaller.
+    """
+    start = time.perf_counter()
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    out = proc.stdout.read()
+    proc.stdout.close()
+    # wait4, unlike wait, reports the resources of this one child
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, argv)
+    return wall, usage.ru_maxrss / 1024.0, out
+
+
+def cold_start(src, work):
+    """Import time and cold infer wall time, each in fresh interpreters."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cli = [sys.executable, "-m", "preimage_gc"]
+    subprocess.run(cli + ["synth", INFER_GENERATOR, "--T", str(COLD_T), "--seed", str(INFER_SEED),
+                          "--out", str(work)],
+                   env=env, check=True, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    panel = work / f"{INFER_GENERATOR}_T{COLD_T}_seed{INFER_SEED}.csv"
+    out = work / "infer"
+    imports, infers = [], []
+    for _ in range(COLD_REPEATS):
+        _, rss, stdout = _child([sys.executable, "-c", IMPORT_TIMER], env)
+        imports.append((float(stdout), rss))
+        wall, rss, _ = _child(cli + ["infer", str(panel), "--out", str(out)], env)
+        infers.append((wall, rss))
+    return {
+        "import_preimage_gc_cli": {
+            "best_s": min(t for t, _ in imports),
+            "runs_s": [t for t, _ in imports],
+            "peak_rss_mb": max(rss for _, rss in imports),
+        },
+        "infer": {
+            "generator": INFER_GENERATOR,
+            "seed": INFER_SEED,
+            "T": COLD_T,
+            "best_s": min(t for t, _ in infers),
+            "runs_s": [t for t, _ in infers],
+            "peak_rss_mb": max(rss for _, rss in infers),
+            "graph_json_sha256": _sha256(out / "graph.json"),
+        },
+    }
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="key of this record in the output file")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the preimage_gc package to measure")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_6.json")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_7.json")
     args = parser.parse_args(argv)
 
     src = args.src.resolve()
@@ -119,6 +182,8 @@ def main(argv=None):
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir()
     try:
+        # before this process loads numpy and grows past the children; see _child
+        cold = cold_start(src, work)
         record = {
             "machine": machine(),
             "infer_graph": {
@@ -129,6 +194,7 @@ def main(argv=None):
                 "T": infer_latency(),
             },
             "full_sweep": {f"jobs_{jobs}": sweep_wall(src, jobs, work) for jobs in SWEEP_JOBS},
+            "cold_start": cold,
         }
     finally:
         shutil.rmtree(work, ignore_errors=True)
