@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TimeSeriesPanel, normalize_columns
+from .data import TimeSeriesPanel, _freeze, normalize_columns
 from .errors import (
     DegenerateModelError,
     InsufficientSamplesError,
@@ -31,7 +31,7 @@ from .kernels import (
     fit_kernel_pca,
 )
 from .preimage import PreimageMap, learn_preimage, reconstruct
-from .varm import VarModelFit, fit_var, predict, residual_variance_about
+from .varm import DEFAULT_RIDGE, VarModelFit, fit_var, predict, residual_variance_about
 
 # Sentinel kernels accepted by PipelineConfig besides a concrete KernelSpec:
 # "rbf" defers the bandwidth to the median heuristic at fit time, and
@@ -49,8 +49,8 @@ class PipelineConfig:
     kernel: KernelSpec | str = MEDIAN_RBF
     p_select: int | float = 0.95
     lag: int = 1
-    ridge_var: float = 1e-3
-    ridge_preimage: float = 1e-3
+    ridge_var: float = DEFAULT_RIDGE
+    ridge_preimage: float = DEFAULT_RIDGE
     normalize_input: bool = True
 
     def __post_init__(self):
@@ -163,6 +163,7 @@ def _fit_pipeline(
         Y_t = X[config.lag :]
         pmap = learn_preimage(Y_t, H[config.lag :], config.ridge_preimage)
         Y_hat = reconstruct(pmap, H_hat)
+        residual_variance = residual_variance_about(Y_t, Y_hat)
 
     return FullModelResult(
         normalized=X,
@@ -171,7 +172,7 @@ def _fit_pipeline(
         var_fit=var_fit,
         preimage_map=pmap,
         reconstruction=Y_hat,
-        residual_variance=residual_variance_about(Y_t, Y_hat),
+        residual_variance=residual_variance,
     )
 
 
@@ -210,8 +211,8 @@ class CausalGraph:
     raw_log_ratios: np.ndarray
 
     def __post_init__(self):
-        delta = np.array(self.delta, dtype=float)
-        raw = np.array(self.raw_log_ratios, dtype=float)
+        _freeze(self, "delta", "raw_log_ratios")
+        delta, raw = self.delta, self.raw_log_ratios
         names = tuple(str(n) for n in self.node_names)
         if delta.ndim != 2 or delta.shape[0] != delta.shape[1]:
             raise ValueError(f"delta must be square, got shape {delta.shape}")
@@ -225,10 +226,6 @@ class CausalGraph:
             raise ValueError("delta entries must be nonnegative")
         if np.any(np.diag(delta) != 0) or np.any(np.diag(raw) != 0):
             raise ValueError("diagonal entries must be zero")
-        delta.setflags(write=False)
-        raw.setflags(write=False)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "raw_log_ratios", raw)
         object.__setattr__(self, "node_names", names)
 
     @property

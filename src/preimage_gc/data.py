@@ -18,10 +18,22 @@ from .errors import (
 )
 
 
-def _frozen_array(values, dtype=float):
-    out = np.array(values, dtype=dtype, order="C")
+def _frozen_array(values, dtype=float, order="K"):
+    """A read-only copy of values, never a view of the caller's array.
+
+    order="K" keeps the input's memory layout. The layout picks the BLAS
+    path of later products and with it their last bits, so each frozen
+    field keeps the layout it was built with.
+    """
+    out = np.array(values, dtype=dtype, order=order)
     out.setflags(write=False)
     return out
+
+
+def _freeze(obj, *names, dtype=float, order="K"):
+    """Replace the named fields of a frozen dataclass by read-only copies."""
+    for name in names:
+        object.__setattr__(obj, name, _frozen_array(getattr(obj, name), dtype, order))
 
 
 @dataclass(frozen=True)
@@ -36,7 +48,8 @@ class TimeSeriesPanel:
     node_names: tuple
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        _freeze(self, "values", order="C")
+        values = self.values
         if values.ndim != 2:
             raise ValueError(f"panel values must be 2-d, got ndim={values.ndim}")
         T, N = values.shape
@@ -55,7 +68,6 @@ class TimeSeriesPanel:
             raise ValueError("node names must be nonempty")
         if len(set(names)) != len(names):
             raise ValueError("node names must be unique")
-        object.__setattr__(self, "values", _frozen_array(values))
         object.__setattr__(self, "node_names", names)
 
     @property
@@ -80,8 +92,7 @@ class LaggedDesign:
     lag: int
 
     def __post_init__(self):
-        object.__setattr__(self, "design", _frozen_array(self.design))
-        object.__setattr__(self, "targets", _frozen_array(self.targets))
+        _freeze(self, "design", "targets", order="C")
 
 
 def ingest_csv(source) -> TimeSeriesPanel:

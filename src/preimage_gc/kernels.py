@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,6 +10,7 @@ import scipy.linalg
 from scipy.linalg.blas import daxpy, ddot, dgemm, dgemv, dnrm2, dscal, dsymv
 from scipy.spatial.distance import cdist, pdist, squareform
 
+from .data import _freeze
 from .errors import (
     DegenerateInputError,
     EigensolverError,
@@ -69,9 +71,11 @@ class KernelSpec:
             raise ValueError(
                 f"unknown kernel kind {self.kind!r}, expected one of {KERNEL_KINDS}"
             )
-        if self.kind == "rbf":
-            if self.bandwidth is None or not self.bandwidth > 0:
-                raise ValueError("rbf kernel needs a positive bandwidth")
+        if self.kind == "rbf" and not _usable_bandwidth(self.bandwidth):
+            raise ValueError(
+                f"rbf bandwidth must be positive with 2 bandwidth^2 a nonzero "
+                f"finite float64, got {self.bandwidth!r}"
+            )
         if self.kind == "polynomial":
             if int(self.degree) != self.degree or self.degree < 1:
                 raise ValueError("polynomial degree must be a positive integer")
@@ -107,6 +111,18 @@ def gram(spec: KernelSpec, X, Z) -> np.ndarray:
     return K
 
 
+def _usable_bandwidth(bandwidth):
+    """Whether the rbf can divide by 2 bandwidth^2: bandwidth > 0 and the
+    divisor, computed as _rbf_of_squared computes it, neither underflows
+    to zero nor overflows."""
+    if bandwidth is None or not bandwidth > 0:
+        return False
+    try:
+        return 0.0 < 2.0 * float(bandwidth) ** 2 < math.inf
+    except OverflowError:  # a Python float's ** raises instead of returning inf
+        return False
+
+
 def _rbf_of_squared(D, bandwidth):
     """exp(-D / (2 bandwidth^2)) over squared distances D, in place.
 
@@ -128,39 +144,32 @@ def _bandwidth_points(X):
     return X
 
 
-def _median_distance(d, squared=False):
-    """np.median of the pairwise distances d, partitioning d in place.
+def _median_distance(d):
+    """np.median of the distances whose squares d holds, partitioning d in place.
 
-    With squared, d holds squared distances and the median is taken of
-    the square roots of its one or two middle values: sqrt is monotone,
-    and sqrt of a squared pdist distance equals the pdist distance bit
-    for bit.
+    The median is taken of the square roots of d's one or two middle
+    values: sqrt is monotone, and sqrt of a squared pdist distance equals
+    the pdist distance bit for bit.
     """
     k = d.size // 2
     d.partition(k)
-    middle = np.array([d[k]] if d.size % 2 else [d[:k].max(), d[k]])
-    if squared:
-        np.sqrt(middle, out=middle)
+    middle = np.sqrt([d[k]] if d.size % 2 else [d[:k].max(), d[k]])
     med = float(np.mean(middle))
     if med <= 0.0:
         raise DegenerateInputError(
             "median pairwise distance is zero (points coincide)"
         )
-    # the rbf divides by 2 med^2: squared as a numpy float, since a
-    # Python float's ** raises OverflowError
-    with np.errstate(over="ignore"):
-        denominator = 2.0 * np.float64(med) ** 2
-    if not np.isfinite(denominator):
+    if not _usable_bandwidth(med):
         raise DegenerateInputError(
-            f"pairwise distances overflow float64 (median {med!r}, squared "
-            "for the rbf); rescale the input or normalize it"
+            f"pairwise distances {'overflow' if med > 1.0 else 'underflow'} float64 "
+            f"(median {med!r}, squared for the rbf); rescale the input or normalize it"
         )
     return med
 
 
 def median_bandwidth(X) -> float:
     """Median pairwise euclidean distance, the usual rbf length scale."""
-    return _median_distance(pdist(_bandwidth_points(X)))
+    return _median_distance(pdist(_bandwidth_points(X), "sqeuclidean"))
 
 
 def _median_rbf_gram(X):
@@ -175,7 +184,7 @@ def _median_rbf_gram(X):
     X = _bandwidth_points(X)
     d = pdist(X, "sqeuclidean")
     scratch = d.copy()
-    spec = KernelSpec("rbf", bandwidth=_median_distance(scratch, squared=True))
+    spec = KernelSpec("rbf", bandwidth=_median_distance(scratch))
     # freed before squareform, so the peak stays the condensed vector and the gram
     del scratch
     K = squareform(_rbf_of_squared(d, spec.bandwidth))
@@ -202,10 +211,7 @@ class KernelPcaModel:
     grand_mean: float
 
     def __post_init__(self):
-        for name in ("training_points", "dual_coefficients", "eigenvalues", "col_means"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, "training_points", "dual_coefficients", "eigenvalues", "col_means")
 
     @property
     def n_components(self):

@@ -7,10 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _freeze
 from .errors import ShapeError
-from .varm import _solve_ridge
-
-DEFAULT_RIDGE = 1e-3
+from .varm import DEFAULT_RIDGE, _solve_ridge
 
 
 @dataclass(frozen=True)
@@ -26,9 +25,7 @@ class PreimageMap:
     training_fit_error: float
 
     def __post_init__(self):
-        arr = np.array(self.gamma, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "gamma", arr)
+        _freeze(self, "gamma")
 
 
 def learn_preimage(Y, H, ridge_lambda: float = DEFAULT_RIDGE) -> PreimageMap:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TimeSeriesPanel
+from .data import TimeSeriesPanel, _freeze, _frozen_array
 from .errors import InstabilityError
 
 GENERATOR_IDS = ("logistic2", "fanout3", "fanin3", "linear5", "nonlinear5")
@@ -29,7 +29,7 @@ DEFAULT_BURN_IN = 1000
 # Row = effect, column = cause; diagonal entries are self couplings.
 # Chain/branch topology y1 -> y2 -> {y3, y4}, y4 -> y5, upper-triangular
 # free so the spectral radius is the largest self term (0.6).
-LINEAR5_COEFFICIENTS = np.array(
+LINEAR5_COEFFICIENTS = _frozen_array(
     [
         [0.50, 0.00, 0.00, 0.00, 0.00],
         [0.50, 0.60, 0.00, 0.00, 0.00],
@@ -38,7 +38,6 @@ LINEAR5_COEFFICIENTS = np.array(
         [0.00, 0.00, 0.00, 0.50, 0.35],
     ]
 )
-LINEAR5_COEFFICIENTS.setflags(write=False)
 
 # Cross couplings of nonlinear5 pass through tanh, except these
 # (effect, cause) pairs, which use the square of the cause instead.
@@ -87,15 +86,14 @@ class SyntheticDataset:
     params: dict
 
     def __post_init__(self):
-        gt = np.array(self.ground_truth, dtype=int)
+        _freeze(self, "ground_truth", dtype=int)
+        gt = self.ground_truth
         if gt.ndim != 2 or gt.shape[0] != gt.shape[1]:
             raise ValueError(f"ground_truth must be square, got shape {gt.shape}")
         if np.any(np.diag(gt) != 0):
             raise ValueError("ground_truth diagonal must be zero")
         if not np.all((gt == 0) | (gt == 1)):
             raise ValueError("ground_truth must be binary")
-        gt.setflags(write=False)
-        object.__setattr__(self, "ground_truth", gt)
 
 
 def ground_truth_edges(dataset: SyntheticDataset):

@@ -8,9 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import InsufficientSamplesError, RankError, ShapeError
-from .data import lag_embed
+from .errors import DegenerateInputError, InsufficientSamplesError, RankError, ShapeError
+from .data import _freeze, _frozen_array, lag_embed
 
+# The ridge penalty of both solves, fit_var's and learn_preimage's, unless
+# the caller or the PipelineConfig picks another.
 DEFAULT_RIDGE = 1e-3
 
 
@@ -31,16 +33,10 @@ class VarModelFit:
     residual_variance: np.ndarray
 
     def __post_init__(self):
-        coeffs = []
-        for A in self.coefficients:
-            A = np.array(A, dtype=float)
-            A.setflags(write=False)
-            coeffs.append(A)
-        object.__setattr__(self, "coefficients", tuple(coeffs))
-        for name in ("residuals", "residual_variance"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(
+            self, "coefficients", tuple(_frozen_array(A) for A in self.coefficients)
+        )
+        _freeze(self, "residuals", "residual_variance")
 
     @property
     def n_dims(self):
@@ -51,16 +47,33 @@ class VarModelFit:
         return np.vstack([A.T for A in self.coefficients])
 
 
+def _column_variance(R):
+    """Per-column population variance of the residuals R, raising
+    DegenerateInputError when it overflows float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        variance = R.var(axis=0)
+    if not np.isfinite(variance).all():
+        raise DegenerateInputError(
+            "residual variance overflows float64; rescale the input or normalize it"
+        )
+    return variance
+
+
 def _solve_ridge(X, Y, ridge_lambda, label) -> np.ndarray:
     """B minimizing ||Y - X B||^2 + ridge_lambda ||B||^2.
 
     With ridge_lambda = 0 a rank-deficient X is refused outright; the
     RankError suggests the fix instead of silently picking one of the
     infinitely many minimizers. A ridge too small to make X^T X + lambda I
-    positive definite is a RankError too. label names X in the messages.
+    positive definite is a RankError too. A NaN or inf in X or Y, or in
+    the products the ridge solve forms from them, is a DegenerateInputError.
+    label names X in the messages.
     """
     if ridge_lambda < 0:
         raise ValueError(f"ridge_lambda must be >= 0, got {ridge_lambda}")
+    for name, arr in ((label, X), ("targets", Y)):
+        if not np.isfinite(arr).all():
+            raise DegenerateInputError(f"NaN or inf in the {name}")
     n = X.shape[1]
     if ridge_lambda == 0.0:
         # lstsq's rank uses matrix_rank's cutoff, max(X.shape) * eps * s_max,
@@ -72,9 +85,17 @@ def _solve_ridge(X, Y, ridge_lambda, label) -> np.ndarray:
                 achievable_rank=int(rank),
             )
         return B
-    G = X.T @ X + ridge_lambda * np.eye(n)
+    # finite X and Y whose products overflow are reported here, not as
+    # scipy's untyped ValueError
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = X.T @ X + ridge_lambda * np.eye(n)
+        XtY = X.T @ Y
+    if not (np.isfinite(G).all() and np.isfinite(XtY).all()):
+        raise DegenerateInputError(
+            f"the {label}'s normal equations overflow float64; rescale the input or normalize it"
+        )
     try:
-        return scipy.linalg.solve(G, X.T @ Y, assume_a="pos")
+        return scipy.linalg.solve(G, XtY, assume_a="pos")
     except np.linalg.LinAlgError as err:
         raise RankError(
             f"ridge solve on the {label} failed ({err}); "
@@ -86,7 +107,8 @@ def fit_var(series, lag: int = 1, ridge_lambda: float = DEFAULT_RIDGE) -> VarMod
     """Least-squares (ridge_lambda > 0: ridge) fit of an interceptless VAR.
 
     A rank-deficient design at ridge_lambda = 0, or a ridge too small to
-    make the solve positive definite, raises RankError.
+    make the solve positive definite, raises RankError; a residual
+    variance that overflows raises DegenerateInputError.
     """
     series = np.asarray(series, dtype=float)
     if series.ndim != 2:
@@ -109,7 +131,7 @@ def fit_var(series, lag: int = 1, ridge_lambda: float = DEFAULT_RIDGE) -> VarMod
         lag=lag,
         ridge_lambda=float(ridge_lambda),
         residuals=residuals,
-        residual_variance=residuals.var(axis=0),
+        residual_variance=_column_variance(residuals),
     )
 
 
@@ -125,7 +147,10 @@ def predict(fit: VarModelFit, series) -> np.ndarray:
 
 
 def residual_variance_about(Y, Yhat) -> np.ndarray:
-    """Per-column population variance of Y - Yhat about its mean."""
+    """Per-column population variance of Y - Yhat about its mean.
+
+    A variance that overflows float64 raises DegenerateInputError.
+    """
     Y = np.asarray(Y, dtype=float)
     Yhat = np.asarray(Yhat, dtype=float)
     if Y.shape != Yhat.shape:
@@ -136,4 +161,4 @@ def residual_variance_about(Y, Yhat) -> np.ndarray:
         raise InsufficientSamplesError(
             "variance needs at least 2 rows"
         )
-    return (Y - Yhat).var(axis=0)
+    return _column_variance(Y - Yhat)

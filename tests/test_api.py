@@ -1,0 +1,149 @@
+"""The package's top-level names, and the frozen result dataclasses."""
+
+import numpy as np
+import pytest
+
+import preimage_gc
+from preimage_gc import KernelSpec, TimeSeriesPanel, generate, run_full_model
+from preimage_gc.causality import CausalGraph
+from preimage_gc.data import LaggedDesign
+from preimage_gc.kernels import KernelPcaModel
+from preimage_gc.preimage import PreimageMap
+from preimage_gc.synthgen import LINEAR5_COEFFICIENTS, SyntheticDataset
+from preimage_gc.varm import VarModelFit
+
+# what the CLI, demos/, README.md and tests/test_acceptance.py use
+TOP_LEVEL = [
+    "GENERATOR_IDS",
+    "IDENTITY",
+    "KernelSpec",
+    "PipelineConfig",
+    "TimeSeriesPanel",
+    "causality_index",
+    "fit_kernel_pca",
+    "fit_var",
+    "generate",
+    "ground_truth_edges",
+    "infer_graph",
+    "ingest_csv",
+    "learn_preimage",
+    "linear_gc_baseline",
+    "median_bandwidth",
+    "normalize_columns",
+    "off_diagonal",
+    "project",
+    "reconstruct",
+    "roc_auc",
+    "run_benchmark",
+    "run_full_model",
+    "summarize",
+]
+
+
+def test_all_is_exactly_the_used_api():
+    assert sorted(preimage_gc.__all__) == TOP_LEVEL
+    namespace = {}
+    exec("from preimage_gc import *", namespace)
+    assert sorted(k for k in namespace if not k.startswith("__")) == TOP_LEVEL
+
+
+def test_no_version_attribute():
+    # pyproject.toml holds the version
+    assert not hasattr(preimage_gc, "__version__")
+
+
+def _caller_arrays():
+    rng = np.random.default_rng(0)
+    return {
+        "square": rng.normal(size=(3, 3)),
+        "tall": rng.normal(size=(6, 3)),
+        "vector": rng.normal(size=3),
+    }
+
+
+def _panel(a):
+    return TimeSeriesPanel(a["tall"], ("a", "b", "c")), {"values": a["tall"]}
+
+
+def _lagged(a):
+    return LaggedDesign(a["tall"], a["tall"][:, :2], 1), {"design": a["tall"], "targets": a["tall"]}
+
+
+def _kpca(a):
+    model = KernelPcaModel(KernelSpec("linear"), a["tall"], a["tall"], a["vector"], a["vector"], 0.5)
+    return model, {
+        "training_points": a["tall"],
+        "dual_coefficients": a["tall"],
+        "eigenvalues": a["vector"],
+        "col_means": a["vector"],
+    }
+
+
+def _var_fit(a):
+    fit = VarModelFit((a["square"],), 1, 0.0, a["tall"], a["vector"])
+    return fit, {"residuals": a["tall"], "residual_variance": a["vector"]}
+
+
+def _pmap(a):
+    return PreimageMap(a["tall"], 0.0, 1.0), {"gamma": a["tall"]}
+
+
+def _graph(a):
+    delta = np.abs(a["square"])
+    np.fill_diagonal(delta, 0.0)
+    a["square"] = delta
+    return CausalGraph(delta, ("a", "b", "c"), delta), {"delta": delta, "raw_log_ratios": delta}
+
+
+def _dataset(a):
+    gt = np.array([[0, 1], [0, 0]])
+    a["truth"] = gt
+    panel = TimeSeriesPanel(a["tall"][:, :2], ("a", "b"))
+    return SyntheticDataset(panel, gt, "logistic2", 0, {}), {"ground_truth": gt}
+
+
+@pytest.mark.parametrize(
+    "build", [_panel, _lagged, _kpca, _var_fit, _pmap, _graph, _dataset],
+    ids=lambda f: f.__name__.lstrip("_"),
+)
+def test_array_fields_are_read_only_copies(build):
+    arrays = _caller_arrays()
+    obj, fields = build(arrays)
+    before = {name: getattr(obj, name).copy() for name in fields}
+    for name, source in fields.items():
+        field = getattr(obj, name)
+        assert not field.flags.writeable, name
+        assert not np.shares_memory(field, source), name
+        with pytest.raises(ValueError):
+            field[...] = 0
+    for source in arrays.values():
+        source[...] = 1
+    for name in fields:
+        np.testing.assert_array_equal(getattr(obj, name), before[name])
+
+
+def test_var_coefficients_are_read_only_copies():
+    A = np.eye(2)
+    fit = VarModelFit((A,), 1, 0.0, np.zeros((3, 2)), np.zeros(2))
+    A[0, 0] = 5.0
+    assert fit.coefficients[0][0, 0] == 1.0
+    assert not fit.coefficients[0].flags.writeable
+
+
+def test_linear5_coefficients_are_read_only():
+    assert not LINEAR5_COEFFICIENTS.flags.writeable
+
+
+def test_panel_and_design_are_c_ordered():
+    values = np.asfortranarray(np.random.default_rng(1).normal(size=(6, 3)))
+    assert TimeSeriesPanel(values, ("a", "b", "c")).values.flags.c_contiguous
+    lagged = LaggedDesign(values, values, 1)
+    assert lagged.design.flags.c_contiguous and lagged.targets.flags.c_contiguous
+
+
+def test_other_fields_keep_the_input_layout():
+    # the layout picks the BLAS path and so the last bits of later products
+    gamma = np.asfortranarray(np.random.default_rng(2).normal(size=(4, 3)))
+    assert PreimageMap(gamma, 0.0, 0.0).gamma.flags.f_contiguous
+    result = run_full_model(generate("fanout3", 60, 0).panel)
+    assert result.preimage_map.gamma.flags.f_contiguous

@@ -11,12 +11,7 @@ from hypothesis import strategies as st
 import preimage_gc.bench as bench_module
 from preimage_gc import (
     IDENTITY,
-    CellRecord,
-    ConfigError,
-    InstabilityError,
     PipelineConfig,
-    ShapeError,
-    UndefinedAucError,
     generate,
     infer_graph,
     off_diagonal,
@@ -24,6 +19,8 @@ from preimage_gc import (
     run_benchmark,
     summarize,
 )
+from preimage_gc.bench import CellRecord
+from preimage_gc.errors import ConfigError, InstabilityError, ShapeError, UndefinedAucError
 
 
 class TestRocAuc:

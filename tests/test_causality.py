@@ -10,13 +10,8 @@ from hypothesis import strategies as st
 import preimage_gc.causality as causality_module
 from preimage_gc import (
     IDENTITY,
-    CausalGraph,
-    DegenerateInputError,
-    DegenerateModelError,
-    InsufficientSamplesError,
     KernelSpec,
     PipelineConfig,
-    RankError,
     TimeSeriesPanel,
     causality_index,
     fit_var,
@@ -25,6 +20,13 @@ from preimage_gc import (
     normalize_columns,
     project,
     run_full_model,
+)
+from preimage_gc.causality import CausalGraph
+from preimage_gc.errors import (
+    DegenerateInputError,
+    DegenerateModelError,
+    InsufficientSamplesError,
+    RankError,
 )
 from preimage_gc.kernels import LANCZOS_MIN_ORDER
 from preimage_gc.synthgen import generate
@@ -160,6 +162,25 @@ class TestRunFullModel:
         huge = TimeSeriesPanel(panel.values * scale, panel.node_names)
         with pytest.raises(DegenerateInputError, match=r"\[pca\] pairwise distances overflow"):
             infer_graph(huge, PipelineConfig(normalize_input=False))
+
+    @pytest.mark.parametrize("scale", [1e155, 1e200])
+    def test_overflowing_residual_variance_is_tagged_without_normalize(self, scale):
+        # used to end in the untagged "reduced-model residual variance must
+        # be positive, got inf; increase the ridge penalties"
+        panel = generate("nonlinear5", 100, 0).panel
+        huge = TimeSeriesPanel(panel.values * scale, panel.node_names)
+        config = PipelineConfig(kernel=IDENTITY, ridge_var=0.0, ridge_preimage=0.0, normalize_input=False)
+        with pytest.raises(DegenerateInputError, match=r"^\[var\] residual variance overflows"):
+            infer_graph(huge, config)
+        with pytest.raises(DegenerateInputError, match=r"^\[var\] the design's normal equations overflow"):
+            infer_graph(huge, PipelineConfig(kernel=IDENTITY, normalize_input=False))
+
+    def test_linear_path_below_overflow_still_fits_without_normalize(self):
+        panel = generate("nonlinear5", 100, 0).panel
+        config = PipelineConfig(kernel=IDENTITY, ridge_var=0.0, ridge_preimage=0.0, normalize_input=False)
+        base = infer_graph(panel, config)
+        big = infer_graph(TimeSeriesPanel(panel.values * 1e150, panel.node_names), config)
+        np.testing.assert_allclose(big.delta, base.delta, rtol=1e-9, atol=1e-12)
 
     def test_largest_scale_below_overflow_still_fits_without_normalize(self):
         # the rbf with the median bandwidth is scale-free up to rounding

@@ -11,7 +11,8 @@ import pytest
 
 import preimage_gc
 import preimage_gc.kernels as kernels_module
-from preimage_gc import TimeSeriesPanel, ingest_csv, panel_to_csv
+from preimage_gc import TimeSeriesPanel, ingest_csv
+from preimage_gc.data import panel_to_csv
 from preimage_gc.cli import main
 
 PIPELINE_INI = """\
@@ -147,6 +148,27 @@ class TestInfer:
         config.write_text("[pipeline]\nnormalize = false\n")
         assert run(["infer", str(huge), "--config", str(config), "--out", str(tmp_path / "result")]) == 1
         assert "[pca] pairwise distances overflow" in capsys.readouterr().err
+
+    def test_overflowing_residual_variance_is_tagged_runtime_error(self, tmp_path, capsys):
+        data = self.synth_csv(tmp_path)
+        panel = ingest_csv(data)
+        huge = tmp_path / "huge.csv"
+        huge.write_text(panel_to_csv(TimeSeriesPanel(panel.values * 1e200, panel.node_names)))
+        config = tmp_path / "pipeline.ini"
+        config.write_text(
+            "[pipeline]\nkernel = linear-identity\nridge_var = 0\nridge_preimage = 0\nnormalize = false\n"
+        )
+        assert run(["infer", str(huge), "--config", str(config), "--out", str(tmp_path / "result")]) == 1
+        assert "[var] residual variance overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bandwidth", ["1e155", "1e154", "1e-200", "-1"])
+    def test_unusable_bandwidth_is_usage_error(self, tmp_path, capsys, bandwidth):
+        config = tmp_path / "pipeline.ini"
+        config.write_text(f"[pipeline]\nbandwidth = {bandwidth}\n")
+        code = run(["infer", str(self.synth_csv(tmp_path)), "--config", str(config), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bandwidth" in err and repr(float(bandwidth)) in err
 
     def test_singular_ridge_solve_is_tagged_runtime_error(self, tmp_path, capsys):
         # c = 2a makes the design singular; a 1e-300 ridge cannot fix that

@@ -5,17 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from preimage_gc import (
+from preimage_gc import TimeSeriesPanel, ingest_csv, normalize_columns
+from preimage_gc.data import lag_embed, panel_to_csv
+from preimage_gc.errors import (
     CsvFormatError,
     CsvParseError,
     CsvSchemaError,
     DegenerateInputError,
     InsufficientSamplesError,
-    TimeSeriesPanel,
-    ingest_csv,
-    lag_embed,
-    normalize_columns,
-    panel_to_csv,
 )
 
 

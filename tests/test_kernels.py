@@ -1,5 +1,7 @@
 """Kernel evaluation, median bandwidth, and kernel PCA against oracles."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,17 +9,14 @@ from scipy.spatial.distance import pdist
 
 import preimage_gc.kernels as kernels_module
 from preimage_gc import (
-    DegenerateInputError,
     KernelSpec,
-    RankError,
-    ShapeError,
     fit_kernel_pca,
-    gram,
     median_bandwidth,
     normalize_columns,
     project,
 )
-from preimage_gc.kernels import EIGENVALUE_RTOL, LANCZOS_MIN_ORDER
+from preimage_gc.errors import DegenerateInputError, RankError, ShapeError
+from preimage_gc.kernels import EIGENVALUE_RTOL, LANCZOS_MIN_ORDER, gram
 from preimage_gc.synthgen import GENERATOR_IDS, generate
 
 
@@ -40,6 +39,20 @@ class TestKernelSpec:
     def test_rejects_bad_degree(self):
         with pytest.raises(ValueError, match="degree"):
             KernelSpec(kind="polynomial", degree=0)
+
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, np.nan, np.inf, 1e154, 1e155, 1e-200, np.float64(1e200)])
+    def test_rejects_bandwidth_the_rbf_cannot_divide_by(self, bandwidth):
+        # 1e155 used to raise OverflowError in the rbf, and 1e154 and
+        # 1e-200 to end in "[pca] centered gram has rank 0"
+        with pytest.raises(ValueError, match="bandwidth.*got " + re.escape(repr(bandwidth))):
+            KernelSpec("rbf", bandwidth=bandwidth)
+
+    @pytest.mark.parametrize("bandwidth", [1e153, 1e-150, np.float64(1e153), 2])
+    def test_accepted_bandwidth_divides_to_a_finite_gram(self, bandwidth):
+        spec = KernelSpec("rbf", bandwidth=bandwidth)
+        K = gram(spec, [[0.0], [1.0]], [[0.0], [1.0]])
+        assert np.all(np.isfinite(K)) and np.all(np.diag(K) == 1.0)
 
 
 class TestGram:
@@ -149,6 +162,12 @@ class TestMedianBandwidth:
         X = np.array([[0.0], [1e155], [3e155]])
         with pytest.raises(DegenerateInputError, match="overflow"):
             median_bandwidth(X)
+
+    def test_median_is_a_bandwidth_the_spec_accepts(self):
+        # the smallest and largest scales whose median survives the check
+        for scale in (1e-150, 1e150):
+            X = np.random.default_rng(11).normal(size=(12, 2)) * scale
+            assert KernelSpec("rbf", bandwidth=median_bandwidth(X)).bandwidth > 0
 
 
 class TestFitKernelPca:

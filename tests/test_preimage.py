@@ -5,9 +5,6 @@ import pytest
 
 from preimage_gc import (
     KernelSpec,
-    PreimageMap,
-    RankError,
-    ShapeError,
     fit_kernel_pca,
     learn_preimage,
     median_bandwidth,
@@ -15,6 +12,9 @@ from preimage_gc import (
     project,
     reconstruct,
 )
+from preimage_gc.errors import DegenerateInputError, RankError, ShapeError
+from preimage_gc.preimage import PreimageMap
+from preimage_gc.varm import DEFAULT_RIDGE
 
 
 class TestLearnPreimage:
@@ -57,6 +57,17 @@ class TestLearnPreimage:
         H = np.hstack([h, h])
         with pytest.raises(RankError, match="ridge"):
             learn_preimage(rng.normal(size=(30, 2)), H, ridge_lambda=0.0)
+
+    @pytest.mark.parametrize("ridge", [0.0, DEFAULT_RIDGE])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["targets", "feature matrix"])
+    def test_nonfinite_input_raises(self, where, bad, ridge):
+        # an inf target used to give an all-NaN gamma without an error
+        rng = np.random.default_rng(30)
+        Y, H = rng.normal(size=(20, 2)), rng.normal(size=(20, 3))
+        (Y if where == "targets" else H)[5, 0] = bad
+        with pytest.raises(DegenerateInputError, match=f"NaN or inf in the {where}"):
+            learn_preimage(Y, H, ridge_lambda=ridge)
 
     def test_row_mismatch(self):
         with pytest.raises(ShapeError):

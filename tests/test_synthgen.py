@@ -5,14 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from preimage_gc import (
-    GENERATOR_IDS,
-    LINEAR5_COEFFICIENTS,
-    InstabilityError,
-    generate,
-    ground_truth_edges,
-)
+from preimage_gc import GENERATOR_IDS, generate, ground_truth_edges
+from preimage_gc.errors import InstabilityError
 from preimage_gc.synthgen import (
+    LINEAR5_COEFFICIENTS,
     MAGNITUDE_BOUND,
     NONLINEAR5_SQUARED,
     _coefficients_matrix,

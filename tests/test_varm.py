@@ -3,16 +3,11 @@
 import numpy as np
 import pytest
 
-from preimage_gc import (
-    InsufficientSamplesError,
-    RankError,
-    ShapeError,
-    VarModelFit,
-    fit_var,
-    lag_embed,
-    predict,
-    residual_variance_about,
-)
+from preimage_gc import fit_var
+from preimage_gc.data import lag_embed
+from preimage_gc.errors import DegenerateInputError, InsufficientSamplesError, RankError, ShapeError
+from preimage_gc.varm import VarModelFit, predict, residual_variance_about
+from preimage_gc.varm import DEFAULT_RIDGE, _solve_ridge
 
 
 def simulate_var1(A, T, x0, noise=None):
@@ -126,6 +121,40 @@ class TestFitVar:
         assert fit.coefficients[1][0, 0] == pytest.approx(0.25, abs=0.05)
 
 
+class TestNonFiniteInput:
+    """The one solver refuses NaN and inf before LAPACK sees them."""
+
+    @pytest.mark.parametrize("ridge", [0.0, DEFAULT_RIDGE])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["design", "targets"])
+    def test_solver_raises_degenerate_input(self, where, bad, ridge, capfd):
+        rng = np.random.default_rng(20)
+        X, Y = rng.normal(size=(30, 3)), rng.normal(size=(30, 2))
+        (X if where == "design" else Y)[4, 1] = bad
+        with pytest.raises(DegenerateInputError, match=f"NaN or inf in the {where}"):
+            _solve_ridge(X, Y, ridge, "design")
+        # LAPACK's DLASCL complaints used to reach stdout
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("ridge", [0.0, DEFAULT_RIDGE])
+    @pytest.mark.parametrize("row, where", [(0, "design"), (-1, "targets")])
+    def test_fit_var_raises_degenerate_input(self, row, where, ridge):
+        series = np.random.default_rng(21).normal(size=(40, 2))
+        series[row, 0] = np.inf
+        with pytest.raises(DegenerateInputError, match=f"NaN or inf in the {where}"):
+            fit_var(series, lag=1, ridge_lambda=ridge)
+
+    def test_overflowing_normal_equations(self):
+        series = np.random.default_rng(22).normal(size=(40, 2)) * 1e160
+        with pytest.raises(DegenerateInputError, match="normal equations overflow"):
+            fit_var(series, lag=1, ridge_lambda=DEFAULT_RIDGE)
+
+    def test_overflowing_residual_variance(self):
+        series = np.random.default_rng(22).normal(size=(40, 2)) * 1e160
+        with pytest.raises(DegenerateInputError, match="residual variance overflows"):
+            fit_var(series, lag=1, ridge_lambda=0.0)
+
+
 class TestPredict:
     def test_hand_example(self):
         fit = VarModelFit(
@@ -181,6 +210,11 @@ class TestResidualVarianceAbout:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             residual_variance_about(np.zeros((3, 2)), np.zeros((4, 2)))
+
+    def test_overflow_raises_degenerate_input(self):
+        Y = np.random.default_rng(23).normal(size=(10, 2)) * 1e200
+        with pytest.raises(DegenerateInputError, match="overflows"):
+            residual_variance_about(Y, np.zeros_like(Y))
 
     def test_constant_offset_has_zero_variance(self):
         # variance is about the residual mean, so a bias does not count

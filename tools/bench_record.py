@@ -1,7 +1,7 @@
 """Record the end-to-end figures of one source tree into a BENCH json file.
 
-    python3 tools/bench_record.py --label change
-    python3 tools/bench_record.py --label parent --src ../parent/src
+    python3 tools/bench_record.py --label change --out BENCH_8.json
+    python3 tools/bench_record.py --label parent --src ../parent/src --out BENCH_8.json
 
 It measures what the roadmap's north star asks every speed claim to
 quote, on the source tree given by --src (default: this checkout's src/):
@@ -20,9 +20,10 @@ quote, on the source tree given by --src (default: this checkout's src/):
 - the machine: core count, Python, numpy and scipy versions, the BLAS
   build each of numpy and scipy loads, and the BLAS thread variables.
 
-The record goes under its label into the --out file (default
-BENCH_7.json beside this checkout's README); records under other labels
-are kept, so one file can hold a parent and a change measured alike.
+The record goes under its label into the --out file, which has no
+default, so that no run overwrites an earlier change's record; records
+under other labels are kept, so one file can hold a parent and a change
+measured alike.
 The sweep's and infer's outputs go to a scratch directory under the
 checkout that is removed afterwards.
 """
@@ -173,7 +174,8 @@ def main(argv=None):
     parser.add_argument("--label", required=True, help="key of this record in the output file")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the preimage_gc package to measure")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_7.json")
+    parser.add_argument("--out", type=Path, required=True,
+                        help="BENCH json file to add the record to")
     args = parser.parse_args(argv)
 
     src = args.src.resolve()
