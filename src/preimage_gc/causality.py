@@ -23,22 +23,14 @@ from .errors import (
     RankError,
     ShapeError,
 )
-from .kernels import (
-    KernelPcaModel,
-    KernelSpec,
-    _check_p_select,
-    _median_rbf_gram,
-    fit_kernel_pca,
-)
+from .kernels import KernelPcaModel, KernelSpec, _check_p_select, fit_kernel_pca
 from .preimage import PreimageMap, learn_preimage, reconstruct
 from .varm import DEFAULT_RIDGE, VarModelFit, fit_var, predict, residual_variance_about
 
-# Sentinel kernels accepted by PipelineConfig besides a concrete KernelSpec:
-# "rbf" defers the bandwidth to the median heuristic at fit time, and
-# "linear-identity" skips the feature lift entirely (coordinates are the
-# normalized inputs themselves), which reduces the whole pipeline to
-# ordinary linear Granger causality.
-MEDIAN_RBF = "rbf"
+# The sentinel kernel PipelineConfig accepts besides a KernelSpec: it
+# skips the feature lift entirely (coordinates are the normalized inputs
+# themselves), which reduces the whole pipeline to ordinary linear
+# Granger causality.
 IDENTITY = "linear-identity"
 
 
@@ -46,7 +38,7 @@ IDENTITY = "linear-identity"
 class PipelineConfig:
     """Everything infer_graph needs besides the data."""
 
-    kernel: KernelSpec | str = MEDIAN_RBF
+    kernel: KernelSpec | str = KernelSpec("rbf")
     p_select: int | float = 0.95
     lag: int = 1
     ridge_var: float = DEFAULT_RIDGE
@@ -55,10 +47,8 @@ class PipelineConfig:
 
     def __post_init__(self):
         k = self.kernel
-        if not isinstance(k, KernelSpec) and k not in (MEDIAN_RBF, IDENTITY):
-            raise ValueError(
-                f"kernel must be a KernelSpec, {MEDIAN_RBF!r}, or {IDENTITY!r}; got {k!r}"
-            )
+        if not isinstance(k, KernelSpec) and k != IDENTITY:
+            raise ValueError(f"kernel must be a KernelSpec or {IDENTITY!r}; got {k!r}")
         _check_p_select(self.p_select)
         if int(self.lag) != self.lag or self.lag < 1:
             raise ValueError(f"lag must be a positive integer, got {self.lag}")
@@ -101,15 +91,6 @@ def _tagged(prefix):
         raise
 
 
-def _fit_kpca(kernel, X, p_select):
-    """fit_kernel_pca on X; the median rbf takes its bandwidth and gram
-    from one _median_rbf_gram call."""
-    if isinstance(kernel, KernelSpec):
-        return fit_kernel_pca(kernel, X, p_select)
-    spec, K = _median_rbf_gram(X)
-    return fit_kernel_pca(spec, X, p_select, _gram=K)
-
-
 def _fit_pipeline(
     values, config: PipelineConfig, cap_rank: bool = False, node_names=None
 ) -> FullModelResult:
@@ -140,7 +121,7 @@ def _fit_pipeline(
             H = X
         else:
             try:
-                kpca = _fit_kpca(config.kernel, X, config.p_select)
+                kpca = fit_kernel_pca(config.kernel, X, config.p_select)
             except RankError as err:
                 soft = (
                     cap_rank
@@ -150,8 +131,7 @@ def _fit_pipeline(
                 )
                 if not soft:
                     raise
-                # the failed fit centered its gram in place: build a fresh one
-                kpca = _fit_kpca(config.kernel, X, int(err.achievable_rank))
+                kpca = fit_kernel_pca(config.kernel, X, int(err.achievable_rank))
             # project(kpca, X) without a second gram: Kc @ U / sqrt(lam) = U sqrt(lam)
             H = kpca.dual_coefficients * kpca.eigenvalues
 

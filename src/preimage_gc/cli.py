@@ -15,10 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from .bench import off_diagonal, roc_auc, run_benchmark
-from .causality import IDENTITY, MEDIAN_RBF, CausalGraph, PipelineConfig, infer_graph
+from .causality import IDENTITY, CausalGraph, PipelineConfig, infer_graph
 from .data import ingest_csv, panel_to_csv
 from .errors import ConfigError, PreimageGCError
-from .kernels import KernelSpec
+from .kernels import KERNEL_KINDS, KernelSpec
 from .synthgen import GENERATOR_IDS, generate
 
 JOBS_ENV_VAR = "PREIMAGE_GC_JOBS"
@@ -73,33 +73,25 @@ def _pipeline_config_from_items(section, items) -> PipelineConfig:
             f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}"
         )
     kernel_name = items.get("kernel", "rbf")
-    bandwidth = items.get("bandwidth", "median")
-    if kernel_name == "rbf":
-        if bandwidth == "median":
-            kernel = MEDIAN_RBF
-        else:
-            kernel = KernelSpec(kind="rbf", bandwidth=_parse_float(section, "bandwidth", bandwidth))
-    elif "bandwidth" in items:
+    if kernel_name != "rbf" and "bandwidth" in items:
         raise ConfigError(f"[{section}] bandwidth only applies to the rbf kernel")
-    elif kernel_name == "linear":
-        kernel = KernelSpec(kind="linear")
-    elif kernel_name == "polynomial":
-        kernel = KernelSpec(
-            kind="polynomial",
-            degree=_parse_int(section, "degree", items.get("degree", "2")),
-            offset=_parse_float(section, "offset", items.get("offset", "1.0")),
-        )
-    elif kernel_name == IDENTITY:
-        kernel = IDENTITY
-    else:
+    if kernel_name not in KERNEL_KINDS + (IDENTITY,):
         raise ConfigError(
             f"[{section}] unknown kernel {kernel_name!r}; "
             f"choose rbf, linear, polynomial, or {IDENTITY}"
         )
     if kernel_name != "polynomial" and ("degree" in items or "offset" in items):
         raise ConfigError(f"[{section}] degree/offset only apply to the polynomial kernel")
+    spec_kwargs = {}
+    if kernel_name == "rbf":
+        bandwidth = items.get("bandwidth", "median")
+        if bandwidth != "median":
+            spec_kwargs["bandwidth"] = _parse_float(section, "bandwidth", bandwidth)
+    elif kernel_name == "polynomial":
+        spec_kwargs["degree"] = _parse_int(section, "degree", items.get("degree", "2"))
+        spec_kwargs["offset"] = _parse_float(section, "offset", items.get("offset", "1.0"))
 
-    kwargs = {"kernel": kernel}
+    kwargs = {}
     if "p_select" in items:
         raw = items["p_select"].strip()
         try:
@@ -115,7 +107,8 @@ def _pipeline_config_from_items(section, items) -> PipelineConfig:
     if "normalize" in items:
         kwargs["normalize_input"] = _parse_bool(section, "normalize", items["normalize"])
     try:
-        return PipelineConfig(**kwargs)
+        kernel = IDENTITY if kernel_name == IDENTITY else KernelSpec(kernel_name, **spec_kwargs)
+        return PipelineConfig(kernel=kernel, **kwargs)
     except ValueError as err:
         raise ConfigError(f"[{section}] {err}") from None
 

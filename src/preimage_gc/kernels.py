@@ -56,7 +56,9 @@ class KernelSpec:
     """Which kernel to evaluate.
 
     kind        one of "rbf", "linear", "polynomial"
-    bandwidth   rbf only: positive length scale in exp(-d^2 / (2 bw^2))
+    bandwidth   rbf only: positive length scale in exp(-d^2 / (2 bw^2)),
+                or None for the median pairwise distance of the points
+                fit_kernel_pca is given (the model's spec then carries it)
     degree      polynomial only: positive integer exponent
     offset      polynomial only: nonnegative additive constant
     """
@@ -71,7 +73,7 @@ class KernelSpec:
             raise ValueError(
                 f"unknown kernel kind {self.kind!r}, expected one of {KERNEL_KINDS}"
             )
-        if self.kind == "rbf" and not _usable_bandwidth(self.bandwidth):
+        if self.kind == "rbf" and self.bandwidth is not None and not _usable_bandwidth(self.bandwidth):
             raise ValueError(
                 f"rbf bandwidth must be positive with 2 bandwidth^2 a nonzero "
                 f"finite float64, got {self.bandwidth!r}"
@@ -100,6 +102,8 @@ def gram(spec: KernelSpec, X, Z) -> np.ndarray:
             f"point dimensions differ: {X.shape[1]} vs {Z.shape[1]}"
         )
     if spec.kind == "rbf":
+        if spec.bandwidth is None:
+            raise ValueError("gram needs an rbf bandwidth; fit_kernel_pca takes the median")
         return _rbf_of_squared(cdist(X, Z, "sqeuclidean"), spec.bandwidth)
     if spec.kind == "linear":
         K = X @ Z.T
@@ -115,7 +119,7 @@ def _usable_bandwidth(bandwidth):
     """Whether the rbf can divide by 2 bandwidth^2: bandwidth > 0 and the
     divisor, computed as _rbf_of_squared computes it, neither underflows
     to zero nor overflows."""
-    if bandwidth is None or not bandwidth > 0:
+    if not bandwidth > 0:
         return False
     try:
         return 0.0 < 2.0 * float(bandwidth) ** 2 < math.inf
@@ -172,21 +176,22 @@ def median_bandwidth(X) -> float:
     return _median_distance(pdist(_bandwidth_points(X), "sqeuclidean"))
 
 
-def _median_rbf_gram(X):
-    """The median-bandwidth rbf spec for X and its gram K(X, X).
+def _rbf_gram(spec, X):
+    """The rbf gram K(X, X) and the spec it used, from one pdist of squared
+    distances.
 
-    Both come from one pdist of squared distances: the median from a
-    partitioned copy, the kernel on the T(T-1)/2 condensed entries before
-    squareform spreads them, and a unit diagonal, exp(-0) of the gram's
-    zero self-distances; equal bit for bit to median_bandwidth(X) and
-    gram(spec, X, X).
+    A spec without a bandwidth takes the median pairwise distance from a
+    partitioned copy, equal bit for bit to median_bandwidth(X). The kernel
+    runs on the T(T-1)/2 condensed entries before squareform spreads them,
+    and the diagonal is exp(-0) = 1 of the zero self-distances; K equals
+    gram(spec, X, X) bit for bit.
     """
-    X = _bandwidth_points(X)
-    d = pdist(X, "sqeuclidean")
-    scratch = d.copy()
-    spec = KernelSpec("rbf", bandwidth=_median_distance(scratch))
-    # freed before squareform, so the peak stays the condensed vector and the gram
-    del scratch
+    if spec.bandwidth is None:
+        d = pdist(_bandwidth_points(X), "sqeuclidean")
+        # the copy is freed before squareform, so the peak stays the condensed vector and the gram
+        spec = KernelSpec("rbf", bandwidth=_median_distance(d.copy()))
+    else:
+        d = pdist(X, "sqeuclidean")
     K = squareform(_rbf_of_squared(d, spec.bandwidth))
     np.fill_diagonal(K, 1.0)
     return spec, K
@@ -356,7 +361,7 @@ def _lanczos_top(K, col_means, p_select):
     return None
 
 
-def fit_kernel_pca(spec: KernelSpec, X, p_select, *, _gram=None) -> KernelPcaModel:
+def fit_kernel_pca(spec: KernelSpec, X, p_select) -> KernelPcaModel:
     """Eigendecompose the double-centered gram of X and keep leading axes.
 
     p_select picks the component count: an int asks for exactly that many
@@ -375,9 +380,9 @@ def fit_kernel_pca(spec: KernelSpec, X, p_select, *, _gram=None) -> KernelPcaMod
     eigendecomposition of the gram centered in place. A failure of the
     dense solver raises EigensolverError.
 
-    _gram, for callers that already hold gram(spec, X, X), is used
-    instead of a new gram; it is left as it was when Lanczos answers
-    and centered in place otherwise.
+    An rbf spec without a bandwidth takes the median pairwise distance
+    of X; the model's spec carries the bandwidth used, so project needs
+    no other.
     """
     X = _as_points(X, "X")
     M = X.shape[0]
@@ -385,7 +390,10 @@ def fit_kernel_pca(spec: KernelSpec, X, p_select, *, _gram=None) -> KernelPcaMod
         raise InsufficientSamplesError("kernel PCA needs at least 2 points")
     _check_p_select(p_select)
 
-    K = gram(spec, X, X) if _gram is None else _gram
+    if spec.kind == "rbf":
+        spec, K = _rbf_gram(spec, X)
+    else:
+        K = gram(spec, X, X)
     # one pass, shared by the Lanczos run and the dense path's centering
     col_means = K.mean(axis=0)
     pairs = _lanczos_top(K, col_means, p_select) if M >= LANCZOS_MIN_ORDER else None

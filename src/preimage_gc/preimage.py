@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import _freeze
-from .errors import ShapeError
+from .errors import DegenerateInputError, ShapeError
 from .varm import DEFAULT_RIDGE, _solve_ridge
 
 
@@ -33,6 +33,7 @@ def learn_preimage(Y, H, ridge_lambda: float = DEFAULT_RIDGE) -> PreimageMap:
 
     Y is T x D (inputs), H is T x P (their feature coordinates), rows
     paired. Minimizes ||Y - H gamma^T||^2 + ridge_lambda ||gamma||^2.
+    A training error that overflows float64 raises DegenerateInputError.
     """
     Y = np.asarray(Y, dtype=float)
     H = np.asarray(H, dtype=float)
@@ -50,7 +51,12 @@ def learn_preimage(Y, H, ridge_lambda: float = DEFAULT_RIDGE) -> PreimageMap:
             stacklevel=2,
         )
     Gt = _solve_ridge(H, Y, ridge_lambda, "feature matrix")
-    fit_error = float(np.mean((Y - H @ Gt) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        fit_error = float(np.mean((Y - H @ Gt) ** 2))
+    if not np.isfinite(fit_error):
+        raise DegenerateInputError(
+            "pre-image training error overflows float64; rescale the input or normalize it"
+        )
     return PreimageMap(
         gamma=Gt.T, ridge_lambda=float(ridge_lambda), training_fit_error=fit_error
     )

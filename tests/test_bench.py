@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import preimage_gc.bench as bench_module
 from preimage_gc import (
+    GENERATOR_IDS,
     IDENTITY,
     PipelineConfig,
     generate,
@@ -216,6 +217,21 @@ class TestRunBenchmark:
         parallel = run_benchmark(*args, jobs=2, progress=seen.append)
         assert serial.records == parallel.records
         assert sorted(seen, key=serial.records.index) == list(serial.records)
+
+    @given(
+        st.lists(st.sampled_from(GENERATOR_IDS), min_size=1, max_size=2, unique=True),
+        st.lists(st.integers(min_value=50, max_value=90), min_size=1, max_size=2, unique=True),
+        st.lists(st.integers(min_value=0, max_value=2**16), min_size=1, max_size=2, unique=True),
+        st.sampled_from([0.95, 2, 500]),
+    )
+    @settings(max_examples=3, deadline=None)
+    def test_records_identical_for_any_jobs(self, generators, T_grid, seeds, p_select):
+        # p_select = 500 fails every kernel cell, so error records are compared too
+        methods = [("kernel", PipelineConfig(p_select=p_select))] + self.small_methods()[1:]
+        serial = run_benchmark(generators, methods, T_grid, seeds, jobs=1)
+        parallel = run_benchmark(generators, methods, T_grid, seeds, jobs=2)
+        assert serial.records == parallel.records
+        assert serial.summaries == parallel.summaries
 
     def test_workers_run_one_blas_thread(self, monkeypatch):
         # the BLAS libraries read these when a worker loads them; this

@@ -1,6 +1,7 @@
 """End-to-end causal pipeline: index formula, graphs, invariances."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -99,7 +100,8 @@ class TestCausalityIndex:
 class TestPipelineConfig:
     def test_defaults(self):
         config = PipelineConfig()
-        assert config.kernel == "rbf"
+        assert config.kernel == KernelSpec("rbf")
+        assert config.kernel.bandwidth is None
         assert config.p_select == 0.95
         assert config.lag == 1
         assert config.ridge_var == 1e-3
@@ -109,6 +111,11 @@ class TestPipelineConfig:
     def test_rejects_unknown_kernel_string(self):
         with pytest.raises(ValueError, match="kernel"):
             PipelineConfig(kernel="quadratic")
+
+    def test_rbf_string_is_not_a_kernel(self):
+        # the median rbf is KernelSpec("rbf"); "linear-identity" is the one sentinel
+        with pytest.raises(ValueError, match="kernel"):
+            PipelineConfig(kernel="rbf")
 
     def test_rejects_bad_p_select(self):
         with pytest.raises(ValueError):
@@ -174,6 +181,18 @@ class TestRunFullModel:
             infer_graph(huge, config)
         with pytest.raises(DegenerateInputError, match=r"^\[var\] the design's normal equations overflow"):
             infer_graph(huge, PipelineConfig(kernel=IDENTITY, normalize_input=False))
+
+    @pytest.mark.parametrize("scale", [1e155, 1e160])
+    def test_overflowing_preimage_error_is_tagged_without_normalize(self, scale):
+        # distances overflow to an identity gram under a given bandwidth, so
+        # the lift and the VAR fit; the pre-image's training error used to
+        # come back inf after "RuntimeWarning: overflow encountered in square"
+        values = generate("nonlinear5", 50, 0).panel.values * scale
+        config = PipelineConfig(kernel=KernelSpec("rbf", bandwidth=1.0), p_select=2, normalize_input=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInputError, match=r"^\[preimage\] pre-image training error overflows"):
+                causality_module._fit_pipeline(values, config)
 
     def test_linear_path_below_overflow_still_fits_without_normalize(self):
         panel = generate("nonlinear5", 100, 0).panel
@@ -358,6 +377,55 @@ class TestInferGraph:
             ]
             medians.append(np.median(deltas))
         assert medians[1] >= medians[0]
+
+
+# one side of the Lanczos crossover each: dense eigh at 150, Lanczos at 250
+CROSSOVER_SIDES = [LANCZOS_MIN_ORDER - 50, LANCZOS_MIN_ORDER + 50]
+
+
+class TestAwkwardPanels:
+    """What both paths do on panels at the edge of what the method can use."""
+
+    @pytest.mark.parametrize("T", CROSSOVER_SIDES)
+    def test_duplicated_column(self, T):
+        # the kernel lift absorbs the copy; the zero-ridge linear design cannot
+        panel = generate("nonlinear5", T, 0).panel
+        values = np.column_stack([panel.values, panel.values[:, 0]])
+        dup = TimeSeriesPanel(values, panel.node_names + ("copy",))
+        graph = infer_graph(dup)
+        assert graph.delta.shape == (6, 6) and np.all(np.isfinite(graph.delta))
+        with pytest.raises(RankError, match=r"^\[var\] design has rank 5 < 6"):
+            linear_gc_baseline(dup)
+
+    @pytest.mark.parametrize("T", CROSSOVER_SIDES)
+    def test_near_constant_column_scores_as_its_fluctuation(self, T):
+        # normalization scales 1 + 1e-9 z back to z, up to the 1e-7 relative
+        # precision left in the column
+        panel = generate("nonlinear5", T, 0).panel
+        z = np.random.default_rng(T).normal(size=T)
+        noise, flat = panel.values.copy(), panel.values.copy()
+        noise[:, 2] = z
+        flat[:, 2] = 1.0 + 1e-9 * z
+        for run in (infer_graph, linear_gc_baseline):
+            ref = run(TimeSeriesPanel(noise, panel.node_names))
+            got = run(TimeSeriesPanel(flat, panel.node_names))
+            np.testing.assert_allclose(got.delta, ref.delta, rtol=0, atol=1e-6, err_msg=run.__name__)
+
+    @pytest.mark.parametrize("lag", [1, 2])
+    def test_shortest_panel(self, lag):
+        # T = lag + 2 is the least the pipeline takes: the kernel path fits,
+        # warning that the VAR (and at lag 2 the pre-image) is short of
+        # samples; linear-gc's zero-ridge design has fewer rows than columns
+        panel = generate("nonlinear5", 50, 0).panel
+        short = TimeSeriesPanel(panel.values[: lag + 2], panel.node_names)
+        with pytest.warns(UserWarning, match="fitting a VAR|pre-image .* underdetermined"):
+            graph = infer_graph(short, PipelineConfig(lag=lag))
+        assert np.all(np.isfinite(graph.delta))
+        with pytest.warns(UserWarning, match="fitting a VAR"):
+            with pytest.raises(RankError, match=r"^\[var\] design has rank 2 <"):
+                linear_gc_baseline(short, lag=lag)
+        with pytest.raises(InsufficientSamplesError, match="lag \\+ 2"):
+            infer_graph(TimeSeriesPanel(panel.values[: lag + 1], panel.node_names), PipelineConfig(lag=lag))
 
 
 class TestInferGraphProperties:

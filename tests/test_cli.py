@@ -168,7 +168,7 @@ class TestInfer:
         code = run(["infer", str(self.synth_csv(tmp_path)), "--config", str(config), "--out", str(tmp_path)])
         assert code == 2
         err = capsys.readouterr().err
-        assert "bandwidth" in err and repr(float(bandwidth)) in err
+        assert "[pipeline]" in err and "bandwidth" in err and repr(float(bandwidth)) in err
 
     def test_singular_ridge_solve_is_tagged_runtime_error(self, tmp_path, capsys):
         # c = 2a makes the design singular; a 1e-300 ridge cannot fix that
@@ -186,6 +186,20 @@ class TestInfer:
         err = capsys.readouterr().err
         assert "[var]" in err
         assert "ridge_lambda" in err
+
+    @pytest.mark.parametrize("T", [kernels_module.LANCZOS_MIN_ORDER - 50, kernels_module.LANCZOS_MIN_ORDER + 50])
+    def test_duplicated_column_fails_linear_gc_only(self, tmp_path, capsys, T):
+        panel = ingest_csv(self.synth_csv(tmp_path, gen="nonlinear5", T=T, seed=0))
+        data = tmp_path / "dup.csv"
+        data.write_text(panel_to_csv(TimeSeriesPanel(
+            np.column_stack([panel.values, panel.values[:, 0]]), panel.node_names + ("copy",)
+        )))
+        assert run(["infer", str(data), "--out", str(tmp_path / "kernel")]) == 0
+        config = tmp_path / "linear_gc.ini"
+        config.write_text("[pipeline]\nkernel = linear-identity\nridge_var = 0\nridge_preimage = 0\n")
+        code = run(["infer", str(data), "--config", str(config), "--out", str(tmp_path / "linear")])
+        assert code == 1
+        assert "[var] design has rank 5 < 6" in capsys.readouterr().err
 
     def test_eigensolver_failure_is_tagged_runtime_error(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
@@ -281,6 +295,18 @@ class TestBench:
         code = run(["bench", "--config", str(config), "--dry-run"])
         assert code == 2
         assert "method" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keys, word", [
+        ("kernel = polynomial\ndegree = 0\n", "degree"),
+        ("kernel = polynomial\noffset = -1\n", "offset"),
+        ("bandwidth = -1\n", "bandwidth"),
+    ])
+    def test_bad_kernel_names_its_method_section(self, tmp_path, capsys, keys, word):
+        text = BENCH_INI + "\n[method b]\n" + keys
+        code = run(["bench", "--config", str(self.config(tmp_path, text)), "--dry-run"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "[method b]" in err and word in err
 
     def test_unknown_bench_key(self, tmp_path, capsys):
         text = BENCH_INI + "\n[bench2]\nx = 1\n"

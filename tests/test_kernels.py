@@ -29,8 +29,12 @@ def classical_pca_scores(X):
 
 class TestKernelSpec:
     def test_rbf_needs_bandwidth(self):
+        # a spec without one is the median rule of fit_kernel_pca; a gram
+        # cannot guess it
+        X = np.random.default_rng(1).normal(size=(6, 2))
+        assert KernelSpec(kind="rbf").bandwidth is None
         with pytest.raises(ValueError, match="bandwidth"):
-            KernelSpec(kind="rbf")
+            gram(KernelSpec(kind="rbf"), X, X)
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
@@ -137,9 +141,13 @@ class TestMedianBandwidth:
     def test_one_pdist_gram_equals_bandwidth_and_gram(self, n):
         # n = 6, 203 give odd pair counts, n = 8, 201 even ones
         X = np.random.default_rng(n).normal(size=(n, 3))
-        spec, K = kernels_module._median_rbf_gram(X)
+        spec, K = kernels_module._rbf_gram(KernelSpec("rbf"), X)
         assert spec == KernelSpec("rbf", bandwidth=median_bandwidth(X))
         assert np.array_equal(K, gram(spec, X, X))
+        given = KernelSpec("rbf", bandwidth=1.3)
+        spec, K = kernels_module._rbf_gram(given, X)
+        assert spec is given
+        assert np.array_equal(K, gram(given, X, X))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_points_rejected(self, bad):
@@ -155,7 +163,7 @@ class TestMedianBandwidth:
         with pytest.raises(DegenerateInputError, match="overflow"):
             median_bandwidth(X)
         with pytest.raises(DegenerateInputError, match="overflow"):
-            kernels_module._median_rbf_gram(X)
+            kernels_module._rbf_gram(KernelSpec("rbf"), X)
 
     def test_square_overflowing_finite_median_rejected(self):
         # distances near 1e155 are finite, their squares are not
@@ -171,6 +179,21 @@ class TestMedianBandwidth:
 
 
 class TestFitKernelPca:
+    @pytest.mark.parametrize("M", [50, LANCZOS_MIN_ORDER + 50])
+    def test_rbf_without_bandwidth_fits_with_the_median(self, M):
+        # both sides of the Lanczos crossover; the model's spec carries the
+        # bandwidth, so project of the training points gives their coordinates
+        X = np.random.default_rng(M).normal(size=(M, 3))
+        model = fit_kernel_pca(KernelSpec("rbf"), X, 0.95)
+        given = fit_kernel_pca(KernelSpec("rbf", bandwidth=median_bandwidth(X)), X, 0.95)
+        assert model.spec == given.spec
+        for field in ("dual_coefficients", "eigenvalues", "col_means"):
+            assert np.array_equal(getattr(model, field), getattr(given, field)), field
+        assert model.grand_mean == given.grand_mean
+        np.testing.assert_allclose(
+            project(model, X), model.dual_coefficients * model.eigenvalues, atol=1e-10
+        )
+
     def test_linear_kernel_matches_classical_pca(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(30, 5))
@@ -392,12 +415,21 @@ class TestLanczosPath:
         assert solver_calls == {"lanczos": 1, "eigh": 1}
         assert matvecs[0] == 0
 
-    def test_lanczos_answer_leaves_the_gram_uncentered(self, solver_calls):
+    def test_lanczos_answer_leaves_the_gram_uncentered(self, solver_calls, monkeypatch):
         spec, X = self.rbf_case()
-        K = gram(spec, X, X)
-        model = fit_kernel_pca(spec, X, 0.95, _gram=K)
+        built = []
+        rbf_gram = kernels_module._rbf_gram
+
+        def kept(*args):
+            out = rbf_gram(*args)
+            built.append(out[1])
+            return out
+
+        monkeypatch.setattr(kernels_module, "_rbf_gram", kept)
+        model = fit_kernel_pca(spec, X, 0.95)
         assert solver_calls == {"lanczos": 1, "eigh": 0}
-        assert np.array_equal(K, gram(spec, X, X))
+        K = gram(spec, X, X)
+        assert np.array_equal(built[0], K)
         assert np.array_equal(model.col_means, K.mean(axis=0))
         assert model.grand_mean == pytest.approx(K.mean(), rel=1e-14)
 

@@ -1,5 +1,7 @@
 """Pre-image map: recovery, round trips, linearity, ridge behavior."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from preimage_gc import (
 )
 from preimage_gc.errors import DegenerateInputError, RankError, ShapeError
 from preimage_gc.preimage import PreimageMap
-from preimage_gc.varm import DEFAULT_RIDGE
+from preimage_gc.varm import DEFAULT_RIDGE, _solve_ridge
 
 
 class TestLearnPreimage:
@@ -40,6 +42,23 @@ class TestLearnPreimage:
         pmap = learn_preimage(Y, H, ridge_lambda=0.5)
         mse = float(np.mean((reconstruct(pmap, H) - Y) ** 2))
         assert mse == pytest.approx(pmap.training_fit_error, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_overflowing_training_error_raises(self, scale):
+        # used to come back inf after "RuntimeWarning: overflow encountered in square"
+        rng = np.random.default_rng(5)
+        Y, H = rng.normal(size=(20, 2)), rng.normal(size=(20, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInputError, match="training error overflows"):
+                learn_preimage(Y * scale, H)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e150])
+    def test_finite_training_error_is_the_mean_squared_residual(self, scale):
+        rng = np.random.default_rng(5)
+        Y, H = scale * rng.normal(size=(20, 2)), rng.normal(size=(20, 3))
+        Gt = _solve_ridge(H, Y, DEFAULT_RIDGE, "feature matrix")
+        assert learn_preimage(Y, H).training_fit_error == float(np.mean((Y - H @ Gt) ** 2))
 
     def test_ridge_never_improves_training_fit(self):
         rng = np.random.default_rng(3)
