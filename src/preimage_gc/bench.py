@@ -211,25 +211,10 @@ def _map_in_workers(fn, tasks, jobs):
         yield from results
 
 
-def run_benchmark(
-    generators,
-    methods,
-    T_grid,
-    seeds,
-    jobs: int = 1,
-    progress=None,
-) -> BenchmarkReport:
-    """Score every (generator, method, T, seed) cell and summarize.
-
-    methods is a list of (method_id, PipelineConfig) pairs; seeds is a
-    count (0..seeds-1) or an explicit list. Each (generator, T, seed)
-    panel is generated once and every method runs on it. Panels are
-    independent, so jobs > 1 runs them in worker processes with one BLAS
-    thread each; records always come back in grid order (generator,
-    method, T, seed), so the report is identical regardless of jobs.
-    ``progress`` (if given) is called with each completed CellRecord, in
-    completion order.
-    """
+def _checked_grid(generators, methods, T_grid, seeds, jobs):
+    """run_benchmark's arguments as lists (seeds as a seed list) and an int
+    job count; ConfigError for anything it cannot sweep, a repeated value
+    included, since its records would be pooled into one summary."""
     generators = list(generators)
     if not generators:
         raise ConfigError("no generators given")
@@ -257,6 +242,37 @@ def run_benchmark(
     jobs = int(jobs)
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    method_ids = [method_id for method_id, _ in methods]
+    for label, values in (("generator", generators), ("method", method_ids), ("T", T_grid), ("seed", seed_list)):
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            raise ConfigError(f"repeated {label} value(s) in the grid: {', '.join(map(str, repeated))}")
+    return generators, methods, T_grid, seed_list, jobs
+
+
+def run_benchmark(
+    generators,
+    methods,
+    T_grid,
+    seeds,
+    jobs: int = 1,
+    progress=None,
+) -> BenchmarkReport:
+    """Score every (generator, method, T, seed) cell and summarize.
+
+    methods is a list of (method_id, PipelineConfig) pairs; seeds is a
+    count (0..seeds-1) or an explicit list. A repeated generator, method
+    id, T or seed is a ConfigError. Each (generator, T, seed) panel is
+    generated once and every method runs on it. Panels are independent,
+    so jobs > 1 runs them in worker processes with one BLAS thread each;
+    records always come back in grid order (generator, method, T, seed),
+    so the report is identical regardless of jobs. ``progress`` (if
+    given) is called with each CellRecord, panels in (generator, T, seed)
+    order and a panel's records in method order: at jobs = 1 as each
+    record completes, at jobs > 1 a panel's records together once it and
+    every earlier panel are done, not in completion order.
+    """
+    generators, methods, T_grid, seed_list, jobs = _checked_grid(generators, methods, T_grid, seeds, jobs)
 
     # one task per panel, so each panel is generated once for all methods
     tasks = [(g, T, s, methods) for g in generators for T in T_grid for s in seed_list]

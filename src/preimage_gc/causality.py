@@ -21,7 +21,6 @@ from .errors import (
     InsufficientSamplesError,
     PreimageGCError,
     RankError,
-    ShapeError,
 )
 from .kernels import KernelPcaModel, KernelSpec, _check_p_select, fit_kernel_pca
 from .preimage import PreimageMap, learn_preimage, reconstruct
@@ -50,10 +49,10 @@ class PipelineConfig:
         if not isinstance(k, KernelSpec) and k != IDENTITY:
             raise ValueError(f"kernel must be a KernelSpec or {IDENTITY!r}; got {k!r}")
         _check_p_select(self.p_select)
-        if int(self.lag) != self.lag or self.lag < 1:
-            raise ValueError(f"lag must be a positive integer, got {self.lag}")
-        if self.ridge_var < 0 or self.ridge_preimage < 0:
-            raise ValueError("ridge penalties must be >= 0")
+        if isinstance(self.lag, bool) or not isinstance(self.lag, (int, np.integer)) or self.lag < 1:
+            raise ValueError(f"lag must be a positive integer, got {self.lag!r}")
+        if not (0 <= self.ridge_var < math.inf and 0 <= self.ridge_preimage < math.inf):
+            raise ValueError(f"ridge_var and ridge_preimage must be finite and >= 0, got {self.ridge_var}, {self.ridge_preimage}")
 
 
 @dataclass(frozen=True)
@@ -84,10 +83,7 @@ def _tagged(prefix):
     try:
         yield
     except PreimageGCError as err:
-        if err.args and isinstance(err.args[0], str):
-            err.args = (f"{prefix} {err.args[0]}",) + err.args[1:]
-        else:
-            err.args = (prefix,) + err.args
+        err.args = (f"{prefix} {err.args[0]}",) + err.args[1:]
         raise
 
 
@@ -100,9 +96,6 @@ def _fit_pipeline(
     leave-one-out loop uses it so a component count valid on the full
     panel still works on the narrower reduced one.
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2:
-        raise ShapeError(f"values must be 2-d, got ndim={values.ndim}")
     T = values.shape[0]
     if T < config.lag + 2:
         raise InsufficientSamplesError(
@@ -123,15 +116,10 @@ def _fit_pipeline(
             try:
                 kpca = fit_kernel_pca(config.kernel, X, config.p_select)
             except RankError as err:
-                soft = (
-                    cap_rank
-                    and isinstance(config.p_select, (int, np.integer))
-                    and err.achievable_rank
-                    and err.achievable_rank < config.p_select
-                )
-                if not soft:
+                # a nonzero achievable rank comes only with an integer p_select above it
+                if not (cap_rank and err.achievable_rank):
                     raise
-                kpca = fit_kernel_pca(config.kernel, X, int(err.achievable_rank))
+                kpca = fit_kernel_pca(config.kernel, X, err.achievable_rank)
             # project(kpca, X) without a second gram: Kc @ U / sqrt(lam) = U sqrt(lam)
             H = kpca.dual_coefficients * kpca.eigenvalues
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import off_diagonal, roc_auc, run_benchmark
+from .bench import _checked_grid, off_diagonal, roc_auc, run_benchmark
 from .causality import IDENTITY, CausalGraph, PipelineConfig, infer_graph
 from .data import ingest_csv, panel_to_csv
 from .errors import ConfigError, PreimageGCError
@@ -185,8 +185,6 @@ def _resolve_jobs(flag_value):
                 raise ConfigError(
                     f"{JOBS_ENV_VAR} must be an integer, got {raw!r}"
                 ) from None
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     return jobs
 
 
@@ -241,9 +239,11 @@ def _cmd_synth(args) -> int:
 
 def _cmd_bench(args) -> int:
     config_path = _require_file(args.config)
-    generators, methods, T_grid, seeds = _bench_setup_from_file(config_path)
-    jobs = _resolve_jobs(args.jobs)
-    total = len(generators) * len(methods) * len(T_grid) * seeds
+    # run_benchmark's own checks, so --dry-run refuses what a run would
+    generators, methods, T_grid, seeds, jobs = _checked_grid(
+        *_bench_setup_from_file(config_path), _resolve_jobs(args.jobs)
+    )
+    total = len(generators) * len(methods) * len(T_grid) * len(seeds)
     if args.dry_run:
         print(
             f"{total} cells: {len(generators)} generators x {len(methods)} methods "

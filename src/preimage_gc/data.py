@@ -190,8 +190,8 @@ def lag_embed(values, lag: int) -> LaggedDesign:
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ShapeError(f"expected a 2-d array, got ndim={values.ndim}")
-    if lag < 1:
-        raise ValueError(f"lag must be >= 1, got {lag}")
+    if isinstance(lag, bool) or not isinstance(lag, (int, np.integer)) or lag < 1:
+        raise ValueError(f"lag must be a positive integer, got {lag!r}")
     T = values.shape[0]
     if T <= lag:
         raise InsufficientSamplesError(

@@ -60,7 +60,7 @@ class KernelSpec:
                 or None for the median pairwise distance of the points
                 fit_kernel_pca is given (the model's spec then carries it)
     degree      polynomial only: positive integer exponent
-    offset      polynomial only: nonnegative additive constant
+    offset      polynomial only: finite nonnegative additive constant
     """
 
     kind: str
@@ -81,8 +81,8 @@ class KernelSpec:
         if self.kind == "polynomial":
             if int(self.degree) != self.degree or self.degree < 1:
                 raise ValueError("polynomial degree must be a positive integer")
-            if self.offset < 0:
-                raise ValueError("polynomial offset must be nonnegative")
+            if not 0 <= self.offset < math.inf:
+                raise ValueError(f"polynomial offset must be finite and nonnegative, got {self.offset!r}")
 
 
 def _as_points(X, name):
@@ -234,6 +234,18 @@ def _check_p_select(p_select):
         raise ValueError(f"integer p_select must be >= 1, got {p_select}")
 
 
+def _component_count(values, total, p_select):
+    """How many leading values of a descending spectrum p_select asks for:
+    an int as given, a fraction the fewest whose cumulative sum reaches
+    p_select * total (one more than there are if none does). total None
+    is the values' own sum, their last cumulative sum."""
+    if not isinstance(p_select, (float, np.floating)):
+        return int(p_select)
+    cum = np.cumsum(values)
+    target = p_select * (cum[-1] if total is None else total)
+    return int(np.searchsorted(cum, target, side="left")) + 1
+
+
 def _dense_top(Kc, p_select):
     """Leading eigenpairs of Kc that p_select asks for, by a full eigh."""
     try:
@@ -247,25 +259,19 @@ def _dense_top(Kc, p_select):
     evals = np.maximum(evals[::-1], 0.0)
     evecs = evecs[:, ::-1]
 
-    top = evals[0] if evals.size else 0.0
-    rank = int(np.count_nonzero(evals > EIGENVALUE_RTOL * top)) if top > 0 else 0
+    rank = int(np.count_nonzero(evals > EIGENVALUE_RTOL * evals[0]))
     if rank == 0:
         raise RankError(
             "centered gram has rank 0 (all points identical?)",
             achievable_rank=0,
         )
-
-    if isinstance(p_select, (float, np.floating)):
-        cum = np.cumsum(evals[:rank])
-        P = int(np.searchsorted(cum, p_select * cum[-1], side="left")) + 1
-        P = min(P, rank)
-    else:
-        P = int(p_select)
-        if P > rank:
-            raise RankError(
-                f"requested {P} components but centered gram rank is {rank}",
-                achievable_rank=rank,
-            )
+    # the mass above the cutoff; _ritz_settled, short of the tail, takes trace(Kc)
+    P = _component_count(evals[:rank], None, p_select)
+    if P > rank:
+        raise RankError(
+            f"requested {P} components but centered gram rank is {rank}",
+            achievable_rank=rank,
+        )
     return evals[:P], evecs[:, :P]
 
 
@@ -283,11 +289,7 @@ def _ritz_settled(alpha, beta, residual, total, p_select):
     converged = residual * np.abs(S[-1]) <= _EPS * np.maximum(_EPS23, np.abs(theta))
     # the leading run of converged pairs; Lanczos finds the top ones first
     c = int(np.argmin(converged)) if not converged.all() else converged.size
-    if isinstance(p_select, (float, np.floating)):
-        cum = np.cumsum(np.maximum(theta[:c], 0.0))
-        P = int(np.searchsorted(cum, p_select * total, side="left")) + 1
-    else:
-        P = int(p_select)
+    P = _component_count(np.maximum(theta[:c], 0.0), total, p_select)
     if P > c or not theta[P - 1] > EIGENVALUE_RTOL * theta[0]:
         return None
     return theta[:P], S[:, :P]
@@ -378,7 +380,8 @@ def fit_kernel_pca(spec: KernelSpec, X, p_select) -> KernelPcaModel:
     Lanczos run on the uncentered gram that stops once they are settled;
     below it, and whenever that run cannot answer, from a dense
     eigendecomposition of the gram centered in place. A failure of the
-    dense solver raises EigensolverError.
+    dense solver raises EigensolverError, and a linear or polynomial gram
+    that overflows float64 DegenerateInputError.
 
     An rbf spec without a bandwidth takes the median pairwise distance
     of X; the model's spec carries the bandwidth used, so project needs
@@ -390,12 +393,18 @@ def fit_kernel_pca(spec: KernelSpec, X, p_select) -> KernelPcaModel:
         raise InsufficientSamplesError("kernel PCA needs at least 2 points")
     _check_p_select(p_select)
 
-    if spec.kind == "rbf":
-        spec, K = _rbf_gram(spec, X)
-    else:
-        K = gram(spec, X, X)
-    # one pass, shared by the Lanczos run and the dense path's centering
-    col_means = K.mean(axis=0)
+    # an overflowing linear or polynomial gram is refused below, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.kind == "rbf":
+            spec, K = _rbf_gram(spec, X)
+        else:
+            K = gram(spec, X, X)
+        # one pass, shared by the Lanczos run and the dense path's centering
+        col_means = K.mean(axis=0)
+    # a non-finite entry reaches its column's mean
+    if not np.isfinite(col_means).all():
+        fix = "lower the degree or offset" if spec.kind == "polynomial" else "rescale the input or normalize it"
+        raise DegenerateInputError(f"the {spec.kind} gram overflows float64; {fix}")
     pairs = _lanczos_top(K, col_means, p_select) if M >= LANCZOS_MIN_ORDER else None
     if pairs is not None:
         grand_mean = float(np.mean(col_means))

@@ -69,8 +69,8 @@ def _solve_ridge(X, Y, ridge_lambda, label) -> np.ndarray:
     the products the ridge solve forms from them, is a DegenerateInputError.
     label names X in the messages.
     """
-    if ridge_lambda < 0:
-        raise ValueError(f"ridge_lambda must be >= 0, got {ridge_lambda}")
+    if not 0 <= ridge_lambda < np.inf:
+        raise ValueError(f"ridge_lambda must be finite and >= 0, got {ridge_lambda}")
     for name, arr in ((label, X), ("targets", Y)):
         if not np.isfinite(arr).all():
             raise DegenerateInputError(f"NaN or inf in the {name}")

@@ -310,6 +310,34 @@ class TestRunBenchmark:
         with pytest.raises(ConfigError, match="generator"):
             run_benchmark(["lorenz"], self.small_methods(), [50], 2)
 
+    @pytest.mark.parametrize("generators, T_grid, seeds, message", [
+        ([], [50], 2, "no generators given"),
+        (["logistic2"], [], 2, "empty T grid"),
+        (["logistic2"], [50], 0, "no seeds given"),
+        (["logistic2"], [50], [], "no seeds given"),
+    ])
+    def test_empty_grid_rejected(self, generators, T_grid, seeds, message):
+        with pytest.raises(ConfigError, match=message):
+            run_benchmark(generators, self.small_methods(), T_grid, seeds)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ConfigError, match=f"jobs must be >= 1, got {jobs}"):
+            run_benchmark(["logistic2"], self.small_methods(), [50], 2, jobs=jobs)
+
+    @pytest.mark.parametrize("generators, method_ids, T_grid, seeds, message", [
+        (["fanin3", "fanin3"], ["a", "b"], [50], 2, "repeated generator value.*: fanin3"),
+        (["fanin3"], ["a", "a"], [50], 2, "repeated method value.*: a"),
+        (["fanin3"], ["a", "b"], [50, 60, 50], 2, "repeated T value.*: 50"),
+        (["fanin3"], ["a", "b"], [50], [3, 1, 3, 1], "repeated seed value.*: 1, 3"),
+    ])
+    def test_repeated_grid_value_rejected(self, generators, method_ids, T_grid, seeds, message):
+        # a repeat used to be pooled into one summary: fanin3 twice at
+        # T = 50, 50 with 2 seeds gave n = 8 and ci95_half_width = 0.0
+        methods = [(m, config) for m, (_, config) in zip(method_ids, self.small_methods())]
+        with pytest.raises(ConfigError, match=message):
+            run_benchmark(generators, methods, T_grid, seeds)
+
     def test_low_T_rejected(self):
         with pytest.raises(ConfigError, match="50"):
             run_benchmark(["logistic2"], self.small_methods(), [10], 2)

@@ -1,6 +1,7 @@
 """End-to-end causal pipeline: index formula, graphs, invariances."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -126,6 +127,22 @@ class TestPipelineConfig:
     def test_rejects_negative_ridge(self):
         with pytest.raises(ValueError, match="ridge"):
             PipelineConfig(ridge_var=-1.0)
+
+    @pytest.mark.parametrize("lag", [2.0, 1.5, True, "2", 0])
+    def test_rejects_lag_that_is_not_a_positive_integer(self, lag):
+        # 2.0 used to pass and crash lag_embed with an untyped TypeError
+        with pytest.raises(ValueError, match="lag must be a positive integer, got " + re.escape(repr(lag))):
+            PipelineConfig(lag=lag)
+
+    def test_accepts_numpy_integer_lag(self):
+        assert PipelineConfig(lag=np.int64(2)).lag == 2
+
+    @pytest.mark.parametrize("key", ["ridge_var", "ridge_preimage"])
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf])
+    def test_rejects_nonfinite_ridge(self, key, ridge):
+        # these used to be reported as overflowing normal equations
+        with pytest.raises(ValueError, match="ridge_var and ridge_preimage must be finite"):
+            PipelineConfig(**{key: ridge})
 
 
 class TestRunFullModel:

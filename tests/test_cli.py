@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +316,95 @@ class TestBench:
         assert "bench2" in capsys.readouterr().err
 
 
+class TestUsageErrors:
+    """Config and argument mistakes exit 2 with a message naming them,
+    before any data is read or any panel fitted."""
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_text("a,b\n1,2\n3,5\n4,4\n")
+        return path
+
+    def infer_with(self, tmp_path, data, config_text):
+        config = tmp_path / "pipeline.ini"
+        config.write_text(config_text)
+        return run(["infer", str(data), "--config", str(config), "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("keys, message", [
+        ("ridge_var = lots\n", "[pipeline] ridge_var must be a number, got 'lots'"),
+        ("p_select = most\n", "[pipeline] p_select must be a number, got 'most'"),
+        ("kernel = polynomial\noffset = one\n", "[pipeline] offset must be a number, got 'one'"),
+        ("lag = two\n", "[pipeline] lag must be an integer, got 'two'"),
+        ("lag = 2.0\n", "[pipeline] lag must be an integer, got '2.0'"),
+        ("kernel = polynomial\ndegree = 2.5\n", "[pipeline] degree must be an integer, got '2.5'"),
+        ("normalize = maybe\n", "[pipeline] normalize must be true/false, got 'maybe'"),
+        ("kernel = linear\nbandwidth = 1.0\n", "[pipeline] bandwidth only applies to the rbf kernel"),
+        ("kernel = polynomial\nbandwidth = median\n", "[pipeline] bandwidth only applies to the rbf kernel"),
+        ("degree = 3\n", "[pipeline] degree/offset only apply to the polynomial kernel"),
+        ("kernel = linear-identity\noffset = 1\n", "[pipeline] degree/offset only apply to the polynomial kernel"),
+        ("kernel = sigmoid\n", "[pipeline] unknown kernel 'sigmoid'"),
+        ("ridge_var = nan\n", "[pipeline] ridge_var and ridge_preimage must be finite and >= 0"),
+        ("ridge_var = inf\n", "[pipeline] ridge_var and ridge_preimage must be finite and >= 0"),
+        ("ridge_preimage = nan\n", "[pipeline] ridge_var and ridge_preimage must be finite and >= 0"),
+        ("kernel = polynomial\noffset = nan\n", "[pipeline] polynomial offset must be finite and nonnegative"),
+        ("kernel = polynomial\noffset = inf\n", "[pipeline] polynomial offset must be finite and nonnegative"),
+    ])
+    def test_bad_pipeline_value(self, tmp_path, capsys, data, keys, message):
+        assert self.infer_with(tmp_path, data, "[pipeline]\n" + keys) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("lag = 1\n", "cannot parse"),
+        ("[pipeline]\nlag = 1\n[pipeline]\nlag = 2\n", "cannot parse"),
+        ("", "must contain exactly one [pipeline] section, found none"),
+        ("[pipe]\nlag = 1\n", "must contain exactly one [pipeline] section, found ['pipe']"),
+        ("[pipeline]\n[extra]\n", "found ['pipeline', 'extra']"),
+    ])
+    def test_bad_pipeline_file(self, tmp_path, capsys, data, text, message):
+        assert self.infer_with(tmp_path, data, text) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keys", ["offset = 1e200\n", "degree = 400\n"])
+    def test_overflowing_polynomial_gram_is_tagged_runtime_error(self, tmp_path, capsys, keys):
+        # used to warn and report "[pca] centered gram has rank 0"
+        run(["synth", "nonlinear5", "--T", "100", "--seed", "0", "--out", str(tmp_path)])
+        data = tmp_path / "nonlinear5_T100_seed0.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.infer_with(tmp_path, data, "[pipeline]\nkernel = polynomial\n" + keys) == 1
+        assert "[pca] the polynomial gram overflows float64" in capsys.readouterr().err
+
+    def bench(self, tmp_path, text, *extra):
+        config = tmp_path / "bench.ini"
+        config.write_text(text)
+        return run(["bench", "--config", str(config), "--out", str(tmp_path / "out"), *extra])
+
+    @pytest.mark.parametrize("text, message", [
+        ("[method kernel]\nkernel = rbf\n", "has no [bench] section"),
+        (BENCH_INI.replace("seeds = 2\n", "seeds = 2\njobs = 2\n"), "unknown key(s) in [bench]: jobs"),
+        (BENCH_INI.replace("seeds = 2\n", ""), "[bench] is missing key(s): seeds"),
+        (BENCH_INI.replace("T_grid = 50\n", ""), "[bench] is missing key(s): T_grid"),
+        (BENCH_INI.replace("seeds = 2", "seeds = few"), "[bench] seeds must be an integer, got 'few'"),
+        (BENCH_INI.replace("[method kernel]", "[method ]"), "method section needs a name: [method <name>]"),
+        (BENCH_INI.replace("[method base]", "[method  kernel]"), "repeated method value(s) in the grid: kernel"),
+        (BENCH_INI.replace("logistic2", "logistic2, logistic2"), "repeated generator value(s) in the grid: logistic2"),
+        (BENCH_INI.replace("T_grid = 50", "T_grid = 50, 50"), "repeated T value(s) in the grid: 50"),
+        (BENCH_INI.replace("logistic2", "lorenz"), "unknown generator 'lorenz'"),
+        (BENCH_INI.replace("seeds = 2", "seeds = 0"), "no seeds given"),
+    ])
+    @pytest.mark.parametrize("dry_run", [True, False])
+    def test_bad_bench_file(self, tmp_path, capsys, text, message, dry_run):
+        assert self.bench(tmp_path, text, *(["--dry-run"] if dry_run else [])) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dry_run", [True, False])
+    def test_zero_jobs(self, tmp_path, capsys, dry_run):
+        assert self.bench(tmp_path, BENCH_INI, "--jobs", "0", *(["--dry-run"] if dry_run else [])) == 2
+        assert "jobs must be >= 1, got 0" in capsys.readouterr().err
+
+
 class TestEval:
     def write_graph(self, tmp_path, delta):
         delta = np.asarray(delta, dtype=float)
@@ -356,6 +446,28 @@ class TestEval:
         run(["eval", str(graph), str(self.write_truth(tmp_path, inverted, "inv.json"))])
         out2 = capsys.readouterr().out.strip()
         assert float(out1) + float(out2) == pytest.approx(1.0, abs=1e-9)
+
+    def test_bare_matrix_truth(self, tmp_path, capsys):
+        graph = self.write_graph(tmp_path, [[0.0, 0.9], [0.2, 0.0]])
+        truth = tmp_path / "bare.json"
+        truth.write_text(json.dumps([[0, 1], [0, 0]]))
+        assert run(["eval", str(graph), str(truth)]) == 0
+        assert capsys.readouterr().out.strip() == "1.000000"
+
+    @pytest.mark.parametrize("graph_text, truth_text, message", [
+        ("{not json", "[[0, 1], [0, 0]]", "cannot read graph from"),
+        ('{"delta": [[0, 1], [0, 0]]}', "[[0, 1], [0, 0]]", "graph dict is missing keys: ['node_names', 'raw_log_ratios']"),
+        (None, "[[0, 1], [0, ", "cannot read ground truth from"),
+        (None, '{"truth": [[0, 1], [0, 0]]}', "has no 'ground_truth' key"),
+    ])
+    def test_unreadable_graph_or_truth(self, tmp_path, capsys, graph_text, truth_text, message):
+        graph = self.write_graph(tmp_path, [[0.0, 0.9], [0.2, 0.0]])
+        if graph_text is not None:
+            graph.write_text(graph_text)
+        truth = tmp_path / "truth.json"
+        truth.write_text(truth_text)
+        assert run(["eval", str(graph), str(truth)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_shape_mismatch(self, tmp_path, capsys):
         graph = self.write_graph(tmp_path, np.zeros((3, 3)))

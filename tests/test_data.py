@@ -170,6 +170,12 @@ class TestLagEmbed:
         with pytest.raises(ValueError):
             lag_embed(np.zeros((5, 1)), 0)
 
+    @pytest.mark.parametrize("lag", [2.0, True])
+    def test_non_integer_lag(self, lag):
+        # 2.0 used to raise an untyped TypeError from range()
+        with pytest.raises(ValueError, match="lag must be a positive integer"):
+            lag_embed(np.zeros((5, 1)), lag)
+
     @given(
         st.integers(min_value=1, max_value=4),
         st.integers(min_value=5, max_value=30),

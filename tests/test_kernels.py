@@ -1,6 +1,7 @@
 """Kernel evaluation, median bandwidth, and kernel PCA against oracles."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,12 @@ class TestKernelSpec:
     def test_rejects_bad_degree(self):
         with pytest.raises(ValueError, match="degree"):
             KernelSpec(kind="polynomial", degree=0)
+
+    @pytest.mark.parametrize("offset", [-1.0, np.nan, np.inf])
+    def test_rejects_offset_that_is_negative_or_not_finite(self, offset):
+        # nan and inf used to end in "[pca] centered gram has rank 0"
+        with pytest.raises(ValueError, match="offset.*got " + re.escape(repr(offset))):
+            KernelSpec("polynomial", offset=offset)
 
 
     @pytest.mark.parametrize("bandwidth", [0.0, -1.0, np.nan, np.inf, 1e154, 1e155, 1e-200, np.float64(1e200)])
@@ -255,6 +262,19 @@ class TestFitKernelPca:
             fit_kernel_pca(KernelSpec("rbf", bandwidth=1.0), X, 1)
         assert exc.value.achievable_rank == 0
 
+    @pytest.mark.parametrize("spec, scale", [
+        (KernelSpec("polynomial", offset=1e200), 1.0),
+        (KernelSpec("polynomial", degree=400), 1.0),
+        (KernelSpec("linear"), 1e200),
+    ])
+    def test_overflowing_gram_is_degenerate_input_without_warnings(self, spec, scale):
+        # these used to warn and end in "centered gram has rank 0"
+        X = scale * np.random.default_rng(12).normal(size=(30, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInputError, match=f"the {spec.kind} gram overflows float64"):
+                fit_kernel_pca(spec, X, 0.95)
+
     def test_sign_convention_largest_entry_positive(self):
         rng = np.random.default_rng(10)
         model = fit_kernel_pca(
@@ -294,6 +314,107 @@ def dense_kernel_pca(spec, X, p_select):
     A = evecs[:, :P] / np.sqrt(evals[:P])
     A *= np.sign(A[np.argmax(np.abs(A), axis=0), np.arange(P)])
     return evals[:P], A
+
+
+# Reference implementations: the two count rules that _component_count
+# replaced, kept as they were in _dense_top and _ritz_settled.
+
+
+def _ref_dense_count(evals, p_select):
+    """_dense_top's count on its clamped descending spectrum; RankError
+    when an integer asks for more than the rank."""
+    top = evals[0] if evals.size else 0.0
+    rank = int(np.count_nonzero(evals > EIGENVALUE_RTOL * top)) if top > 0 else 0
+    if rank == 0:
+        raise RankError("centered gram has rank 0 (all points identical?)", achievable_rank=0)
+    if isinstance(p_select, (float, np.floating)):
+        cum = np.cumsum(evals[:rank])
+        P = int(np.searchsorted(cum, p_select * cum[-1], side="left")) + 1
+        P = min(P, rank)
+    else:
+        P = int(p_select)
+        if P > rank:
+            raise RankError(
+                f"requested {P} components but centered gram rank is {rank}",
+                achievable_rank=rank,
+            )
+    return P
+
+
+def _ref_ritz_count(theta, c, total, p_select):
+    """_ritz_settled's count from its c leading converged Ritz values,
+    before the test that they settle it."""
+    if isinstance(p_select, (float, np.floating)):
+        cum = np.cumsum(np.maximum(theta[:c], 0.0))
+        P = int(np.searchsorted(cum, p_select * total, side="left")) + 1
+    else:
+        P = int(p_select)
+    return P
+
+
+class TestComponentCount:
+    """_component_count against the two rules it replaced, on drawn
+    spectra. Integer spectra summing to 64 make p_select = k / 64 land
+    exactly on a cumulative sum, where side="left" decides; a tail below
+    the rank cutoff tells the mass above it from the whole sum."""
+
+    def spectra(self, seed, n=300):
+        rng = np.random.default_rng(seed)
+        for _ in range(n):
+            size = int(rng.integers(2, 40))
+            values = np.sort(rng.multinomial(64, rng.dirichlet(np.ones(size))).astype(float))[::-1]
+            # a tail that is null or below the rank cutoff, and values scaled off the integers
+            tail = values[int(rng.integers(1, size + 1)):]
+            tail[:] = 0.0 if rng.random() < 0.5 else np.sort(rng.uniform(0, 1e-11, tail.size))[::-1]
+            if rng.random() < 0.5:
+                values *= rng.uniform(1e-6, 1e3)
+            yield rng, values
+
+    def p_selects(self, rng, values):
+        cum = np.cumsum(values)
+        boundaries = [float(c / cum[-1]) for c in cum]
+        return boundaries + [1.0, 0.95, float(rng.uniform(1e-3, 1.0)), 1, 2, 5, values.size, values.size + 3]
+
+    def test_matches_the_dense_rule(self):
+        for rng, evals in self.spectra(0):
+            rank = int(np.count_nonzero(evals > EIGENVALUE_RTOL * evals[0]))
+            for p_select in self.p_selects(rng, evals[:rank]):
+                try:
+                    expected = _ref_dense_count(evals, p_select)
+                except RankError:
+                    expected = None
+                P = kernels_module._component_count(evals[:rank], None, p_select)
+                assert (P if P <= rank else None) == expected, (evals, p_select)
+
+    def test_dense_top_keeps_the_reference_count(self):
+        # eigh returns a diagonal matrix's entries exactly
+        for rng, evals in self.spectra(1, n=60):
+            for p_select in self.p_selects(rng, evals):
+                try:
+                    expected = _ref_dense_count(evals, p_select)
+                except RankError as err:
+                    with pytest.raises(RankError) as exc:
+                        kernels_module._dense_top(np.diag(evals), p_select)
+                    assert exc.value.args == err.args
+                    assert exc.value.achievable_rank == err.achievable_rank
+                    continue
+                lam, U = kernels_module._dense_top(np.diag(evals), p_select)
+                assert len(lam) == U.shape[1] == expected, (evals, p_select)
+
+    def test_matches_the_ritz_rule(self):
+        for rng, values in self.spectra(2):
+            # Ritz values may dip below zero; the total is trace(Kc), at
+            # or off a cumulative sum of the converged ones
+            theta = values - float(rng.uniform(0.0, 1e-3)) * (values < 1e-10)
+            c = int(rng.integers(0, theta.size + 1))
+            kept = np.maximum(theta[:c], 0.0)
+            totals = [float(values.sum()), float(values.sum()) * (1 + 1e-12)]
+            if c:
+                totals.append(float(np.cumsum(kept)[-1]))
+            for total in totals:
+                for p_select in self.p_selects(rng, values):
+                    expected = _ref_ritz_count(theta, c, total, p_select)
+                    assert kernels_module._component_count(kept, total, p_select) == expected
 
 
 class TestLanczosPath:

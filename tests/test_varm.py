@@ -88,6 +88,18 @@ class TestFitVar:
         with pytest.raises(RankError, match="ridge"):
             fit_var(series, lag=1, ridge_lambda=0.0)
 
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf, -1.0])
+    def test_rejects_ridge_that_is_negative_or_not_finite(self, ridge):
+        # nan used to be reported as overflowing normal equations
+        series = np.random.default_rng(6).normal(size=(50, 2))
+        with pytest.raises(ValueError, match="ridge_lambda must be finite and >= 0"):
+            fit_var(series, lag=1, ridge_lambda=ridge)
+
+    def test_rejects_float_lag(self):
+        # 2.0 used to raise an untyped TypeError inside the embedding
+        with pytest.raises(ValueError, match="lag must be a positive integer"):
+            fit_var(np.random.default_rng(6).normal(size=(50, 2)), lag=2.0)
+
     def test_same_data_ridge_succeeds(self):
         rng = np.random.default_rng(6)
         base = rng.normal(size=(50, 1))
