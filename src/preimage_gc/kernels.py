@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.blas import daxpy, ddot, dgemm, dgemv, dnrm2, dscal, dsymv
+from scipy.linalg.lapack import dstevd, dsyevd
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from .data import _freeze
@@ -33,7 +37,9 @@ EIGENVALUE_RTOL = 1e-10
 # 1.17.1, OpenBLAS 0.3.30): M = 150: 1.08 (linear5); M = 175: 0.89;
 # M = 200: 0.64; M = 250: 0.45. At M = 100 Lanczos lost on linear5 and
 # nonlinear5 (up to 2.2 vs 1.4 ms); at M = 1000 it took 1-11 ms against
-# 96-132 ms.
+# 96-132 ms. With the leaner step below, both solvers on one thread, 16
+# grams (4 generators, 2 seeds, full and one node left out): M = 150:
+# 0.87 (Lanczos faster on all 16); M = 100: 1.48 (faster on 10).
 LANCZOS_MIN_ORDER = 200
 # Most Lanczos steps before the dense path takes over. On those grams at
 # M = 200-1000 a run settles p_select = 0.95 within 54 steps (P = 2-22)
@@ -49,6 +55,94 @@ LANCZOS_CHECK_EVERY = 6
 # ARPACK's tol=0 convergence test: LAPACK's unit roundoff and its 2/3 power.
 _EPS = np.finfo(float).eps / 2
 _EPS23 = _EPS ** (2.0 / 3.0)
+# DGKS: a second Gram-Schmidt pass when the first left less than this
+# share of the vector's norm.
+_DGKS = 1.0 / math.sqrt(2.0)
+
+# Orders below which a solve holds scipy's OpenBLAS pool at one thread.
+# After its last threaded call an OpenBLAS worker spins for about 125 ms,
+# a full core that slows the single-threaded work after it, and threaded
+# calls on small grams stall now and then (20,000 dsymv at M = 200 took
+# 1,183 ms threaded, 1,060 of them in 128 stalls, and 121 ms on one
+# thread). Below these orders the solves also give the same bits
+# whatever thread count the process starts with. Measured on 2 cores,
+# scipy 1.17.1, OpenBLAS 0.3.30.
+#
+# Lanczos: one more than the largest T of the sweep grid, so every fit
+# of a T <= 500 panel (M = T points) runs on one thread; the method is
+# meant for panels that short. A lone infer_graph (nonlinear5, 4
+# seeds, median of 12 calls per T over 8 alternating rounds), in ms:
+# the loop before the leaner step / this loop threaded / on one thread:
+#   T = 200: 22.1 / 20.1 / 20.4     T = 600: 53.2 / 50.3 / 61.4
+#   T = 300: 28.1 / 25.0 / 25.7     T = 700: 67.0 / 62.8 / 89.4
+#   T = 400: 35.1 / 33.1 / 34.8     T = 800: 83.1 / 76.8 / 108.7
+#   T = 500: 44.4 / 40.5 / 45.2
+# One thread keeps up with the old loop to T = 400 and is 4% slower at
+# T = 500 (median of the rounds' ratios; 8.5% over 16 more rounds),
+# where it halves the sweep's CPU time; from T = 600 it is 17% slower
+# and more.
+LANCZOS_ONE_THREAD_ORDER = 501
+# Dense: median dsyevd ms on an rbf gram, one thread / two: M = 100
+# 1.31-1.36 / 1.35; M = 200 4.2-4.6 / 4.9; M = 300 9.9-10.2 / 10.3;
+# M = 400 19.5-20.1 / 17.0; M = 500 32.5-32.9 / 27.9-29.5. Right after
+# the pool went back to two threads, a block of threaded calls stalled
+# to medians of 100 ms (M = 100) and 19 ms (M = 200-300). From M = 400
+# the second thread pays.
+DENSE_ONE_THREAD_ORDER = 300
+
+_pool_lock = threading.Lock()
+_pool_depth = 0
+_pool_threads = None
+
+
+@functools.cache
+def _pool_controls():
+    """(get, set) thread-count functions of the OpenBLAS scipy's BLAS
+    calls, resolved on the first solve that asks for one thread: a
+    scipy-openblas build's or a system OpenBLAS's; None when the library
+    exports neither (Accelerate, MKL)."""
+    try:
+        from scipy.linalg import _fblas
+
+        lib = ctypes.CDLL(_fblas.__file__)
+    except (ImportError, OSError):
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        get = getattr(lib, prefix + "_get_num_threads", None)
+        put = getattr(lib, prefix + "_set_num_threads", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread(active):
+    """Hold scipy's OpenBLAS pool at one thread for the block, if active
+    and the pool can be set; the count found on entry comes back after.
+
+    A depth count under a lock makes nested blocks, and blocks in several
+    threads, restore the count once, when the last of them leaves.
+    """
+    global _pool_depth, _pool_threads
+    pool = _pool_controls() if active else None
+    if pool is None:
+        yield
+        return
+    get, put = pool
+    with _pool_lock:
+        if _pool_depth == 0:
+            _pool_threads = get()
+            put(1)
+        _pool_depth += 1
+    try:
+        yield
+    finally:
+        with _pool_lock:
+            _pool_depth -= 1
+            if _pool_depth == 0:
+                put(_pool_threads)
 
 
 @dataclass(frozen=True)
@@ -248,14 +342,17 @@ def _component_count(values, total, p_select):
 
 def _dense_top(Kc, p_select):
     """Leading eigenpairs of Kc that p_select asks for, by a full eigh."""
-    try:
-        # LAPACK syevd, as in np.linalg.eigh, but through scipy's OpenBLAS,
-        # which also serves the Lanczos run: numpy's own OpenBLAS threads
-        # would compete with scipy's, still spinning after a failed Lanczos
-        # attempt, and take 1.7-1.9x as long at M = 500-1000
-        evals, evecs = scipy.linalg.eigh(Kc, driver="evd", check_finite=False)
-    except np.linalg.LinAlgError as err:
-        raise EigensolverError(f"eigendecomposition of the centered gram failed: {err}") from err
+    # LAPACK syevd, as in np.linalg.eigh, but through scipy's OpenBLAS,
+    # which also serves the Lanczos run: numpy's own OpenBLAS threads
+    # would compete with scipy's, still spinning after a failed Lanczos
+    # attempt, and take 1.7-1.9x as long at M = 500-1000. Called directly,
+    # it is scipy.linalg.eigh(Kc, driver="evd") bit for bit without the
+    # wrapper's checks (365 against 400 us at M = 50).
+    evals, evecs, info = dsyevd(Kc, lower=1)
+    if info:
+        raise EigensolverError(
+            f"eigendecomposition of the centered gram did not converge (LAPACK dsyevd info {info})"
+        )
     evals = np.maximum(evals[::-1], 0.0)
     evecs = evecs[:, ::-1]
 
@@ -275,16 +372,25 @@ def _dense_top(Kc, p_select):
     return evals[:P], evecs[:, :P]
 
 
-def _ritz_settled(alpha, beta, residual, total, p_select):
+def _tridiagonal_eigh(alpha, beta):
+    """Ascending eigenvalues, eigenvectors and LAPACK info of the symmetric
+    tridiagonal with diagonal alpha and off-diagonal beta: LAPACK stevd,
+    scipy.linalg.eigh_tridiagonal's driver, with its info returned rather
+    than raised, and its exact 1 x 1 case."""
+    if alpha.size == 1:
+        return alpha.copy(), np.ones((1, 1)), 0
+    return dstevd(alpha, beta)
+
+
+def _ritz_settled(theta, S, residual, total, p_select):
     """The top Ritz pairs of a Lanczos tridiagonal, if they settle p_select.
 
-    alpha and beta are the tridiagonal's diagonal and off-diagonal, and
-    residual is the norm of the next Lanczos vector. A Ritz pair has
-    converged by ARPACK's tol=0 test. Returns (values, vectors in the
-    Lanczos basis) of the top P pairs when the leading converged ones
-    settle the count and the P-th is not null, else None.
+    theta and S are the tridiagonal's eigenvalues, ascending, and
+    eigenvectors, and residual is the norm of the next Lanczos vector. A
+    Ritz pair has converged by ARPACK's tol=0 test. Returns (values,
+    vectors in the Lanczos basis) of the top P pairs when the leading
+    converged ones settle the count and the P-th is not null, else None.
     """
-    theta, S = scipy.linalg.eigh_tridiagonal(alpha, beta, check_finite=False)
     theta, S = theta[::-1], S[:, ::-1]
     converged = residual * np.abs(S[-1]) <= _EPS * np.maximum(_EPS23, np.abs(theta))
     # the leading run of converged pairs; Lanczos finds the top ones first
@@ -303,14 +409,17 @@ def _lanczos_top(K, col_means, p_select):
     K is never centered: with its column means c and g = mean(c), each
     step forms Kc q = K q - (c'q - g 1'q) 1 - (1'q) c, the centering of
     kernel PCA (Schoelkopf, Smola and Mueller 1998), and K is left as it
-    was. The run keeps every Lanczos vector and reorthogonalises each new
-    one against all of them (classical Gram-Schmidt, twice). Every
+    was. Each step takes the three-term recurrence, then reorthogonalises
+    the new vector against every Lanczos vector kept (classical
+    Gram-Schmidt), a second time only when the first pass removed more
+    than 1 - 1/sqrt(2) of its norm (the DGKS test). Every
     LANCZOS_CHECK_EVERY steps it tests the Ritz pairs: a fraction's total
     mass is trace(Kc) = trace(K) - M g, the sum of all eigenvalues, so
     the top converged pairs alone settle the count. Returns None, leaving
     the answer (and any RankError) to the dense path, for p_select ==
-    1.0, for a non-finite gram, after LANCZOS_MAX_STEPS steps, and when
-    the Krylov space becomes invariant before the count is settled.
+    1.0, for a non-finite gram, after LANCZOS_MAX_STEPS steps, when the
+    Krylov space becomes invariant before the count is settled, and when
+    LAPACK fails on the tridiagonal.
     """
     fraction = isinstance(p_select, (float, np.floating))
     if fraction and p_select == 1.0:
@@ -344,16 +453,26 @@ def _lanczos_top(K, col_means, p_select):
         w = dsymv(1.0, upper, q)
         w -= ddot(col_means, q) - g * s
         w = daxpy(col_means, w, a=-s)
-        h = dgemv(1.0, basis, w, trans=1)
-        w = dgemv(-1.0, basis, h, beta=1.0, y=w, overwrite_y=1)
-        h2 = dgemv(1.0, basis, w, trans=1)
-        w = dgemv(-1.0, basis, h2, beta=1.0, y=w, overwrite_y=1)
-        alpha[j] = h[j] + h2[j]
-        beta[j] = dnrm2(w)
+        if j:
+            w = daxpy(Q[:, j - 1], w, a=-beta[j - 1])
+        alpha[j] = ddot(q, w)
+        w = daxpy(q, w, a=-alpha[j])
+        norm = dnrm2(w)
+        for _ in range(2):
+            h = dgemv(1.0, basis, w, trans=1)
+            w = dgemv(-1.0, basis, h, beta=1.0, y=w, overwrite_y=1)
+            alpha[j] += h[j]
+            beta[j] = dnrm2(w)
+            if beta[j] >= _DGKS * norm:
+                break
+            norm = beta[j]
         invariant = not beta[j] > breakdown
         check = (j + 1) % LANCZOS_CHECK_EVERY == 0 or j + 1 == steps
         if invariant or (check and alpha[: j + 1].sum() >= unreachable):
-            pairs = _ritz_settled(alpha[: j + 1], beta[:j], beta[j], total, p_select)
+            theta, S, info = _tridiagonal_eigh(alpha[: j + 1], beta[:j])
+            if info:
+                return None
+            pairs = _ritz_settled(theta, S, beta[j], total, p_select)
             if pairs is not None:
                 theta, S = pairs
                 return theta, dgemm(1.0, basis, S)
@@ -361,6 +480,14 @@ def _lanczos_top(K, col_means, p_select):
                 return None
         Q[:, j + 1] = dscal(1.0 / beta[j], w)
     return None
+
+
+def _check_finite_gram(spec, means):
+    """DegenerateInputError unless the means of a gram's rows or columns,
+    which any non-finite entry reaches, are all finite."""
+    if not np.isfinite(means).all():
+        fix = "lower the degree or offset" if spec.kind == "polynomial" else "rescale the input or normalize it"
+        raise DegenerateInputError(f"the {spec.kind} gram overflows float64; {fix}")
 
 
 def fit_kernel_pca(spec: KernelSpec, X, p_select) -> KernelPcaModel:
@@ -379,9 +506,11 @@ def fit_kernel_pca(spec: KernelSpec, X, p_select) -> KernelPcaModel:
     From LANCZOS_MIN_ORDER points up, the top eigenpairs come from a
     Lanczos run on the uncentered gram that stops once they are settled;
     below it, and whenever that run cannot answer, from a dense
-    eigendecomposition of the gram centered in place. A failure of the
-    dense solver raises EigensolverError, and a linear or polynomial gram
-    that overflows float64 DegenerateInputError.
+    eigendecomposition of the gram centered in place. A Lanczos run below
+    LANCZOS_ONE_THREAD_ORDER points, and a dense solve below
+    DENSE_ONE_THREAD_ORDER, hold scipy's OpenBLAS pool at one thread. A
+    failure of the dense solver raises EigensolverError, and a linear or
+    polynomial gram that overflows float64 DegenerateInputError.
 
     An rbf spec without a bandwidth takes the median pairwise distance
     of X; the model's spec carries the bandwidth used, so project needs
@@ -401,11 +530,11 @@ def fit_kernel_pca(spec: KernelSpec, X, p_select) -> KernelPcaModel:
             K = gram(spec, X, X)
         # one pass, shared by the Lanczos run and the dense path's centering
         col_means = K.mean(axis=0)
-    # a non-finite entry reaches its column's mean
-    if not np.isfinite(col_means).all():
-        fix = "lower the degree or offset" if spec.kind == "polynomial" else "rescale the input or normalize it"
-        raise DegenerateInputError(f"the {spec.kind} gram overflows float64; {fix}")
-    pairs = _lanczos_top(K, col_means, p_select) if M >= LANCZOS_MIN_ORDER else None
+    _check_finite_gram(spec, col_means)
+    pairs = None
+    if M >= LANCZOS_MIN_ORDER:
+        with _one_blas_thread(M < LANCZOS_ONE_THREAD_ORDER):
+            pairs = _lanczos_top(K, col_means, p_select)
     if pairs is not None:
         grand_mean = float(np.mean(col_means))
         lam, U = pairs
@@ -416,7 +545,8 @@ def fit_kernel_pca(spec: KernelSpec, X, p_select) -> KernelPcaModel:
         K -= col_means[None, :]
         K -= col_means[:, None]
         K += grand_mean
-        lam, U = _dense_top(K, p_select)
+        with _one_blas_thread(M < DENSE_ONE_THREAD_ORDER):
+            lam, U = _dense_top(K, p_select)
     A = U / np.sqrt(lam)[None, :]
     for p in range(A.shape[1]):
         if A[np.argmax(np.abs(A[:, p])), p] < 0:
@@ -433,18 +563,21 @@ def fit_kernel_pca(spec: KernelSpec, X, p_select) -> KernelPcaModel:
 
 
 def project(model: KernelPcaModel, X) -> np.ndarray:
-    """Coordinates of new points on the fitted axes, training-centered."""
+    """Coordinates of new points on the fitted axes, training-centered.
+
+    A gram with the training points that overflows float64 (or holds a
+    NaN) raises DegenerateInputError.
+    """
     X = _as_points(X, "X")
     train = model.training_points
     if X.shape[1] != train.shape[1]:
         raise ShapeError(
             f"points have dimension {X.shape[1]}, model was fit on {train.shape[1]}"
         )
-    Kt = gram(model.spec, X, train)
-    Kt = (
-        Kt
-        - model.col_means[None, :]
-        - Kt.mean(axis=1, keepdims=True)
-        + model.grand_mean
-    )
+    # an overflowing gram is refused, as fit_kernel_pca refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        Kt = gram(model.spec, X, train)
+        row_means = Kt.mean(axis=1, keepdims=True)
+    _check_finite_gram(model.spec, row_means)
+    Kt = Kt - model.col_means[None, :] - row_means + model.grand_mean
     return Kt @ model.dual_coefficients

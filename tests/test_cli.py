@@ -203,10 +203,11 @@ class TestInfer:
         assert "[var] design has rank 5 < 6" in capsys.readouterr().err
 
     def test_eigensolver_failure_is_tagged_runtime_error(self, tmp_path, capsys, monkeypatch):
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        def fail(a, **kwargs):
+            # LAPACK's report of a tridiagonal QR that did not converge
+            return np.zeros(len(a)), a, len(a)
 
-        monkeypatch.setattr(kernels_module.scipy.linalg, "eigh", fail)
+        monkeypatch.setattr(kernels_module, "dsyevd", fail)
         data = self.synth_csv(tmp_path)
         code = run(["infer", str(data), "--out", str(tmp_path)])
         assert code == 1
@@ -235,6 +236,27 @@ class TestInfer:
             patch.setattr(kernels_module, "LANCZOS_MIN_ORDER", T + 1)
             assert run(["infer", str(data), "--out", str(dense)]) == 0
         assert (capped / "graph.json").read_bytes() == (dense / "graph.json").read_bytes()
+
+    def test_ritz_lapack_failure_falls_back_to_dense(self, tmp_path, monkeypatch):
+        # a tridiagonal solve that reports no convergence ends every Lanczos
+        # run; the dense path answers instead of a ValueError's exit 2
+        calls = []
+
+        def fail(d, e, **kwargs):
+            calls.append(len(d))
+            return d.copy(), np.eye(len(d)), len(d)
+
+        T = 300
+        data = self.synth_csv(tmp_path, gen="nonlinear5", T=T, seed=0)
+        failed, dense = tmp_path / "failed", tmp_path / "dense"
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels_module, "dstevd", fail)
+            assert run(["infer", str(data), "--out", str(failed)]) == 0
+        assert len(calls) == 6
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels_module, "LANCZOS_MIN_ORDER", T + 1)
+            assert run(["infer", str(data), "--out", str(dense)]) == 0
+        assert (failed / "graph.json").read_bytes() == (dense / "graph.json").read_bytes()
 
     def test_repeat_is_byte_identical(self, tmp_path):
         data = self.synth_csv(tmp_path, gen="fanin3", T=90, seed=5)

@@ -1,17 +1,23 @@
 """Kernel evaluation, median bandwidth, and kernel PCA against oracles."""
 
+import os
 import re
+import subprocess
+import sys
+import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from scipy.spatial.distance import pdist
 
+import preimage_gc
 import preimage_gc.kernels as kernels_module
 from preimage_gc import (
     KernelSpec,
     fit_kernel_pca,
+    infer_graph,
     median_bandwidth,
     normalize_columns,
     project,
@@ -427,7 +433,7 @@ class TestLanczosPath:
     @pytest.fixture
     def solver_calls(self, monkeypatch):
         calls = {"lanczos": 0, "eigh": 0}
-        lanczos, eigh = kernels_module._lanczos_top, scipy.linalg.eigh
+        lanczos, eigh = kernels_module._lanczos_top, kernels_module.dsyevd
 
         def counted_lanczos(*args, **kwargs):
             calls["lanczos"] += 1
@@ -438,7 +444,7 @@ class TestLanczosPath:
             return eigh(*args, **kwargs)
 
         monkeypatch.setattr(kernels_module, "_lanczos_top", counted_lanczos)
-        monkeypatch.setattr(kernels_module.scipy.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(kernels_module, "dsyevd", counted_eigh)
         return calls
 
     @pytest.fixture
@@ -610,3 +616,192 @@ class TestProject:
         model = fit_kernel_pca(KernelSpec("linear"), np.eye(4), 2)
         with pytest.raises(ShapeError):
             project(model, np.zeros((3, 7)))
+
+    @pytest.mark.parametrize("spec, scale", [
+        (KernelSpec("polynomial", degree=3), 1e120),
+        (KernelSpec("polynomial", degree=2, offset=0.0), 1e200),
+    ])
+    def test_overflowing_gram_is_degenerate_input_without_warnings(self, spec, scale):
+        # these used to warn "overflow encountered" and return non-finite coordinates
+        X = np.random.default_rng(16).normal(size=(30, 3))
+        model = fit_kernel_pca(spec, X, 0.95)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInputError, match=f"the {spec.kind} gram overflows float64"):
+                project(model, scale * X)
+
+    def test_nan_point_is_degenerate_input(self):
+        X = np.random.default_rng(17).normal(size=(30, 3))
+        model = fit_kernel_pca(KernelSpec("rbf", bandwidth=1.0), X, 4)
+        Z = X[:5].copy()
+        Z[2, 1] = np.nan
+        with pytest.raises(DegenerateInputError):
+            project(model, Z)
+
+
+class TestBlasThreads:
+    """Below LANCZOS_ONE_THREAD_ORDER a Lanczos run, and below
+    DENSE_ONE_THREAD_ORDER a dense solve, hold scipy's OpenBLAS pool at
+    one thread; the count comes back however the solve ends."""
+
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        """A stand-in pool at 2 threads that logs every count set."""
+        state = {"threads": 2, "sets": []}
+
+        def get():
+            return state["threads"]
+
+        def put(n):
+            state["sets"].append(n)
+            state["threads"] = n
+
+        monkeypatch.setattr(kernels_module, "_pool_controls", lambda: (get, put))
+        return state
+
+    def seen_by(self, monkeypatch, name, pool):
+        """Wrap kernels_module.<name> to log the pool's count at each call."""
+        seen = []
+        solver = getattr(kernels_module, name)
+
+        def logged(*args, **kwargs):
+            seen.append(pool["threads"])
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(kernels_module, name, logged)
+        return seen
+
+    def points(self, M, seed=20):
+        X = np.random.default_rng(seed).normal(size=(M, 3))
+        return KernelSpec("rbf", bandwidth=median_bandwidth(X)), X
+
+    def test_lanczos_solve_runs_on_one_thread(self, pool, monkeypatch):
+        seen = self.seen_by(monkeypatch, "_lanczos_top", pool)
+        fit_kernel_pca(*self.points(LANCZOS_MIN_ORDER + 50), 0.95)
+        assert seen == [1]
+        assert pool["sets"] == [1, 2]
+
+    def test_dense_solve_runs_on_one_thread(self, pool, monkeypatch):
+        seen = self.seen_by(monkeypatch, "dsyevd", pool)
+        M = kernels_module.DENSE_ONE_THREAD_ORDER - 1
+        monkeypatch.setattr(kernels_module, "LANCZOS_MIN_ORDER", M + 1)
+        fit_kernel_pca(*self.points(M), 0.95)
+        assert seen == [1]
+        assert pool["sets"] == [1, 2]
+
+    def test_count_restored_after_a_raise(self, pool, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("solver failed")
+
+        monkeypatch.setattr(kernels_module, "_lanczos_top", fail)
+        with pytest.raises(RuntimeError, match="solver failed"):
+            fit_kernel_pca(*self.points(LANCZOS_MIN_ORDER + 50), 0.95)
+        assert pool["threads"] == 2
+        assert pool["sets"] == [1, 2]
+        assert kernels_module._pool_depth == 0
+
+    def test_nested_fits_restore_once(self, pool, monkeypatch):
+        lanczos = kernels_module._lanczos_top
+        inner = []
+
+        def nesting(*args, **kwargs):
+            inner.append(fit_kernel_pca(*self.points(50), 3))
+            assert pool["threads"] == 1
+            return lanczos(*args, **kwargs)
+
+        monkeypatch.setattr(kernels_module, "_lanczos_top", nesting)
+        fit_kernel_pca(*self.points(LANCZOS_MIN_ORDER + 50), 0.95)
+        assert len(inner) == 1
+        assert pool["sets"] == [1, 2]
+
+    def test_fits_in_threads_restore_once(self, pool, monkeypatch):
+        # both fits are inside their solve at once; the last one out restores
+        lanczos = kernels_module._lanczos_top
+        both_in = threading.Barrier(2, timeout=30)
+
+        def meeting(*args, **kwargs):
+            both_in.wait()
+            return lanczos(*args, **kwargs)
+
+        monkeypatch.setattr(kernels_module, "_lanczos_top", meeting)
+        errors = []
+
+        def fit(seed):
+            try:
+                fit_kernel_pca(*self.points(LANCZOS_MIN_ORDER + 50, seed), 0.95)
+            except Exception as err:  # surfaced below, on the test's thread
+                errors.append(err)
+
+        workers = [threading.Thread(target=fit, args=(seed,)) for seed in (21, 22)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        assert errors == []
+        assert pool["sets"] == [1, 2]
+        assert kernels_module._pool_depth == 0
+
+    def test_setter_never_called_at_the_orders(self, pool, monkeypatch):
+        fit_kernel_pca(*self.points(kernels_module.LANCZOS_ONE_THREAD_ORDER), 0.95)
+        M = kernels_module.DENSE_ONE_THREAD_ORDER
+        monkeypatch.setattr(kernels_module, "LANCZOS_MIN_ORDER", M + 1)
+        fit_kernel_pca(*self.points(M), 0.95)
+        assert pool["sets"] == []
+
+    def test_missing_setter_is_a_no_op(self, monkeypatch):
+        # a BLAS without OpenBLAS's thread functions (Accelerate, MKL):
+        # the fit runs on whatever pool it finds, to the same answer
+        spec, X = self.points(LANCZOS_MIN_ORDER + 50)
+        expected = fit_kernel_pca(spec, X, 0.95)
+        monkeypatch.setattr(kernels_module.ctypes, "CDLL", lambda path: object())
+        kernels_module._pool_controls.cache_clear()
+        try:
+            model = fit_kernel_pca(spec, X, 0.95)
+            assert kernels_module._pool_controls() is None
+        finally:
+            monkeypatch.undo()
+            kernels_module._pool_controls.cache_clear()
+        assert kernels_module._pool_depth == 0
+        np.testing.assert_allclose(model.eigenvalues, expected.eigenvalues, rtol=1e-12)
+        np.testing.assert_allclose(model.dual_coefficients, expected.dual_coefficients,
+                                   rtol=0, atol=1e-8 * np.abs(expected.dual_coefficients).max())
+
+    def test_real_pool_is_held_and_restored(self, monkeypatch):
+        pool = kernels_module._pool_controls()
+        if pool is None:
+            pytest.skip("scipy's BLAS has no OpenBLAS thread functions")
+        get, _ = pool
+        before = get()
+        seen = []
+        lanczos = kernels_module._lanczos_top
+
+        def logged(*args, **kwargs):
+            seen.append(get())
+            return lanczos(*args, **kwargs)
+
+        monkeypatch.setattr(kernels_module, "_lanczos_top", logged)
+        fit_kernel_pca(*self.points(LANCZOS_MIN_ORDER + 50), 0.95)
+        assert seen == [1]
+        assert get() == before
+
+    def test_deltas_do_not_depend_on_the_thread_count(self):
+        # every fit of a T = 300 panel is a Lanczos run on 300 points, below
+        # its one-thread order: this process's default pool and a fresh
+        # interpreter's single thread give the same bits
+        T = 300
+        assert LANCZOS_MIN_ORDER <= T < kernels_module.LANCZOS_ONE_THREAD_ORDER
+        code = (
+            "from preimage_gc import generate, infer_graph; "
+            f"print(infer_graph(generate('nonlinear5', {T}, 0).panel).raw_log_ratios.tobytes().hex())"
+        )
+        package_root = Path(preimage_gc.__file__).resolve().parent.parent
+        path = os.pathsep.join(filter(None, [str(package_root), os.environ.get("PYTHONPATH")]))
+        single = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+        here = infer_graph(generate("nonlinear5", T, 0).panel).raw_log_ratios
+        assert here.tobytes().hex() == single

@@ -7,13 +7,15 @@ It measures what the roadmap's north star asks every speed claim to
 quote, on the source tree given by --src (default: this checkout's src/):
 
 - kernel infer_graph latency on the nonlinear5 panel of seed 0 at
-  T = 500, 1000 and 2000, best of 3 calls (INFER_REPEATS) after one warm-up call;
+  T = 500, 1000 and 2000, best of 3 calls (INFER_REPEATS) after one
+  warm-up call, with the process CPU time of each call;
 - the wall time of `preimage-gc bench --config configs/full_sweep.ini`
   at --jobs 1 and at --jobs 2, each in a fresh interpreter (start-up and
-  import included), with the sha256 of the records.csv and summaries.json
-  it wrote, so that two trees can be checked for identical results;
+  import included), with the CPU time of that interpreter and its
+  workers and the sha256 of the records.csv and summaries.json it
+  wrote, so that two trees can be checked for identical results;
 - cold start, best of 3 fresh interpreters each (COLD_REPEATS): the time
-  `import preimage_gc.cli` takes, and the wall time of
+  `import preimage_gc.cli` takes, and the wall and CPU time of
   `python -m preimage_gc infer` on the nonlinear5 panel of seed 0 at
   T = 1000, each with the largest peak RSS of its children, and the
   sha256 of the graph.json infer wrote;
@@ -81,19 +83,21 @@ def machine():
 
 
 def infer_latency():
-    """Best and every wall time of infer_graph, in ms, per T."""
+    """Best and every wall time of infer_graph, in ms, per T, and the
+    process CPU time of each call (every thread of this process)."""
     from preimage_gc import generate, infer_graph
 
     out = {}
     for T in INFER_T:
         panel = generate(INFER_GENERATOR, T, INFER_SEED).panel
         infer_graph(panel)
-        times = []
+        times, cpu = [], []
         for _ in range(INFER_REPEATS):
-            start = time.perf_counter()
+            cpu_start, start = time.process_time(), time.perf_counter()
             infer_graph(panel)
             times.append(1e3 * (time.perf_counter() - start))
-        out[str(T)] = {"best_ms": min(times), "runs_ms": times}
+            cpu.append(1e3 * (time.process_time() - cpu_start))
+        out[str(T)] = {"best_ms": min(times), "runs_ms": times, "cpu_runs_ms": cpu}
     return out
 
 
@@ -102,26 +106,28 @@ def _sha256(path):
 
 
 def sweep_wall(src, jobs, work):
-    """Wall time of one full_sweep.ini bench run and digests of its outputs."""
+    """Wall and CPU time of one full_sweep.ini bench run and digests of its outputs."""
     out = work / f"sweep-j{jobs}"
     env = dict(os.environ, PYTHONPATH=str(src))
     argv = [sys.executable, "-m", "preimage_gc", "bench", "--config", str(SWEEP_CONFIG),
             "--out", str(out), "--jobs", str(jobs)]
-    start = time.perf_counter()
-    subprocess.run(argv, env=env, check=True, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    wall = time.perf_counter() - start
+    wall, cpu, _, _ = _child(argv, env)
     return {
         "wall_s": wall,
+        "cpu_s": cpu,
         "records_csv_sha256": _sha256(out / "records.csv"),
         "summaries_json_sha256": _sha256(out / "summaries.json"),
     }
 
 
 def _child(argv, env):
-    """Wall seconds, peak RSS in MB and stdout of one child run to its end.
+    """Wall seconds, CPU seconds, peak RSS in MB and stdout of one child
+    run to its end.
 
-    A child's peak RSS starts from the RSS of this process when it forks,
-    so it is the child's own only while this process is the smaller.
+    The CPU time is the child's user and system time, with that of every
+    process it waited for (a bench run's workers). A child's peak RSS
+    starts from the RSS of this process when it forks, so it is the
+    child's own only while this process is the smaller.
     """
     start = time.perf_counter()
     proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
@@ -133,7 +139,7 @@ def _child(argv, env):
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode:
         raise subprocess.CalledProcessError(proc.returncode, argv)
-    return wall, usage.ru_maxrss / 1024.0, out
+    return wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0, out
 
 
 def cold_start(src, work):
@@ -147,10 +153,10 @@ def cold_start(src, work):
     out = work / "infer"
     imports, infers = [], []
     for _ in range(COLD_REPEATS):
-        _, rss, stdout = _child([sys.executable, "-c", IMPORT_TIMER], env)
+        _, _, rss, stdout = _child([sys.executable, "-c", IMPORT_TIMER], env)
         imports.append((float(stdout), rss))
-        wall, rss, _ = _child(cli + ["infer", str(panel), "--out", str(out)], env)
-        infers.append((wall, rss))
+        wall, cpu, rss, _ = _child(cli + ["infer", str(panel), "--out", str(out)], env)
+        infers.append((wall, cpu, rss))
     return {
         "import_preimage_gc_cli": {
             "best_s": min(t for t, _ in imports),
@@ -161,9 +167,10 @@ def cold_start(src, work):
             "generator": INFER_GENERATOR,
             "seed": INFER_SEED,
             "T": COLD_T,
-            "best_s": min(t for t, _ in infers),
-            "runs_s": [t for t, _ in infers],
-            "peak_rss_mb": max(rss for _, rss in infers),
+            "best_s": min(t for t, _, _ in infers),
+            "runs_s": [t for t, _, _ in infers],
+            "cpu_runs_s": [cpu for _, cpu, _ in infers],
+            "peak_rss_mb": max(rss for _, _, rss in infers),
             "graph_json_sha256": _sha256(out / "graph.json"),
         },
     }
