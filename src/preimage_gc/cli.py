@@ -344,10 +344,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as err:
+    except (ConfigError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except PreimageGCError as err:

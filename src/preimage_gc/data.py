@@ -158,23 +158,25 @@ def panel_to_csv(panel: TimeSeriesPanel) -> str:
 def normalize_columns(values, node_names=None) -> np.ndarray:
     """Center each column and scale to unit population variance.
 
-    Raises DegenerateInputError on a zero-variance column, and on one
-    whose standard deviation overflows, naming the node when names are
-    given.
+    Raises DegenerateInputError on a column that holds NaN or inf, on a
+    zero-variance column, and on one whose standard deviation overflows,
+    naming the node when names are given.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ShapeError(f"expected a 2-d array, got ndim={values.ndim}")
-    means = values.mean(axis=0)
-    # an overflow is reported below as the column's error, not as a warning
-    with np.errstate(over="ignore"):
+    finite = np.isfinite(values).all(axis=0)
+    # a NaN, inf or overflow is reported below as the column's error, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = values.mean(axis=0)
         stds = values.std(axis=0)  # population convention, ddof=0
-    bad = np.flatnonzero((stds == 0.0) | ~np.isfinite(stds))
+    bad = np.flatnonzero(~finite | (stds == 0.0) | ~np.isfinite(stds))
     if bad.size:
         j = int(bad[0])
         label = node_names[j] if node_names is not None else f"column {j}"
         problem = (
-            "has zero variance" if stds[j] == 0.0
+            "holds NaN or inf" if not finite[j]
+            else "has zero variance" if stds[j] == 0.0
             else "has a standard deviation that overflows float64"
         )
         raise DegenerateInputError(f"{label} {problem} and cannot be normalized")

@@ -54,7 +54,7 @@ class RankError(PreimageGCError):
 
 
 class EigensolverError(PreimageGCError):
-    """An eigendecomposition failed to converge."""
+    """A LAPACK decomposition did not converge."""
 
 
 class InstabilityError(PreimageGCError):

@@ -183,11 +183,13 @@ def _as_points(X, name):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ShapeError(f"{name} must be 2-d, got ndim={X.ndim}")
+    if not np.isfinite(X).all():
+        raise DegenerateInputError(f"{name} must be finite; it holds NaN or inf")
     return X
 
 
 def gram(spec: KernelSpec, X, Z) -> np.ndarray:
-    """Pairwise kernel matrix K[i, j] = k(X[i], Z[j])."""
+    """Pairwise kernel matrix K[i, j] = k(X[i], Z[j]) of finite points."""
     same = X is Z
     X = _as_points(X, "X")
     Z = X if same else _as_points(Z, "Z")
@@ -231,17 +233,6 @@ def _rbf_of_squared(D, bandwidth):
     return np.exp(D, out=D)
 
 
-def _bandwidth_points(X):
-    X = _as_points(X, "X")
-    if X.shape[0] < 2:
-        raise InsufficientSamplesError(
-            "median bandwidth needs at least 2 points"
-        )
-    if not np.all(np.isfinite(X)):
-        raise DegenerateInputError("median bandwidth needs finite points")
-    return X
-
-
 def _median_distance(d):
     """np.median of the distances whose squares d holds, partitioning d in place.
 
@@ -267,7 +258,10 @@ def _median_distance(d):
 
 def median_bandwidth(X) -> float:
     """Median pairwise euclidean distance, the usual rbf length scale."""
-    return _median_distance(pdist(_bandwidth_points(X), "sqeuclidean"))
+    X = _as_points(X, "X")
+    if X.shape[0] < 2:
+        raise InsufficientSamplesError("median bandwidth needs at least 2 points")
+    return _median_distance(pdist(X, "sqeuclidean"))
 
 
 def _rbf_gram(spec, X):
@@ -280,12 +274,10 @@ def _rbf_gram(spec, X):
     and the diagonal is exp(-0) = 1 of the zero self-distances; K equals
     gram(spec, X, X) bit for bit.
     """
+    d = pdist(X, "sqeuclidean")
     if spec.bandwidth is None:
-        d = pdist(_bandwidth_points(X), "sqeuclidean")
         # the copy is freed before squareform, so the peak stays the condensed vector and the gram
         spec = KernelSpec("rbf", bandwidth=_median_distance(d.copy()))
-    else:
-        d = pdist(X, "sqeuclidean")
     K = squareform(_rbf_of_squared(d, spec.bandwidth))
     np.fill_diagonal(K, 1.0)
     return spec, K
@@ -401,15 +393,15 @@ def _ritz_settled(theta, S, residual, total, p_select):
     return theta[:P], S[:, :P]
 
 
-def _lanczos_top(K, col_means, p_select):
+def _lanczos_top(K, col_means, grand_mean, p_select):
     """The eigenpairs _dense_top would take from the centered gram, from a
     Lanczos run on the uncentered gram K that stops as soon as they are
     settled.
 
-    K is never centered: with its column means c and g = mean(c), each
-    step forms Kc q = K q - (c'q - g 1'q) 1 - (1'q) c, the centering of
-    kernel PCA (Schoelkopf, Smola and Mueller 1998), and K is left as it
-    was. Each step takes the three-term recurrence, then reorthogonalises
+    K is never centered: with its column means c and their mean g =
+    grand_mean, each step forms Kc q = K q - (c'q - g 1'q) 1 - (1'q) c,
+    the centering of kernel PCA (Schoelkopf, Smola and Mueller 1998), and
+    K is left as it was. Each step takes the three-term recurrence, then reorthogonalises
     the new vector against every Lanczos vector kept (classical
     Gram-Schmidt), a second time only when the first pass removed more
     than 1 - 1/sqrt(2) of its norm (the DGKS test). Every
@@ -425,9 +417,8 @@ def _lanczos_top(K, col_means, p_select):
     if fraction and p_select == 1.0:
         return None
     M = K.shape[0]
-    g = float(np.mean(col_means))
-    total = float(np.trace(K)) - M * g
-    # a non-finite entry reaches g through its column's mean
+    total = float(np.trace(K)) - M * grand_mean
+    # a non-finite entry reaches grand_mean through its column's mean; a trace can overflow alone
     if not np.isfinite(total):
         return None
     # converged mass is at most the sum of all Ritz values, the trace
@@ -451,7 +442,7 @@ def _lanczos_top(K, col_means, p_select):
         q = Q[:, j]
         s = q.sum()
         w = dsymv(1.0, upper, q)
-        w -= ddot(col_means, q) - g * s
+        w -= ddot(col_means, q) - grand_mean * s
         w = daxpy(col_means, w, a=-s)
         if j:
             w = daxpy(Q[:, j - 1], w, a=-beta[j - 1])
@@ -483,8 +474,8 @@ def _lanczos_top(K, col_means, p_select):
 
 
 def _check_finite_gram(spec, means):
-    """DegenerateInputError unless the means of a gram's rows or columns,
-    which any non-finite entry reaches, are all finite."""
+    """DegenerateInputError unless a gram's row or column means are finite:
+    its points are, so a non-finite entry, which reaches them, is an overflow."""
     if not np.isfinite(means).all():
         fix = "lower the degree or offset" if spec.kind == "polynomial" else "rescale the input or normalize it"
         raise DegenerateInputError(f"the {spec.kind} gram overflows float64; {fix}")
@@ -509,8 +500,9 @@ def fit_kernel_pca(spec: KernelSpec, X, p_select) -> KernelPcaModel:
     eigendecomposition of the gram centered in place. A Lanczos run below
     LANCZOS_ONE_THREAD_ORDER points, and a dense solve below
     DENSE_ONE_THREAD_ORDER, hold scipy's OpenBLAS pool at one thread. A
-    failure of the dense solver raises EigensolverError, and a linear or
-    polynomial gram that overflows float64 DegenerateInputError.
+    failure of the dense solver raises EigensolverError; a NaN or inf in
+    X, and a linear or polynomial gram that overflows float64,
+    DegenerateInputError.
 
     An rbf spec without a bandwidth takes the median pairwise distance
     of X; the model's spec carries the bandwidth used, so project needs
@@ -531,15 +523,15 @@ def fit_kernel_pca(spec: KernelSpec, X, p_select) -> KernelPcaModel:
         # one pass, shared by the Lanczos run and the dense path's centering
         col_means = K.mean(axis=0)
     _check_finite_gram(spec, col_means)
+    # the mean of the column means, which the Lanczos run needs before any centering
+    grand_mean = float(np.mean(col_means))
     pairs = None
     if M >= LANCZOS_MIN_ORDER:
         with _one_blas_thread(M < LANCZOS_ONE_THREAD_ORDER):
-            pairs = _lanczos_top(K, col_means, p_select)
+            pairs = _lanczos_top(K, col_means, grand_mean, p_select)
     if pairs is not None:
-        grand_mean = float(np.mean(col_means))
         lam, U = pairs
     else:
-        grand_mean = float(K.mean())
         # centered in place, the same operations in the same order as
         # K - col_means[None, :] - col_means[:, None] + grand_mean
         K -= col_means[None, :]
@@ -548,9 +540,8 @@ def fit_kernel_pca(spec: KernelSpec, X, p_select) -> KernelPcaModel:
         with _one_blas_thread(M < DENSE_ONE_THREAD_ORDER):
             lam, U = _dense_top(K, p_select)
     A = U / np.sqrt(lam)[None, :]
-    for p in range(A.shape[1]):
-        if A[np.argmax(np.abs(A[:, p])), p] < 0:
-            A[:, p] = -A[:, p]
+    P = A.shape[1]
+    A *= np.where(A[np.argmax(np.abs(A), axis=0), np.arange(P)] < 0, -1.0, 1.0)
 
     return KernelPcaModel(
         spec=spec,
@@ -565,8 +556,8 @@ def fit_kernel_pca(spec: KernelSpec, X, p_select) -> KernelPcaModel:
 def project(model: KernelPcaModel, X) -> np.ndarray:
     """Coordinates of new points on the fitted axes, training-centered.
 
-    A gram with the training points that overflows float64 (or holds a
-    NaN) raises DegenerateInputError.
+    A NaN or inf in X, and a gram with the training points that overflows
+    float64, raise DegenerateInputError.
     """
     X = _as_points(X, "X")
     train = model.training_points

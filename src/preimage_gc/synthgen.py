@@ -26,6 +26,9 @@ MAGNITUDE_BOUND = 1e6
 
 DEFAULT_BURN_IN = 1000
 
+# The shortest trajectory generate returns, and so the shortest T a sweep takes.
+MIN_T = 50
+
 # Row = effect, column = cause; diagonal entries are self couplings.
 # Chain/branch topology y1 -> y2 -> {y3, y4}, y4 -> y5, upper-triangular
 # free so the spectral radius is the largest self term (0.6).
@@ -318,8 +321,8 @@ def generate(generator_id, T, seed, params=None) -> SyntheticDataset:
             f"unknown generator {generator_id!r}; choose from {GENERATOR_IDS}"
         )
     T = int(T)
-    if T < 50:
-        raise ValueError(f"T must be >= 50, got {T}")
+    if T < MIN_T:
+        raise ValueError(f"T must be >= {MIN_T}, got {T}")
     seed = int(seed) & 0xFFFFFFFFFFFFFFFF
     resolved = _resolve_params(generator_id, dict(params or {}))
     values, gt = _BUILDERS[generator_id](T, seed, resolved)

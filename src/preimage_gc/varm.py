@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DegenerateInputError, InsufficientSamplesError, RankError, ShapeError
+from .errors import DegenerateInputError, EigensolverError, InsufficientSamplesError, RankError, ShapeError
 from .data import _freeze, _frozen_array, lag_embed
 
 # The ridge penalty of both solves, fit_var's and learn_preimage's, unless
@@ -66,7 +66,8 @@ def _solve_ridge(X, Y, ridge_lambda, label) -> np.ndarray:
     RankError suggests the fix instead of silently picking one of the
     infinitely many minimizers. A ridge too small to make X^T X + lambda I
     positive definite is a RankError too. A NaN or inf in X or Y, or in
-    the products the ridge solve forms from them, is a DegenerateInputError.
+    the products the ridge solve forms from them, is a DegenerateInputError,
+    and a least-squares SVD that does not converge an EigensolverError.
     label names X in the messages.
     """
     if not 0 <= ridge_lambda < np.inf:
@@ -78,7 +79,10 @@ def _solve_ridge(X, Y, ridge_lambda, label) -> np.ndarray:
     if ridge_lambda == 0.0:
         # lstsq's rank uses matrix_rank's cutoff, max(X.shape) * eps * s_max,
         # from the one SVD the solve makes anyway
-        B, _, rank, _ = np.linalg.lstsq(X, Y, rcond=None)
+        try:
+            B, _, rank, _ = np.linalg.lstsq(X, Y, rcond=None)
+        except np.linalg.LinAlgError as err:
+            raise EigensolverError(f"least-squares solve on the {label} failed ({err})") from err
         if rank < n:
             raise RankError(
                 f"{label} has rank {rank} < {n}; use a positive ridge_lambda",

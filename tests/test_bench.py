@@ -251,6 +251,16 @@ class TestRunBenchmark:
         assert all("RankError" in r.error for r in report.records)
         assert report.summaries[0].note == "no successful records"
 
+    def test_unconverged_least_squares_recorded(self, monkeypatch):
+        def unconverged(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        monkeypatch.setattr(np.linalg, "lstsq", unconverged)
+        report = run_benchmark(["linear5"], self.small_methods()[1:], [50], 1, jobs=1)
+        assert report.records[0].error.startswith(
+            "EigensolverError: [var] least-squares solve on the design failed (SVD did not converge"
+        )
+
     def test_programming_errors_raise(self, monkeypatch):
         def broken(panel, config):
             raise TypeError("not a numerical failure")

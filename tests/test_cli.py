@@ -162,6 +162,17 @@ class TestInfer:
         assert run(["infer", str(huge), "--config", str(config), "--out", str(tmp_path / "result")]) == 1
         assert "[var] residual variance overflows" in capsys.readouterr().err
 
+    def test_unconverged_least_squares_is_tagged_runtime_error(self, tmp_path, capsys, monkeypatch):
+        def unconverged(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        data = self.synth_csv(tmp_path)
+        config = tmp_path / "pipeline.ini"
+        config.write_text("[pipeline]\nkernel = linear-identity\nridge_var = 0\nridge_preimage = 0\n")
+        monkeypatch.setattr(np.linalg, "lstsq", unconverged)
+        assert run(["infer", str(data), "--config", str(config), "--out", str(tmp_path / "result")]) == 1
+        assert "[var] least-squares solve on the design failed (SVD did not converge" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bandwidth", ["1e155", "1e154", "1e-200", "-1"])
     def test_unusable_bandwidth_is_usage_error(self, tmp_path, capsys, bandwidth):
         config = tmp_path / "pipeline.ini"

@@ -22,7 +22,7 @@ from preimage_gc import (
     normalize_columns,
     project,
 )
-from preimage_gc.errors import DegenerateInputError, RankError, ShapeError
+from preimage_gc.errors import DegenerateInputError, InsufficientSamplesError, RankError, ShapeError
 from preimage_gc.kernels import EIGENVALUE_RTOL, LANCZOS_MIN_ORDER, gram
 from preimage_gc.synthgen import GENERATOR_IDS, generate
 
@@ -190,6 +190,10 @@ class TestMedianBandwidth:
             X = np.random.default_rng(11).normal(size=(12, 2)) * scale
             assert KernelSpec("rbf", bandwidth=median_bandwidth(X)).bandwidth > 0
 
+    def test_one_point_is_too_few(self):
+        with pytest.raises(InsufficientSamplesError, match="at least 2 points"):
+            median_bandwidth(np.zeros((1, 3)))
+
 
 class TestFitKernelPca:
     @pytest.mark.parametrize("M", [50, LANCZOS_MIN_ORDER + 50])
@@ -280,6 +284,18 @@ class TestFitKernelPca:
             warnings.simplefilter("error")
             with pytest.raises(DegenerateInputError, match=f"the {spec.kind} gram overflows float64"):
                 fit_kernel_pca(spec, X, 0.95)
+
+    def test_one_point_is_too_few(self):
+        with pytest.raises(InsufficientSamplesError, match="at least 2 points"):
+            fit_kernel_pca(KernelSpec("rbf"), np.zeros((1, 3)), 0.95)
+
+    def test_dense_grand_mean_is_the_mean_of_the_column_means(self):
+        # as on the Lanczos path; on this gram K.mean() differs in the last bit
+        X = np.random.default_rng(0).normal(size=(60, 3))
+        model = fit_kernel_pca(KernelSpec("rbf", bandwidth=median_bandwidth(X)), X, 0.95)
+        K = gram(model.spec, X, X)
+        assert float(K.mean()) != float(np.mean(K.mean(axis=0)))
+        assert model.grand_mean == float(np.mean(model.col_means))
 
     def test_sign_convention_largest_entry_positive(self):
         rng = np.random.default_rng(10)
@@ -512,7 +528,8 @@ class TestLanczosPath:
         # instead of stepping through rounding noise up to the cap
         spec, X = self.rank3_case()
         K = gram(spec, X, X)
-        assert kernels_module._lanczos_top(K, K.mean(axis=0), 4) is None
+        col_means = K.mean(axis=0)
+        assert kernels_module._lanczos_top(K, col_means, float(np.mean(col_means)), 4) is None
         assert matvecs[0] <= kernels_module.LANCZOS_CHECK_EVERY
         with pytest.raises(RankError):
             fit_kernel_pca(spec, X, 4)
@@ -529,7 +546,7 @@ class TestLanczosPath:
         w /= np.linalg.norm(w)
         Kc = np.outer(u, u) + 5.0 * np.outer(w, w)
         # zero column means: the run's operator is Kc itself
-        assert kernels_module._lanczos_top(Kc, np.zeros(self.M), 0.95) is None
+        assert kernels_module._lanczos_top(Kc, np.zeros(self.M), 0.0, 0.95) is None
         lam, _ = kernels_module._dense_top(Kc, 0.95)
         np.testing.assert_allclose(lam, [5.0, 1.0], rtol=1e-12)
 
@@ -565,7 +582,8 @@ class TestLanczosPath:
         spec, X = self.rbf_case()
         K = gram(spec, X, X)
         K[3, 5] = K[5, 3] = bad
-        assert kernels_module._lanczos_top(K, K.mean(axis=0), 0.95) is None
+        col_means = K.mean(axis=0)
+        assert kernels_module._lanczos_top(K, col_means, float(np.mean(col_means)), 0.95) is None
         assert matvecs[0] == 0
 
     def test_step_cap_goes_dense(self, solver_calls, monkeypatch):
@@ -584,7 +602,8 @@ class TestLanczosPath:
             X = normalize_columns(values if i < 0 else np.delete(values, i, axis=1))
             spec = KernelSpec("rbf", bandwidth=median_bandwidth(X))
             K = gram(spec, X, X)
-            pairs = kernels_module._lanczos_top(K, K.mean(axis=0), 0.95)
+            col_means = K.mean(axis=0)
+            pairs = kernels_module._lanczos_top(K, col_means, float(np.mean(col_means)), 0.95)
             assert pairs is not None, i
             (lam, U), (lam_ref, U_ref) = pairs, kernels_module._dense_top(centered_gram(spec, X), 0.95)
             assert len(lam) == len(lam_ref), i
@@ -637,6 +656,35 @@ class TestProject:
         Z[2, 1] = np.nan
         with pytest.raises(DegenerateInputError):
             project(model, Z)
+
+
+def _fit_then_project(X):
+    clean = np.random.default_rng(18).normal(size=X.shape)
+    return project(fit_kernel_pca(KernelSpec("rbf", bandwidth=1.0), clean, 4), X)
+
+
+NONFINITE_ENTRY_POINTS = {
+    "fit rbf with a bandwidth": lambda X: fit_kernel_pca(KernelSpec("rbf", bandwidth=1.0), X, 0.95),
+    "fit rbf median": lambda X: fit_kernel_pca(KernelSpec("rbf"), X, 0.95),
+    "fit linear": lambda X: fit_kernel_pca(KernelSpec("linear"), X, 2),
+    "fit polynomial": lambda X: fit_kernel_pca(KernelSpec("polynomial"), X, 0.95),
+    "project": _fit_then_project,
+    "gram": lambda X: gram(KernelSpec("rbf", bandwidth=1.0), X, X),
+    "normalize_columns": normalize_columns,
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", list(NONFINITE_ENTRY_POINTS))
+def test_nonfinite_point_is_refused_as_such(entry, bad):
+    # these used to call a NaN or inf an overflow, and gram returned NaN entries
+    X = np.random.default_rng(19).normal(size=(30, 3))
+    X[7, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateInputError, match="NaN or inf") as info:
+            NONFINITE_ENTRY_POINTS[entry](X)
+    assert "overflows" not in str(info.value)
 
 
 class TestBlasThreads:
