@@ -247,7 +247,7 @@ def _cmd_bench(args) -> int:
     if args.dry_run:
         print(
             f"{total} cells: {len(generators)} generators x {len(methods)} methods "
-            f"x {len(T_grid)} T values x {seeds} seeds"
+            f"x {len(T_grid)} T values x {len(seeds)} seeds"
         )
         return 0
 

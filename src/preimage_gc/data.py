@@ -30,6 +30,15 @@ def _frozen_array(values, dtype=float, order="K"):
     return out
 
 
+def _as_matrix(values, name):
+    """values as a float64 array, with no copy when they already are one;
+    ShapeError naming the argument unless it is 2-d."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise ShapeError(f"{name} must be 2-d, got ndim={values.ndim}")
+    return values
+
+
 def _freeze(obj, *names, dtype=float, order="K"):
     """Replace the named fields of a frozen dataclass by read-only copies."""
     for name in names:
@@ -162,9 +171,7 @@ def normalize_columns(values, node_names=None) -> np.ndarray:
     zero-variance column, and on one whose standard deviation overflows,
     naming the node when names are given.
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2:
-        raise ShapeError(f"expected a 2-d array, got ndim={values.ndim}")
+    values = _as_matrix(values, "values")
     finite = np.isfinite(values).all(axis=0)
     # a NaN, inf or overflow is reported below as the column's error, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -189,9 +196,7 @@ def lag_embed(values, lag: int) -> LaggedDesign:
     For row t of ``targets`` (original time L+t), ``design[t]`` is the
     concatenation ``[y_{L+t-1}, y_{L+t-2}, ..., y_{L+t-lag}]``.
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2:
-        raise ShapeError(f"expected a 2-d array, got ndim={values.ndim}")
+    values = _as_matrix(values, "values")
     if isinstance(lag, bool) or not isinstance(lag, (int, np.integer)) or lag < 1:
         raise ValueError(f"lag must be a positive integer, got {lag!r}")
     T = values.shape[0]

@@ -14,7 +14,7 @@ from scipy.linalg.blas import daxpy, ddot, dgemm, dgemv, dnrm2, dscal, dsymv
 from scipy.linalg.lapack import dstevd, dsyevd
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from .data import _freeze
+from .data import _as_matrix, _freeze
 from .errors import (
     DegenerateInputError,
     EigensolverError,
@@ -180,9 +180,7 @@ class KernelSpec:
 
 
 def _as_points(X, name):
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ShapeError(f"{name} must be 2-d, got ndim={X.ndim}")
+    X = _as_matrix(X, name)
     if not np.isfinite(X).all():
         raise DegenerateInputError(f"{name} must be finite; it holds NaN or inf")
     return X
@@ -559,15 +557,9 @@ def project(model: KernelPcaModel, X) -> np.ndarray:
     A NaN or inf in X, and a gram with the training points that overflows
     float64, raise DegenerateInputError.
     """
-    X = _as_points(X, "X")
-    train = model.training_points
-    if X.shape[1] != train.shape[1]:
-        raise ShapeError(
-            f"points have dimension {X.shape[1]}, model was fit on {train.shape[1]}"
-        )
-    # an overflowing gram is refused, as fit_kernel_pca refuses it
+    # gram checks the points; an overflowing gram is refused, as fit_kernel_pca refuses it
     with np.errstate(over="ignore", invalid="ignore"):
-        Kt = gram(model.spec, X, train)
+        Kt = gram(model.spec, X, model.training_points)
         row_means = Kt.mean(axis=1, keepdims=True)
     _check_finite_gram(model.spec, row_means)
     Kt = Kt - model.col_means[None, :] - row_means + model.grand_mean

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _freeze
+from .data import _as_matrix, _freeze
 from .errors import DegenerateInputError, ShapeError
 from .varm import DEFAULT_RIDGE, _solve_ridge
 
@@ -35,10 +35,8 @@ def learn_preimage(Y, H, ridge_lambda: float = DEFAULT_RIDGE) -> PreimageMap:
     paired. Minimizes ||Y - H gamma^T||^2 + ridge_lambda ||gamma||^2.
     A training error that overflows float64 raises DegenerateInputError.
     """
-    Y = np.asarray(Y, dtype=float)
-    H = np.asarray(H, dtype=float)
-    if Y.ndim != 2 or H.ndim != 2:
-        raise ShapeError("Y and H must be 2-d")
+    Y = _as_matrix(Y, "Y")
+    H = _as_matrix(H, "H")
     if Y.shape[0] != H.shape[0]:
         raise ShapeError(
             f"row mismatch: Y has {Y.shape[0]} rows, H has {H.shape[0]}"
@@ -64,9 +62,7 @@ def learn_preimage(Y, H, ridge_lambda: float = DEFAULT_RIDGE) -> PreimageMap:
 
 def reconstruct(pmap: PreimageMap, H) -> np.ndarray:
     """Map feature-coordinate rows back to input space."""
-    H = np.asarray(H, dtype=float)
-    if H.ndim != 2 or H.shape[1] != pmap.gamma.shape[1]:
-        raise ShapeError(
-            f"H must be 2-d with {pmap.gamma.shape[1]} columns, got shape {H.shape}"
-        )
+    H = _as_matrix(H, "H")
+    if H.shape[1] != pmap.gamma.shape[1]:
+        raise ShapeError(f"H must have {pmap.gamma.shape[1]} columns, got {H.shape[1]}")
     return H @ pmap.gamma.T

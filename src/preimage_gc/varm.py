@@ -9,7 +9,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateInputError, EigensolverError, InsufficientSamplesError, RankError, ShapeError
-from .data import _freeze, _frozen_array, lag_embed
+from .data import _as_matrix, _freeze, _frozen_array, lag_embed
 
 # The ridge penalty of both solves, fit_var's and learn_preimage's, unless
 # the caller or the PipelineConfig picks another.
@@ -114,9 +114,7 @@ def fit_var(series, lag: int = 1, ridge_lambda: float = DEFAULT_RIDGE) -> VarMod
     make the solve positive definite, raises RankError; a residual
     variance that overflows raises DegenerateInputError.
     """
-    series = np.asarray(series, dtype=float)
-    if series.ndim != 2:
-        raise ShapeError(f"series must be 2-d, got ndim={series.ndim}")
+    series = _as_matrix(series, "series")
     T, D = series.shape
     emb = lag_embed(series, lag)
     recommended = lag + D * lag + 1
@@ -141,11 +139,9 @@ def fit_var(series, lag: int = 1, ridge_lambda: float = DEFAULT_RIDGE) -> VarMod
 
 def predict(fit: VarModelFit, series) -> np.ndarray:
     """One-step predictions for rows lag..T-1 of ``series``."""
-    series = np.asarray(series, dtype=float)
-    if series.ndim != 2 or series.shape[1] != fit.n_dims:
-        raise ShapeError(
-            f"series must be 2-d with {fit.n_dims} columns, got shape {series.shape}"
-        )
+    series = _as_matrix(series, "series")
+    if series.shape[1] != fit.n_dims:
+        raise ShapeError(f"series must have {fit.n_dims} columns, got {series.shape[1]}")
     emb = lag_embed(series, fit.lag)
     return emb.design @ fit.stacked()
 
@@ -155,12 +151,10 @@ def residual_variance_about(Y, Yhat) -> np.ndarray:
 
     A variance that overflows float64 raises DegenerateInputError.
     """
-    Y = np.asarray(Y, dtype=float)
-    Yhat = np.asarray(Yhat, dtype=float)
+    Y = _as_matrix(Y, "Y")
+    Yhat = _as_matrix(Yhat, "Yhat")
     if Y.shape != Yhat.shape:
         raise ShapeError(f"shape mismatch: {Y.shape} vs {Yhat.shape}")
-    if Y.ndim != 2:
-        raise ShapeError(f"expected 2-d arrays, got ndim={Y.ndim}")
     if Y.shape[0] < 2:
         raise InsufficientSamplesError(
             "variance needs at least 2 rows"

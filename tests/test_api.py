@@ -1,16 +1,29 @@
-"""The package's top-level names, and the frozen result dataclasses."""
+"""The package's top-level names, the array arguments of its stages, and
+the frozen result dataclasses."""
 
 import numpy as np
 import pytest
 
 import preimage_gc
-from preimage_gc import KernelSpec, TimeSeriesPanel, generate, run_full_model
+from preimage_gc import (
+    KernelSpec,
+    TimeSeriesPanel,
+    fit_kernel_pca,
+    fit_var,
+    generate,
+    learn_preimage,
+    median_bandwidth,
+    normalize_columns,
+    project,
+    run_full_model,
+)
 from preimage_gc.causality import CausalGraph
-from preimage_gc.data import LaggedDesign
-from preimage_gc.kernels import KernelPcaModel
+from preimage_gc.data import LaggedDesign, lag_embed
+from preimage_gc.errors import ShapeError
+from preimage_gc.kernels import KernelPcaModel, gram
 from preimage_gc.preimage import PreimageMap
 from preimage_gc.synthgen import LINEAR5_COEFFICIENTS, SyntheticDataset
-from preimage_gc.varm import VarModelFit
+from preimage_gc.varm import VarModelFit, residual_variance_about
 
 # what the CLI, demos/, README.md and tests/test_acceptance.py use
 TOP_LEVEL = [
@@ -50,6 +63,34 @@ def test_all_is_exactly_the_used_api():
 def test_no_version_attribute():
     # pyproject.toml holds the version
     assert not hasattr(preimage_gc, "__version__")
+
+
+_GOOD = np.random.default_rng(1).normal(size=(8, 2))
+_LINEAR = KernelSpec("linear")
+
+# each stage's array arguments: a call that passes `bad` as the named one
+_GUARDED = {
+    "normalize_columns": ("values", normalize_columns),
+    "lag_embed": ("values", lambda bad: lag_embed(bad, 1)),
+    "fit_var": ("series", fit_var),
+    "residual_variance_about Y": ("Y", lambda bad: residual_variance_about(bad, _GOOD)),
+    "residual_variance_about Yhat": ("Yhat", lambda bad: residual_variance_about(_GOOD, bad)),
+    "learn_preimage Y": ("Y", lambda bad: learn_preimage(bad, _GOOD)),
+    "learn_preimage H": ("H", lambda bad: learn_preimage(_GOOD, bad)),
+    "fit_kernel_pca": ("X", lambda bad: fit_kernel_pca(_LINEAR, bad, 1)),
+    "gram X": ("X", lambda bad: gram(_LINEAR, bad, _GOOD)),
+    "gram Z": ("Z", lambda bad: gram(_LINEAR, _GOOD, bad)),
+    "median_bandwidth": ("X", median_bandwidth),
+    "project": ("X", lambda bad: project(fit_kernel_pca(_LINEAR, _GOOD, 1), bad)),
+}
+
+
+@pytest.mark.parametrize("shape", [(8,), (8, 2, 1)], ids=["1-d", "3-d"])
+@pytest.mark.parametrize("site", _GUARDED)
+def test_non_2d_array_is_a_shape_error_naming_it(site, shape):
+    name, call = _GUARDED[site]
+    with pytest.raises(ShapeError, match=f"^{name} must be 2-d"):
+        call(np.ones(shape))
 
 
 def _caller_arrays():

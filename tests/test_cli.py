@@ -288,7 +288,7 @@ class TestBench:
         code = run(["bench", "--config", str(self.config(tmp_path)), "--dry-run"])
         assert code == 0
         out = capsys.readouterr().out
-        assert out.startswith("4 cells")  # 1 gen x 2 methods x 1 T x 2 seeds
+        assert out == "4 cells: 1 generators x 2 methods x 1 T values x 2 seeds\n"
 
     def test_writes_records_and_summaries(self, tmp_path, capsys):
         out = tmp_path / "result"

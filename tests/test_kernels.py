@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import threading
+import types
 import warnings
 from pathlib import Path
 
@@ -633,7 +634,7 @@ class TestProject:
 
     def test_dimension_mismatch(self):
         model = fit_kernel_pca(KernelSpec("linear"), np.eye(4), 2)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="^point dimensions differ: 7 vs 4$"):
             project(model, np.zeros((3, 7)))
 
     @pytest.mark.parametrize("spec, scale", [
@@ -813,6 +814,31 @@ class TestBlasThreads:
         np.testing.assert_allclose(model.eigenvalues, expected.eigenvalues, rtol=1e-12)
         np.testing.assert_allclose(model.dual_coefficients, expected.dual_coefficients,
                                    rtol=0, atol=1e-8 * np.abs(expected.dual_coefficients).max())
+
+    def controls_of(self, monkeypatch, *exports):
+        """The BLAS library stand-in exporting only the named functions, and
+        what _pool_controls makes of it."""
+        lib = types.SimpleNamespace(**{name: types.SimpleNamespace() for name in exports})
+        monkeypatch.setattr(kernels_module.ctypes, "CDLL", lambda path: lib)
+        kernels_module._pool_controls.cache_clear()
+        try:
+            return lib, kernels_module._pool_controls()
+        finally:
+            monkeypatch.undo()
+            kernels_module._pool_controls.cache_clear()
+
+    def test_system_openblas_names_are_found(self, monkeypatch):
+        # scipy linked against a system OpenBLAS exports the unprefixed names
+        lib, pool = self.controls_of(
+            monkeypatch, "openblas_get_num_threads", "openblas_set_num_threads"
+        )
+        get, put = pool
+        assert get is lib.openblas_get_num_threads
+        assert put is lib.openblas_set_num_threads
+
+    def test_system_openblas_getter_alone_is_no_pool(self, monkeypatch):
+        _, pool = self.controls_of(monkeypatch, "openblas_get_num_threads")
+        assert pool is None
 
     def test_real_pool_is_held_and_restored(self, monkeypatch):
         pool = kernels_module._pool_controls()
