@@ -92,10 +92,6 @@ class CellRecord:
     auc: float | None
     error: str | None = None
 
-    def __post_init__(self):
-        if self.auc is not None and not 0.0 <= self.auc <= 1.0:
-            raise ValueError(f"auc must lie in [0, 1], got {self.auc}")
-
 
 @dataclass(frozen=True)
 class CellSummary:

@@ -59,17 +59,18 @@ _EPS23 = _EPS ** (2.0 / 3.0)
 # share of the vector's norm.
 _DGKS = 1.0 / math.sqrt(2.0)
 
-# Orders below which a solve holds scipy's OpenBLAS pool at one thread.
-# After its last threaded call an OpenBLAS worker spins for about 125 ms,
-# a full core that slows the single-threaded work after it, and threaded
-# calls on small grams stall now and then (20,000 dsymv at M = 200 took
-# 1,183 ms threaded, 1,060 of them in 128 stalls, and 121 ms on one
-# thread). Below these orders the solves also give the same bits
-# whatever thread count the process starts with. Measured on 2 cores,
-# scipy 1.17.1, OpenBLAS 0.3.30.
+# Order below which a fit's eigensolve, Lanczos run and dense solve
+# alike, holds scipy's OpenBLAS pool at one thread. After its last
+# threaded call an OpenBLAS worker spins for about 125 ms, a full core
+# that slows the single-threaded work after it, and threaded calls on
+# small grams stall now and then (20,000 dsymv at M = 200 took 1,183 ms
+# threaded, 1,060 of them in 128 stalls, and 121 ms on one thread).
+# Below this order the solves also give the same bits whatever thread
+# count the process starts with. Measured on 2 cores, scipy 1.17.1,
+# OpenBLAS 0.3.30.
 #
-# Lanczos: one more than the largest T of the sweep grid, so every fit
-# of a T <= 500 panel (M = T points) runs on one thread; the method is
+# One more than the largest T of the sweep grid, so every fit of a
+# T <= 500 panel (M = T points) runs on one thread; the method is
 # meant for panels that short. A lone infer_graph (nonlinear5, 4
 # seeds, median of 12 calls per T over 8 alternating rounds), in ms:
 # the loop before the leaner step / this loop threaded / on one thread:
@@ -81,14 +82,7 @@ _DGKS = 1.0 / math.sqrt(2.0)
 # T = 500 (median of the rounds' ratios; 8.5% over 16 more rounds),
 # where it halves the sweep's CPU time; from T = 600 it is 17% slower
 # and more.
-LANCZOS_ONE_THREAD_ORDER = 501
-# Dense: median dsyevd ms on an rbf gram, one thread / two: M = 100
-# 1.31-1.36 / 1.35; M = 200 4.2-4.6 / 4.9; M = 300 9.9-10.2 / 10.3;
-# M = 400 19.5-20.1 / 17.0; M = 500 32.5-32.9 / 27.9-29.5. Right after
-# the pool went back to two threads, a block of threaded calls stalled
-# to medians of 100 ms (M = 100) and 19 ms (M = 200-300). From M = 400
-# the second thread pays.
-DENSE_ONE_THREAD_ORDER = 300
+ONE_THREAD_ORDER = 501
 
 _pool_lock = threading.Lock()
 _pool_depth = 0
@@ -495,12 +489,11 @@ def fit_kernel_pca(spec: KernelSpec, X, p_select) -> KernelPcaModel:
     From LANCZOS_MIN_ORDER points up, the top eigenpairs come from a
     Lanczos run on the uncentered gram that stops once they are settled;
     below it, and whenever that run cannot answer, from a dense
-    eigendecomposition of the gram centered in place. A Lanczos run below
-    LANCZOS_ONE_THREAD_ORDER points, and a dense solve below
-    DENSE_ONE_THREAD_ORDER, hold scipy's OpenBLAS pool at one thread. A
-    failure of the dense solver raises EigensolverError; a NaN or inf in
-    X, and a linear or polynomial gram that overflows float64,
-    DegenerateInputError.
+    eigendecomposition of the gram centered in place. Below
+    ONE_THREAD_ORDER points the whole eigensolve, either solver, holds
+    scipy's OpenBLAS pool at one thread. A failure of the dense solver
+    raises EigensolverError; a NaN or inf in X, and a linear or
+    polynomial gram that overflows float64, DegenerateInputError.
 
     An rbf spec without a bandwidth takes the median pairwise distance
     of X; the model's spec carries the bandwidth used, so project needs
@@ -523,19 +516,17 @@ def fit_kernel_pca(spec: KernelSpec, X, p_select) -> KernelPcaModel:
     _check_finite_gram(spec, col_means)
     # the mean of the column means, which the Lanczos run needs before any centering
     grand_mean = float(np.mean(col_means))
-    pairs = None
-    if M >= LANCZOS_MIN_ORDER:
-        with _one_blas_thread(M < LANCZOS_ONE_THREAD_ORDER):
-            pairs = _lanczos_top(K, col_means, grand_mean, p_select)
-    if pairs is not None:
-        lam, U = pairs
-    else:
-        # centered in place, the same operations in the same order as
-        # K - col_means[None, :] - col_means[:, None] + grand_mean
-        K -= col_means[None, :]
-        K -= col_means[:, None]
-        K += grand_mean
-        with _one_blas_thread(M < DENSE_ONE_THREAD_ORDER):
+    # one hold for both solvers: a dense fallback on two threads made T = 400-500 infers 22-28% slower
+    with _one_blas_thread(M < ONE_THREAD_ORDER):
+        pairs = _lanczos_top(K, col_means, grand_mean, p_select) if M >= LANCZOS_MIN_ORDER else None
+        if pairs is not None:
+            lam, U = pairs
+        else:
+            # centered in place, the same operations in the same order as
+            # K - col_means[None, :] - col_means[:, None] + grand_mean
+            K -= col_means[None, :]
+            K -= col_means[:, None]
+            K += grand_mean
             lam, U = _dense_top(K, p_select)
     A = U / np.sqrt(lam)[None, :]
     P = A.shape[1]

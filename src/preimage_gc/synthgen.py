@@ -90,13 +90,6 @@ class SyntheticDataset:
 
     def __post_init__(self):
         _freeze(self, "ground_truth", dtype=int)
-        gt = self.ground_truth
-        if gt.ndim != 2 or gt.shape[0] != gt.shape[1]:
-            raise ValueError(f"ground_truth must be square, got shape {gt.shape}")
-        if np.any(np.diag(gt) != 0):
-            raise ValueError("ground_truth diagonal must be zero")
-        if not np.all((gt == 0) | (gt == 1)):
-            raise ValueError("ground_truth must be binary")
 
 
 def ground_truth_edges(dataset: SyntheticDataset):

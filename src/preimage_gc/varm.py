@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DegenerateInputError, EigensolverError, InsufficientSamplesError, RankError, ShapeError
+from .errors import DegenerateInputError, EigensolverError, RankError, ShapeError
 from .data import _as_matrix, _freeze, _frozen_array, lag_embed
 
 # The ridge penalty of both solves, fit_var's and learn_preimage's, unless
@@ -155,8 +155,4 @@ def residual_variance_about(Y, Yhat) -> np.ndarray:
     Yhat = _as_matrix(Yhat, "Yhat")
     if Y.shape != Yhat.shape:
         raise ShapeError(f"shape mismatch: {Y.shape} vs {Yhat.shape}")
-    if Y.shape[0] < 2:
-        raise InsufficientSamplesError(
-            "variance needs at least 2 rows"
-        )
     return _column_variance(Y - Yhat)

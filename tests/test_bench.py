@@ -43,6 +43,10 @@ class TestRocAuc:
         with pytest.raises(ShapeError):
             roc_auc([0.1, 0.2, 0.3], [1, 0])
 
+    def test_2d_scores_rejected(self):
+        with pytest.raises(ShapeError, match="^scores and labels must be 1-d$"):
+            roc_auc([[0.1, 0.2]], [1, 0])
+
     def test_bad_labels(self):
         with pytest.raises(ValueError, match="0/1"):
             roc_auc([0.1, 0.2], [1, 2])
@@ -347,6 +351,11 @@ class TestRunBenchmark:
         methods = [(m, config) for m, (_, config) in zip(method_ids, self.small_methods())]
         with pytest.raises(ConfigError, match=message):
             run_benchmark(generators, methods, T_grid, seeds)
+
+    def test_method_without_pipeline_config_rejected(self):
+        methods = [("kernel", PipelineConfig()), ("raw", {"kernel": "rbf"})]
+        with pytest.raises(ConfigError, match="^method 'raw' has no PipelineConfig$"):
+            run_benchmark(["logistic2"], methods, [50], 2)
 
     def test_low_T_rejected(self):
         with pytest.raises(ConfigError, match="50"):

@@ -490,6 +490,14 @@ class TestEval:
     @pytest.mark.parametrize("graph_text, truth_text, message", [
         ("{not json", "[[0, 1], [0, 0]]", "cannot read graph from"),
         ('{"delta": [[0, 1], [0, 0]]}', "[[0, 1], [0, 0]]", "graph dict is missing keys: ['node_names', 'raw_log_ratios']"),
+        ('{"node_names": ["a", "b"], "delta": [[0, 1, 1], [1, 0, 1]], "raw_log_ratios": [[0, 1, 1], [1, 0, 1]]}',
+         "[[0, 1], [0, 0]]", "delta must be square, got shape (2, 3)"),
+        ('{"node_names": ["a", "b"], "delta": [[0, 1], [1, 0]], "raw_log_ratios": [[0]]}',
+         "[[0, 1], [0, 0]]", "raw_log_ratios must match delta's shape"),
+        ('{"node_names": ["a", "b", "c"], "delta": [[0, 1], [1, 0]], "raw_log_ratios": [[0, 1], [1, 0]]}',
+         "[[0, 1], [0, 0]]", "node_names length must match delta"),
+        ('{"node_names": ["a", "b"], "delta": [[0, NaN], [1, 0]], "raw_log_ratios": [[0, 1], [1, 0]]}',
+         "[[0, 1], [0, 0]]", "graph entries must be finite"),
         (None, "[[0, 1], [0, ", "cannot read ground truth from"),
         (None, '{"truth": [[0, 1], [0, 0]]}', "has no 'ground_truth' key"),
     ])
@@ -500,7 +508,9 @@ class TestEval:
         truth = tmp_path / "truth.json"
         truth.write_text(truth_text)
         assert run(["eval", str(graph), str(truth)]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert ("cannot read graph from" in err) == (graph_text is not None)
 
     def test_shape_mismatch(self, tmp_path, capsys):
         graph = self.write_graph(tmp_path, np.zeros((3, 3)))

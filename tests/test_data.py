@@ -1,5 +1,7 @@
 """Panel construction, CSV round trips, normalization, lag embedding."""
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,14 @@ class TestPanel:
         with pytest.raises(ValueError, match="names"):
             make_panel([[1.0, 2.0], [3.0, 4.0]], names=("a", "b", "c"))
 
+    def test_rejects_1d_values(self):
+        with pytest.raises(ValueError, match="^panel values must be 2-d, got ndim=1$"):
+            TimeSeriesPanel(values=np.arange(4.0), node_names=("a",))
+
+    def test_rejects_empty_name(self):
+        with pytest.raises(ValueError, match="^node names must be nonempty$"):
+            make_panel([[1.0, 2.0], [3.0, 4.0]], names=("a", ""))
+
 
 class TestIngestCsv:
     def test_transcribes_values(self):
@@ -81,6 +91,15 @@ class TestIngestCsv:
         # a bad cell precedes a later row's wrong cell count
         with pytest.raises(CsvParseError, match="row 2, column 'c'"):
             ingest_csv("a,b,c\n1,2,-inf\n4,5\n")
+
+    def test_reads_an_open_file_object(self):
+        panel = ingest_csv(io.StringIO("a,b\n1,2\n3,4\n"))
+        assert panel.node_names == ("a", "b")
+        np.testing.assert_array_equal(panel.values, [[1, 2], [3, 4]])
+
+    def test_empty_header_cell_rejected(self):
+        with pytest.raises(CsvSchemaError, match="^header contains an empty column name$"):
+            ingest_csv("a, ,b\n1,2,3\n")
 
     def test_duplicate_header_rejected(self):
         with pytest.raises(CsvSchemaError, match="duplicate.*a"):

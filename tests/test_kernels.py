@@ -11,12 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.spatial.distance import pdist
 
 import preimage_gc
 import preimage_gc.kernels as kernels_module
 from preimage_gc import (
     KernelSpec,
+    PipelineConfig,
     fit_kernel_pca,
     infer_graph,
     median_bandwidth,
@@ -323,10 +325,10 @@ def centered_gram(spec, X):
     return K - col_means[None, :] - col_means[:, None] + K.mean()
 
 
-def dense_kernel_pca(spec, X, p_select):
+def dense_kernel_pca(spec, X, p_select, eigh=np.linalg.eigh):
     """Reference: full eigh of the centered gram, the documented selection
     rule and sign rule; returns (eigenvalues, dual coefficients)."""
-    evals, evecs = np.linalg.eigh(centered_gram(spec, X))
+    evals, evecs = eigh(centered_gram(spec, X))
     evals, evecs = np.maximum(evals[::-1], 0.0), evecs[:, ::-1]
     rank = int(np.count_nonzero(evals > EIGENVALUE_RTOL * evals[0]))
     if isinstance(p_select, float):
@@ -483,8 +485,8 @@ class TestLanczosPath:
     def rank3_case(self):
         return KernelSpec("linear"), np.random.default_rng(14).normal(size=(self.M, 3))
 
-    def assert_matches_dense(self, spec, X, p_select):
-        lam_ref, A_ref = dense_kernel_pca(spec, X, p_select)
+    def assert_matches_dense(self, spec, X, p_select, eigh=np.linalg.eigh):
+        lam_ref, A_ref = dense_kernel_pca(spec, X, p_select, eigh)
         model = fit_kernel_pca(spec, X, p_select)
         assert model.n_components == len(lam_ref)
         np.testing.assert_allclose(model.eigenvalues, lam_ref, rtol=1e-12, atol=1e-12 * lam_ref[0])
@@ -556,7 +558,14 @@ class TestLanczosPath:
         assert solver_calls == {"lanczos": 1, "eigh": 0}
 
     def test_full_mass_goes_dense(self, solver_calls, matvecs):
-        self.assert_matches_dense(*self.rbf_case(), 1.0)
+        # the fit's dsyevd runs on one thread of scipy's pool, and so must
+        # the reference: near the rank cutoff, columns of a two-thread
+        # dsyevd differ from a one-thread one by up to 3.3e-3 here
+        def one_thread_eigh(Kc):
+            with kernels_module._one_blas_thread(True):
+                return scipy.linalg.eigh(Kc, driver="evd")
+
+        self.assert_matches_dense(*self.rbf_case(), 1.0, one_thread_eigh)
         assert solver_calls == {"lanczos": 1, "eigh": 1}
         assert matvecs[0] == 0
 
@@ -689,9 +698,9 @@ def test_nonfinite_point_is_refused_as_such(entry, bad):
 
 
 class TestBlasThreads:
-    """Below LANCZOS_ONE_THREAD_ORDER a Lanczos run, and below
-    DENSE_ONE_THREAD_ORDER a dense solve, hold scipy's OpenBLAS pool at
-    one thread; the count comes back however the solve ends."""
+    """Below ONE_THREAD_ORDER a fit's whole eigensolve, a Lanczos run and
+    any dense solve after it, holds scipy's OpenBLAS pool at one thread;
+    the count comes back however the solve ends."""
 
     @pytest.fixture
     def pool(self, monkeypatch):
@@ -732,10 +741,21 @@ class TestBlasThreads:
 
     def test_dense_solve_runs_on_one_thread(self, pool, monkeypatch):
         seen = self.seen_by(monkeypatch, "dsyevd", pool)
-        M = kernels_module.DENSE_ONE_THREAD_ORDER - 1
+        M = kernels_module.ONE_THREAD_ORDER - 1
         monkeypatch.setattr(kernels_module, "LANCZOS_MIN_ORDER", M + 1)
         fit_kernel_pca(*self.points(M), 0.95)
         assert seen == [1]
+        assert pool["sets"] == [1, 2]
+
+    def test_dense_fallback_shares_the_lanczos_hold(self, pool, monkeypatch):
+        # 6 steps cannot settle 0.95 on 400 points: the run gives up, and
+        # the dense solve after it stays inside the same one-thread hold
+        monkeypatch.setattr(kernels_module, "LANCZOS_MAX_STEPS", 6)
+        lanczos = self.seen_by(monkeypatch, "_lanczos_top", pool)
+        dense = self.seen_by(monkeypatch, "dsyevd", pool)
+        fit_kernel_pca(*self.points(400), 0.95)
+        assert lanczos == [1]
+        assert dense == [1]
         assert pool["sets"] == [1, 2]
 
     def test_count_restored_after_a_raise(self, pool, monkeypatch):
@@ -791,8 +811,8 @@ class TestBlasThreads:
         assert kernels_module._pool_depth == 0
 
     def test_setter_never_called_at_the_orders(self, pool, monkeypatch):
-        fit_kernel_pca(*self.points(kernels_module.LANCZOS_ONE_THREAD_ORDER), 0.95)
-        M = kernels_module.DENSE_ONE_THREAD_ORDER
+        M = kernels_module.ONE_THREAD_ORDER
+        fit_kernel_pca(*self.points(M), 0.95)
         monkeypatch.setattr(kernels_module, "LANCZOS_MIN_ORDER", M + 1)
         fit_kernel_pca(*self.points(M), 0.95)
         assert pool["sets"] == []
@@ -814,6 +834,18 @@ class TestBlasThreads:
         np.testing.assert_allclose(model.eigenvalues, expected.eigenvalues, rtol=1e-12)
         np.testing.assert_allclose(model.dual_coefficients, expected.dual_coefficients,
                                    rtol=0, atol=1e-8 * np.abs(expected.dual_coefficients).max())
+
+    def test_unloadable_blas_library_is_no_pool(self, monkeypatch):
+        def unloadable(path):
+            raise OSError(f"cannot load {path}")
+
+        monkeypatch.setattr(kernels_module.ctypes, "CDLL", unloadable)
+        kernels_module._pool_controls.cache_clear()
+        try:
+            assert kernels_module._pool_controls() is None
+        finally:
+            monkeypatch.undo()
+            kernels_module._pool_controls.cache_clear()
 
     def controls_of(self, monkeypatch, *exports):
         """The BLAS library stand-in exporting only the named functions, and
@@ -858,15 +890,18 @@ class TestBlasThreads:
         assert seen == [1]
         assert get() == before
 
-    def test_deltas_do_not_depend_on_the_thread_count(self):
-        # every fit of a T = 300 panel is a Lanczos run on 300 points, below
-        # its one-thread order: this process's default pool and a fresh
+    @pytest.mark.parametrize("p_select", [0.95, 0.999])
+    def test_deltas_do_not_depend_on_the_thread_count(self, p_select):
+        # every fit of a T = 300 panel solves on 300 points, below the
+        # one-thread order: a Lanczos run at 0.95, and at 0.999 a run that
+        # falls back to dense. This process's default pool and a fresh
         # interpreter's single thread give the same bits
         T = 300
-        assert LANCZOS_MIN_ORDER <= T < kernels_module.LANCZOS_ONE_THREAD_ORDER
+        assert LANCZOS_MIN_ORDER <= T < kernels_module.ONE_THREAD_ORDER
+        config = f"PipelineConfig(p_select={p_select!r})"
         code = (
-            "from preimage_gc import generate, infer_graph; "
-            f"print(infer_graph(generate('nonlinear5', {T}, 0).panel).raw_log_ratios.tobytes().hex())"
+            "from preimage_gc import PipelineConfig, generate, infer_graph; "
+            f"print(infer_graph(generate('nonlinear5', {T}, 0).panel, {config}).raw_log_ratios.tobytes().hex())"
         )
         package_root = Path(preimage_gc.__file__).resolve().parent.parent
         path = os.pathsep.join(filter(None, [str(package_root), os.environ.get("PYTHONPATH")]))
@@ -877,5 +912,5 @@ class TestBlasThreads:
             text=True,
             check=True,
         ).stdout.strip()
-        here = infer_graph(generate("nonlinear5", T, 0).panel).raw_log_ratios
+        here = infer_graph(generate("nonlinear5", T, 0).panel, PipelineConfig(p_select=p_select)).raw_log_ratios
         assert here.tobytes().hex() == single

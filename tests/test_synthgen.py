@@ -271,6 +271,10 @@ class TestParameters:
         np.testing.assert_array_equal(dataset.ground_truth, [[0, 1], [0, 0]])
         assert dataset.panel.values.shape == (80, 2)
 
+    def test_non_square_coefficients_rejected(self):
+        with pytest.raises(ValueError, match=r"^coefficients must be square, got shape \(2, 3\)$"):
+            generate("linear5", 60, 0, params={"coefficients": np.full((2, 3), 0.1)})
+
     def test_burn_in_must_be_nonnegative(self):
         with pytest.raises(ValueError, match="burn_in"):
             generate("linear5", 60, 0, params={"burn_in": -1})
