@@ -230,9 +230,13 @@ class CausalGraph:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CausalGraph":
+        if not isinstance(payload, dict):
+            raise ValueError(f"a graph must be a dict, got {type(payload).__name__}")
         missing = {"node_names", "delta", "raw_log_ratios"} - set(payload)
         if missing:
             raise ValueError(f"graph dict is missing keys: {sorted(missing)}")
+        if not isinstance(payload["node_names"], list):
+            raise ValueError(f"node_names must be a list, got {type(payload['node_names']).__name__}")
         return cls(
             delta=np.asarray(payload["delta"], dtype=float),
             node_names=tuple(payload["node_names"]),

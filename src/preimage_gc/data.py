@@ -157,7 +157,18 @@ def ingest_csv(source) -> TimeSeriesPanel:
 
 
 def panel_to_csv(panel: TimeSeriesPanel) -> str:
-    """Serialize a panel so ``ingest_csv`` reproduces it bit-exactly."""
+    """Serialize a panel so ``ingest_csv`` reproduces it bit-exactly.
+
+    Raises ValueError, naming the node, for a name the header cannot
+    carry back: one that holds a comma or a line break, or has leading
+    or trailing whitespace.
+    """
+    for name in panel.node_names:
+        if "," in name or name.splitlines() != [name] or name != name.strip():
+            raise ValueError(
+                f"node name {name!r} cannot be written to CSV: it holds a comma or "
+                "a line break, or has leading or trailing whitespace"
+            )
     lines = [",".join(panel.node_names)]
     for row in panel.values:
         lines.append(",".join(repr(float(v)) for v in row))

@@ -72,21 +72,19 @@ _DGKS = 1.0 / math.sqrt(2.0)
 # One more than the largest T of the sweep grid, so every fit of a
 # T <= 500 panel (M = T points) runs on one thread; the method is
 # meant for panels that short. A lone infer_graph (nonlinear5, 4
-# seeds, median of 12 calls per T over 8 alternating rounds), in ms:
-# the loop before the leaner step / this loop threaded / on one thread:
-#   T = 200: 22.1 / 20.1 / 20.4     T = 600: 53.2 / 50.3 / 61.4
-#   T = 300: 28.1 / 25.0 / 25.7     T = 700: 67.0 / 62.8 / 89.4
-#   T = 400: 35.1 / 33.1 / 34.8     T = 800: 83.1 / 76.8 / 108.7
-#   T = 500: 44.4 / 40.5 / 45.2
-# One thread keeps up with the old loop to T = 400 and is 4% slower at
-# T = 500 (median of the rounds' ratios; 8.5% over 16 more rounds),
-# where it halves the sweep's CPU time; from T = 600 it is 17% slower
-# and more.
+# seeds, median of 12 calls per T over 8 alternating rounds), in ms,
+# threaded / on one thread:
+#   T = 200: 20.1 / 20.4     T = 600: 50.3 / 61.4
+#   T = 300: 25.0 / 25.7     T = 700: 62.8 / 89.4
+#   T = 400: 33.1 / 34.8     T = 800: 76.8 / 108.7
+#   T = 500: 40.5 / 45.2
+# One thread costs 1-5% to T = 400 and 12% at T = 500, where it halves
+# the sweep's CPU time; from T = 600 it costs 22% and more.
 ONE_THREAD_ORDER = 501
 
-_pool_lock = threading.Lock()
-_pool_depth = 0
-_pool_threads = None
+# The pool is process-wide: a solve in another thread must neither run
+# on a one-thread fit's count nor restore its own count under that fit.
+_eigensolve_lock = threading.RLock()
 
 
 @functools.cache
@@ -112,31 +110,28 @@ def _pool_controls():
 
 
 @contextmanager
-def _one_blas_thread(active):
-    """Hold scipy's OpenBLAS pool at one thread for the block, if active
-    and the pool can be set; the count found on entry comes back after.
+def _eigensolve(one_thread):
+    """Run the block as the process's only kernel-PCA eigensolve: every
+    fit's solve takes one re-entrant lock, so fits in several threads
+    take turns. With one_thread, and if the pool can be set, scipy's
+    OpenBLAS pool runs the block on one thread and gets the count found
+    on entry back after; otherwise the block runs on the count it finds.
 
-    A depth count under a lock makes nested blocks, and blocks in several
-    threads, restore the count once, when the last of them leaves.
+    A process forked while another thread is inside the block inherits
+    the lock held; bench spawns its workers, so none of them is forked.
     """
-    global _pool_depth, _pool_threads
-    pool = _pool_controls() if active else None
-    if pool is None:
-        yield
-        return
-    get, put = pool
-    with _pool_lock:
-        if _pool_depth == 0:
-            _pool_threads = get()
-            put(1)
-        _pool_depth += 1
-    try:
-        yield
-    finally:
-        with _pool_lock:
-            _pool_depth -= 1
-            if _pool_depth == 0:
-                put(_pool_threads)
+    with _eigensolve_lock:
+        pool = _pool_controls() if one_thread else None
+        if pool is None:
+            yield
+            return
+        get, put = pool
+        threads = get()
+        put(1)
+        try:
+            yield
+        finally:
+            put(threads)
 
 
 @dataclass(frozen=True)
@@ -489,11 +484,12 @@ def fit_kernel_pca(spec: KernelSpec, X, p_select) -> KernelPcaModel:
     From LANCZOS_MIN_ORDER points up, the top eigenpairs come from a
     Lanczos run on the uncentered gram that stops once they are settled;
     below it, and whenever that run cannot answer, from a dense
-    eigendecomposition of the gram centered in place. Below
-    ONE_THREAD_ORDER points the whole eigensolve, either solver, holds
-    scipy's OpenBLAS pool at one thread. A failure of the dense solver
-    raises EigensolverError; a NaN or inf in X, and a linear or
-    polynomial gram that overflows float64, DegenerateInputError.
+    eigendecomposition of the gram centered in place. The eigensolves of
+    fits in different threads take turns; below ONE_THREAD_ORDER points
+    the whole eigensolve, either solver, holds scipy's OpenBLAS pool at
+    one thread. A failure of the dense solver raises EigensolverError; a
+    NaN or inf in X, and a linear or polynomial gram that overflows
+    float64, DegenerateInputError.
 
     An rbf spec without a bandwidth takes the median pairwise distance
     of X; the model's spec carries the bandwidth used, so project needs
@@ -517,7 +513,7 @@ def fit_kernel_pca(spec: KernelSpec, X, p_select) -> KernelPcaModel:
     # the mean of the column means, which the Lanczos run needs before any centering
     grand_mean = float(np.mean(col_means))
     # one hold for both solvers: a dense fallback on two threads made T = 400-500 infers 22-28% slower
-    with _one_blas_thread(M < ONE_THREAD_ORDER):
+    with _eigensolve(M < ONE_THREAD_ORDER):
         pairs = _lanczos_top(K, col_means, grand_mean, p_select) if M >= LANCZOS_MIN_ORDER else None
         if pairs is not None:
             lam, U = pairs

@@ -12,9 +12,9 @@ import pytest
 
 import preimage_gc
 import preimage_gc.kernels as kernels_module
-from preimage_gc import TimeSeriesPanel, ingest_csv
+from preimage_gc import PipelineConfig, TimeSeriesPanel, ingest_csv
 from preimage_gc.data import panel_to_csv
-from preimage_gc.cli import main
+from preimage_gc.cli import _pipeline_config_from_file, main
 
 PIPELINE_INI = """\
 [pipeline]
@@ -38,6 +38,8 @@ kernel = linear-identity
 ridge_var = 0
 ridge_preimage = 0
 """
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def run(argv):
@@ -489,6 +491,10 @@ class TestEval:
 
     @pytest.mark.parametrize("graph_text, truth_text, message", [
         ("{not json", "[[0, 1], [0, 0]]", "cannot read graph from"),
+        ("[[0, 1], [0, 0]]", "[[0, 1], [0, 0]]", "a graph must be a dict, got list"),
+        ("5", "[[0, 1], [0, 0]]", "a graph must be a dict, got int"),
+        ('{"node_names": "ab", "delta": [[0, 1], [1, 0]], "raw_log_ratios": [[0, 1], [1, 0]]}',
+         "[[0, 1], [0, 0]]", "node_names must be a list, got str"),
         ('{"delta": [[0, 1], [0, 0]]}', "[[0, 1], [0, 0]]", "graph dict is missing keys: ['node_names', 'raw_log_ratios']"),
         ('{"node_names": ["a", "b"], "delta": [[0, 1, 1], [1, 0, 1]], "raw_log_ratios": [[0, 1, 1], [1, 0, 1]]}',
          "[[0, 1], [0, 0]]", "delta must be square, got shape (2, 3)"),
@@ -526,6 +532,15 @@ class TestEval:
         assert code == 0
         auc = float(capsys.readouterr().out.strip())
         assert 0.0 <= auc <= 1.0
+
+
+class TestShippedConfigs:
+    def test_river_config_writes_out_the_defaults(self):
+        assert _pipeline_config_from_file(CONFIGS / "river.ini") == PipelineConfig()
+
+    def test_full_sweep_grid(self, capsys):
+        assert run(["bench", "--config", str(CONFIGS / "full_sweep.ini"), "--dry-run"]) == 0
+        assert capsys.readouterr().out == "2000 cells: 5 generators x 2 methods x 4 T values x 50 seeds\n"
 
 
 class TestParser:

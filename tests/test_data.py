@@ -1,6 +1,7 @@
 """Panel construction, CSV round trips, normalization, lag embedding."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -115,10 +116,18 @@ class TestIngestCsv:
 
     def test_round_trip_is_exact(self):
         rng = np.random.default_rng(42)
-        panel = make_panel(rng.normal(size=(20, 3)) * 1e3)
+        # a space inside a name is read back as written
+        panel = make_panel(rng.normal(size=(20, 3)) * 1e3, ("n0", "river flow", "n 2"))
         again = ingest_csv(panel_to_csv(panel))
         np.testing.assert_array_equal(again.values, panel.values)
         assert again.node_names == panel.node_names
+
+    @pytest.mark.parametrize("name", ["a,b", "a\nb", "a\u2028b", " a", "b\r", "c\t"])
+    def test_unreadable_name_refused_on_writing(self, name):
+        # ingest_csv cannot read the first three back and strips the last three
+        panel = make_panel(np.eye(3), ("y1", name, "y3"))
+        with pytest.raises(ValueError, match=f"^node name {re.escape(repr(name))} cannot be written to CSV"):
+            panel_to_csv(panel)
 
 
 class TestNormalize:

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import types
 import warnings
 from pathlib import Path
@@ -562,7 +563,7 @@ class TestLanczosPath:
         # the reference: near the rank cutoff, columns of a two-thread
         # dsyevd differ from a one-thread one by up to 3.3e-3 here
         def one_thread_eigh(Kc):
-            with kernels_module._one_blas_thread(True):
+            with kernels_module._eigensolve(True):
                 return scipy.linalg.eigh(Kc, driver="evd")
 
         self.assert_matches_dense(*self.rbf_case(), 1.0, one_thread_eigh)
@@ -700,7 +701,8 @@ def test_nonfinite_point_is_refused_as_such(entry, bad):
 class TestBlasThreads:
     """Below ONE_THREAD_ORDER a fit's whole eigensolve, a Lanczos run and
     any dense solve after it, holds scipy's OpenBLAS pool at one thread;
-    the count comes back however the solve ends."""
+    the count comes back however the solve ends. The eigensolves of fits
+    in different threads take turns."""
 
     @pytest.fixture
     def pool(self, monkeypatch):
@@ -758,6 +760,35 @@ class TestBlasThreads:
         assert dense == [1]
         assert pool["sets"] == [1, 2]
 
+    def lock_is_free(self):
+        """Whether another thread can take the eigensolve lock now; the
+        lock is re-entrant, so this thread's own acquire would not tell."""
+        free = []
+
+        def probe():
+            lock = kernels_module._eigensolve_lock
+            if lock.acquire(blocking=False):
+                lock.release()
+                free.append(True)
+
+        prober = threading.Thread(target=probe, daemon=True)
+        prober.start()
+        prober.join(timeout=30)
+        return free == [True]
+
+    def fit_in_thread(self, errors, M, seed=20):
+        """A started thread fitting M points; its exception lands in errors.
+        A daemon, so a fit stuck on a held lock fails its test, not the run."""
+        def fit():
+            try:
+                fit_kernel_pca(*self.points(M, seed), 0.95)
+            except Exception as err:  # surfaced on the test's thread
+                errors.append(err)
+
+        worker = threading.Thread(target=fit, daemon=True)
+        worker.start()
+        return worker
+
     def test_count_restored_after_a_raise(self, pool, monkeypatch):
         def fail(*args, **kwargs):
             raise RuntimeError("solver failed")
@@ -767,48 +798,84 @@ class TestBlasThreads:
             fit_kernel_pca(*self.points(LANCZOS_MIN_ORDER + 50), 0.95)
         assert pool["threads"] == 2
         assert pool["sets"] == [1, 2]
-        assert kernels_module._pool_depth == 0
+        assert self.lock_is_free()
 
-    def test_nested_fits_restore_once(self, pool, monkeypatch):
+    def test_nested_fit_runs_on_one_thread(self, pool, monkeypatch):
+        # the inner fit saves the outer fit's 1 and puts it back; the
+        # outer fit's restore brings back the 2 it found
         lanczos = kernels_module._lanczos_top
-        inner = []
+        inner = self.seen_by(monkeypatch, "_dense_top", pool)
 
         def nesting(*args, **kwargs):
-            inner.append(fit_kernel_pca(*self.points(50), 3))
-            assert pool["threads"] == 1
+            fit_kernel_pca(*self.points(50), 3)
             return lanczos(*args, **kwargs)
 
         monkeypatch.setattr(kernels_module, "_lanczos_top", nesting)
         fit_kernel_pca(*self.points(LANCZOS_MIN_ORDER + 50), 0.95)
-        assert len(inner) == 1
-        assert pool["sets"] == [1, 2]
+        assert inner == [1]
+        assert pool["sets"] == [1, 1, 1, 2]
+        assert pool["threads"] == 2
 
-    def test_fits_in_threads_restore_once(self, pool, monkeypatch):
-        # both fits are inside their solve at once; the last one out restores
+    def test_fits_in_threads_take_turns(self, pool, monkeypatch):
+        # each solve runs alone, on the count its fit set, and restores
+        # the count it found before the other fit's solve begins
         lanczos = kernels_module._lanczos_top
-        both_in = threading.Barrier(2, timeout=30)
+        log = []
 
-        def meeting(*args, **kwargs):
-            both_in.wait()
+        def logged(*args, **kwargs):
+            log.append(("in", pool["threads"]))
+            time.sleep(0.05)  # room for the other fit to come in, were it let
+            log.append(("out", pool["threads"]))
             return lanczos(*args, **kwargs)
 
-        monkeypatch.setattr(kernels_module, "_lanczos_top", meeting)
+        monkeypatch.setattr(kernels_module, "_lanczos_top", logged)
         errors = []
-
-        def fit(seed):
-            try:
-                fit_kernel_pca(*self.points(LANCZOS_MIN_ORDER + 50, seed), 0.95)
-            except Exception as err:  # surfaced below, on the test's thread
-                errors.append(err)
-
-        workers = [threading.Thread(target=fit, args=(seed,)) for seed in (21, 22)]
+        workers = [self.fit_in_thread(errors, LANCZOS_MIN_ORDER + 50, seed) for seed in (21, 22)]
         for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
+            worker.join(timeout=30)
+        assert not any(worker.is_alive() for worker in workers)
         assert errors == []
+        assert log == [("in", 1), ("out", 1)] * 2
+        assert pool["sets"] == [1, 2, 1, 2]
+        assert pool["threads"] == 2
+        assert self.lock_is_free()
+
+    def test_fit_at_the_order_waits_out_a_one_thread_solve(self, pool, monkeypatch):
+        # a fit on ONE_THREAD_ORDER points, started while a smaller fit in
+        # another thread holds the pool at one thread, solves on the count
+        # the pool has once the smaller fit is done: 2, not the held 1
+        order = kernels_module.ONE_THREAD_ORDER
+        small_M = LANCZOS_MIN_ORDER + 50
+        lanczos = kernels_module._lanczos_top
+        small_in, release, large_in = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def held(K, *args):
+            seen[K.shape[0]] = pool["threads"]
+            if K.shape[0] < order:
+                small_in.set()
+                release.wait(timeout=30)
+            else:
+                large_in.set()
+            return lanczos(K, *args)
+
+        monkeypatch.setattr(kernels_module, "_lanczos_top", held)
+        errors = []
+        workers = [self.fit_in_thread(errors, small_M)]
+        try:
+            assert small_in.wait(timeout=30)
+            workers.append(self.fit_in_thread(errors, order))
+            # unless something holds it back, the large fit is in its solve well within this
+            large_in.wait(timeout=1)
+        finally:
+            release.set()
+            for worker in workers:
+                worker.join(timeout=30)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        assert seen == {small_M: 1, order: 2}
         assert pool["sets"] == [1, 2]
-        assert kernels_module._pool_depth == 0
+        assert pool["threads"] == 2
 
     def test_setter_never_called_at_the_orders(self, pool, monkeypatch):
         M = kernels_module.ONE_THREAD_ORDER
@@ -830,7 +897,7 @@ class TestBlasThreads:
         finally:
             monkeypatch.undo()
             kernels_module._pool_controls.cache_clear()
-        assert kernels_module._pool_depth == 0
+        assert self.lock_is_free()
         np.testing.assert_allclose(model.eigenvalues, expected.eigenvalues, rtol=1e-12)
         np.testing.assert_allclose(model.dual_coefficients, expected.dual_coefficients,
                                    rtol=0, atol=1e-8 * np.abs(expected.dual_coefficients).max())
