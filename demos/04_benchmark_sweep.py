@@ -1,10 +1,11 @@
 """A small benchmark sweep, in process.
 
-The benchmark grid is (generator x method x T x seed); every cell draws
-a fresh panel, runs one method, and scores the off-diagonal deltas
-against the generator's ground truth with ROC-AUC. Failures are
-recorded per cell rather than aborting the sweep. The full grid lives
-in configs/full_sweep.ini and takes about a minute per core via
+The benchmark grid is (generator x method x T x seed); each (generator,
+seed) trajectory is simulated once, each T takes its first T rows as
+the panel, and every cell runs one method on its panel and scores the
+off-diagonal deltas against the generator's ground truth with ROC-AUC.
+Failures are recorded per cell rather than aborting the sweep. The full
+grid lives in configs/full_sweep.ini and takes about 17 CPU-seconds via
 
     preimage-gc bench --config configs/full_sweep.ini --out results/
 """

@@ -15,7 +15,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .causality import PipelineConfig, infer_graph
-from .errors import ConfigError, PreimageGCError, ShapeError, UndefinedAucError
+from .data import TimeSeriesPanel
+from .errors import ConfigError, InstabilityError, PreimageGCError, ShapeError, UndefinedAucError
 from .synthgen import GENERATOR_IDS, MIN_T, generate
 
 # The environment bench workers start in. numpy's and scipy's OpenBLAS
@@ -139,42 +140,61 @@ class BenchmarkReport:
         return json.dumps([asdict(s) for s in self.summaries], indent=2) + "\n"
 
 
-def _run_panel(task, progress=None):
-    """Generate one (generator, T, seed) panel and score every method on it.
+def _run_trajectory(task, progress=None):
+    """Simulate one (generator, seed) once and score every method on every T.
 
-    Returns one CellRecord per method, in method order, and passes each to
+    Every T's panel is the first T rows of one trajectory generated at
+    the largest T, a prefix that per-T generation reproduces bit for bit
+    (see synthgen). A trajectory that diverges at step k fails every T
+    whose run reaches step k with that error, and is generated again at
+    the largest T left. Returns, for each T in the task's T order, one
+    CellRecord per method in method order, and passes each to
     ``progress`` (if given) as soon as it is complete.
     """
-    generator_id, T, seed, methods = task
-    generation_error = None
-    try:
-        dataset = generate(generator_id, T, seed)
-    except PreimageGCError as err:
-        generation_error = err
-    records = []
-    for method_id, config in methods:
-        auc, error = None, generation_error
-        if error is None:
-            try:
-                graph = infer_graph(dataset.panel, config)
-                auc = roc_auc(
-                    off_diagonal(graph.delta), off_diagonal(dataset.ground_truth)
-                )
-            except PreimageGCError as err:
-                error = err
-        # numerical failures are data: record and keep sweeping; bugs raise
-        record = CellRecord(
-            generator_id,
-            method_id,
-            T,
-            seed,
-            auc=auc,
-            error=None if error is None else f"{type(error).__name__}: {error}",
-        )
-        records.append(record)
-        if progress is not None:
-            progress(record)
-    return records
+    generator_id, seed, T_grid, methods = task
+    errors = {}
+    open_T = sorted(T_grid)
+    while open_T:
+        try:
+            dataset = generate(generator_id, open_T[-1], seed)
+            break
+        except PreimageGCError as err:
+            # runs that end before the divergent step never reach it
+            spared = 0
+            if isinstance(err, InstabilityError):
+                spared = sum(err.params["burn_in"] + T <= err.step for T in open_T[:-1])
+            errors.update(dict.fromkeys(open_T[spared:], err))
+            del open_T[spared:]
+    trajectory = []
+    for T in T_grid:
+        generation_error = errors.get(T)
+        if generation_error is None:
+            panel = TimeSeriesPanel(dataset.panel.values[:T], dataset.panel.node_names)
+        records = []
+        for method_id, config in methods:
+            auc, error = None, generation_error
+            if error is None:
+                try:
+                    graph = infer_graph(panel, config)
+                    auc = roc_auc(
+                        off_diagonal(graph.delta), off_diagonal(dataset.ground_truth)
+                    )
+                except PreimageGCError as err:
+                    error = err
+            # numerical failures are data: record and keep sweeping; bugs raise
+            record = CellRecord(
+                generator_id,
+                method_id,
+                T,
+                seed,
+                auc=auc,
+                error=None if error is None else f"{type(error).__name__}: {error}",
+            )
+            records.append(record)
+            if progress is not None:
+                progress(record)
+        trajectory.append(records)
+    return trajectory
 
 
 @contextmanager
@@ -258,38 +278,42 @@ def run_benchmark(
 
     methods is a list of (method_id, PipelineConfig) pairs; seeds is a
     count (0..seeds-1) or an explicit list. A repeated generator, method
-    id, T or seed is a ConfigError. Each (generator, T, seed) panel is
-    generated once and every method runs on it. Panels are independent,
-    so jobs > 1 runs them in worker processes with one BLAS thread each;
+    id, T or seed is a ConfigError. Each (generator, seed) trajectory is
+    generated once, at the largest T, and every T's panel is its prefix;
+    every method runs on each panel. Trajectories are independent, so
+    jobs > 1 runs them in worker processes with one BLAS thread each;
     records always come back in grid order (generator, method, T, seed),
     so the report is identical regardless of jobs. ``progress`` (if
-    given) is called with each CellRecord, panels in (generator, T, seed)
-    order and a panel's records in method order: at jobs = 1 as each
-    record completes, at jobs > 1 a panel's records together once it and
-    every earlier panel are done, not in completion order.
+    given) is called with each CellRecord in (generator, seed, T,
+    method) order: at jobs = 1 as each record completes, at jobs > 1 a
+    trajectory's records together once it and every earlier trajectory
+    are done, not in completion order.
     """
     generators, methods, T_grid, seed_list, jobs = _checked_grid(generators, methods, T_grid, seeds, jobs)
 
-    # one task per panel, so each panel is generated once for all methods
-    tasks = [(g, T, s, methods) for g in generators for T in T_grid for s in seed_list]
+    # one task per trajectory, so each (generator, seed) is simulated once
+    tasks = [(g, s, T_grid, methods) for g in generators for s in seed_list]
     if jobs == 1:
-        panels = [_run_panel(task, progress) for task in tasks]
+        trajectories = [_run_trajectory(task, progress) for task in tasks]
     else:
-        panels = []
+        trajectories = []
         # map preserves task order, keeping assembly deterministic
-        for panel in _map_in_workers(_run_panel, tasks, jobs):
-            panels.append(panel)
+        for trajectory in _map_in_workers(_run_trajectory, tasks, jobs):
+            trajectories.append(trajectory)
             if progress is not None:
-                for record in panel:
-                    progress(record)
+                for records in trajectory:
+                    for record in records:
+                        progress(record)
 
-    # tasks run generator -> T -> seed; records go out generator -> method -> T -> seed
-    per_generator = len(T_grid) * len(seed_list)
+    # tasks run generator -> seed, each T -> method; records go out
+    # generator -> method -> T -> seed
+    n_seeds = len(seed_list)
     records = [
-        panel[m]
-        for start in range(0, len(panels), per_generator)
+        trajectories[g * n_seeds + s][t][m]
+        for g in range(len(generators))
         for m in range(len(methods))
-        for panel in panels[start:start + per_generator]
+        for t in range(len(T_grid))
+        for s in range(n_seeds)
     ]
 
     return BenchmarkReport(

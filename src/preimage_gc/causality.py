@@ -238,10 +238,25 @@ class CausalGraph:
         if not isinstance(payload["node_names"], list):
             raise ValueError(f"node_names must be a list, got {type(payload['node_names']).__name__}")
         return cls(
-            delta=np.asarray(payload["delta"], dtype=float),
+            delta=_number_array(payload, "delta"),
             node_names=tuple(payload["node_names"]),
-            raw_log_ratios=np.asarray(payload["raw_log_ratios"], dtype=float),
+            raw_log_ratios=_number_array(payload, "raw_log_ratios"),
         )
+
+
+def _number_array(payload, key):
+    """payload[key] as a float array; ValueError unless it is nested
+    lists of numbers (a bool or a numeric string is not a number)."""
+    pending = [payload[key]]
+    if not isinstance(pending[0], list):
+        raise ValueError(f"{key} must be a list, got {type(pending[0]).__name__}")
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise ValueError(f"{key} must hold only numbers, got {item!r}")
+    return np.asarray(payload[key], dtype=float)
 
 
 def infer_graph(panel: TimeSeriesPanel, config: PipelineConfig | None = None) -> CausalGraph:

@@ -161,13 +161,20 @@ def panel_to_csv(panel: TimeSeriesPanel) -> str:
 
     Raises ValueError, naming the node, for a name the header cannot
     carry back: one that holds a comma or a line break, or has leading
-    or trailing whitespace.
+    or trailing whitespace, and a first name that starts with U+FEFF,
+    which ``ingest_csv`` strips as a byte-order mark.
     """
-    for name in panel.node_names:
-        if "," in name or name.splitlines() != [name] or name != name.strip():
+    for j, name in enumerate(panel.node_names):
+        if (
+            "," in name
+            or name.splitlines() != [name]
+            or name != name.strip()
+            or (j == 0 and name.startswith("\ufeff"))
+        ):
             raise ValueError(
                 f"node name {name!r} cannot be written to CSV: it holds a comma or "
-                "a line break, or has leading or trailing whitespace"
+                "a line break, has leading or trailing whitespace, or is the first "
+                "name and starts with a byte-order mark"
             )
     lines = [",".join(panel.node_names)]
     for row in panel.values:

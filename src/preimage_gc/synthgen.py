@@ -6,6 +6,12 @@ linear VAR, and its nonlinear twin. Every generator draws from one
 independent substream per node (a SeedSequence spawn), so trajectories
 are reproducible bit for bit given (generator_id, T, seed, params).
 
+Each stream is drawn in time order, and no draw's value depends on T,
+so a shorter panel is a prefix of a longer one: ``generate(g, T1, s)``
+gives the first T1 rows of ``generate(g, T2, s)`` bit for bit for
+T1 < T2, and the run diverges at the same step whenever it reaches it.
+The bench sweep relies on this to simulate each (generator, seed) once.
+
 The default parameters below are the definitions of record for these
 benchmarks; tests and shipped configs rely on them.
 """

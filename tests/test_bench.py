@@ -22,6 +22,7 @@ from preimage_gc import (
 )
 from preimage_gc.bench import CellRecord
 from preimage_gc.errors import ConfigError, InstabilityError, ShapeError, UndefinedAucError
+from preimage_gc.synthgen import LINEAR5_COEFFICIENTS
 
 
 class TestRocAuc:
@@ -273,7 +274,7 @@ class TestRunBenchmark:
         with pytest.raises(TypeError, match="not a numerical failure"):
             run_benchmark(["linear5"], self.small_methods(), [50], 1, jobs=1)
 
-    def test_each_panel_generated_once(self, monkeypatch):
+    def test_each_trajectory_generated_once(self, monkeypatch):
         calls = []
 
         def counting_generate(generator_id, T, seed):
@@ -286,7 +287,8 @@ class TestRunBenchmark:
         report = run_benchmark(
             generators, self.small_methods(), T_grid, seeds, progress=seen.append
         )
-        assert len(calls) == len(set(calls)) == 2 * 2 * 2
+        # one call per (generator, seed), at the largest T, in task order
+        assert calls == [(g, 60, s) for g in generators for s in seeds]
         keys = [(r.generator_id, r.method_id, r.T, r.seed) for r in report.records]
         assert keys == [
             (g, m, T, s)
@@ -295,7 +297,48 @@ class TestRunBenchmark:
             for T in T_grid
             for s in seeds
         ]
+        assert [(r.generator_id, r.seed, r.T, r.method_id) for r in seen] == [
+            (g, s, T, m)
+            for g in generators
+            for s in seeds
+            for T in T_grid
+            for m in ("kernel", "linear-gc")
+        ]
         assert sorted(seen, key=report.records.index) == list(report.records)
+
+    def test_divergence_fails_only_the_runs_that_reach_it(self, monkeypatch):
+        # A[0, 0] = 1.012 crosses the bound at step 1157: after the
+        # burn-in's 1000 steps, T = 200 and 500 reach it, 50 and 100 do not
+        coefficients = np.array(LINEAR5_COEFFICIENTS)
+        coefficients[0, 0] = 1.012
+        calls = []
+
+        def drifting_generate(generator_id, T, seed):
+            calls.append(T)
+            return generate(generator_id, T, seed, params={"coefficients": coefficients})
+
+        monkeypatch.setattr(bench_module, "generate", drifting_generate)
+        methods = self.small_methods()
+        T_grid = [50, 100, 200, 500]
+        report = run_benchmark(["linear5"], methods, T_grid, [0])
+        assert calls == [500, 100]
+
+        diverged = "InstabilityError: trajectory diverged at step 1157 (|y| >= 1e+06)"
+        want = []
+        for method_id, config in methods:
+            for T in T_grid:
+                auc, error = None, None
+                try:
+                    dataset = drifting_generate("linear5", T, 0)
+                except InstabilityError as err:
+                    error = f"{type(err).__name__}: {err}"
+                else:
+                    graph = infer_graph(dataset.panel, config)
+                    auc = roc_auc(off_diagonal(graph.delta), off_diagonal(dataset.ground_truth))
+                want.append(CellRecord("linear5", method_id, T, 0, auc=auc, error=error))
+        assert list(report.records) == want
+        assert [r.error for r in report.records] == [None, None, diverged, diverged] * 2
+        assert all(r.auc is not None for r in report.records if r.T <= 100)
 
     def test_generation_failure_recorded_for_every_method(self, monkeypatch):
         def unstable_generate(generator_id, T, seed):

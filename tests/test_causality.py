@@ -542,3 +542,25 @@ class TestCausalGraph:
     def test_from_dict_missing_key(self):
         with pytest.raises(ValueError, match="missing"):
             CausalGraph.from_dict({"delta": [[0.0]]})
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("delta", {"a": [0, 1]}, "delta must be a list, got dict"),
+        ("delta", "[[0, 1], [1, 0]]", "delta must be a list, got str"),
+        ("delta", [[0, "1"], [1, 0]], "delta must hold only numbers, got '1'"),
+        ("delta", [[0, None], [1, 0]], "delta must hold only numbers, got None"),
+        ("delta", [[0, {}], [1, 0]], "delta must hold only numbers, got {}"),
+        ("raw_log_ratios", [[0, True], [1, 0]], "raw_log_ratios must hold only numbers, got True"),
+    ])
+    def test_from_dict_refuses_non_numbers(self, key, value, message):
+        # np.asarray would read "1" as 1.0 and True as 1.0
+        payload = {"node_names": ["a", "b"], "delta": [[0, 1], [1, 0]], "raw_log_ratios": [[0, 1], [1, 0]]}
+        payload[key] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CausalGraph.from_dict(payload)
+
+    def test_from_dict_reads_ints_and_floats(self):
+        graph = CausalGraph.from_dict(
+            {"node_names": ["a", "b"], "delta": [[0, 1], [0.5, 0]], "raw_log_ratios": [[0, -1], [0.5, 0]]}
+        )
+        assert graph.delta.tolist() == [[0.0, 1.0], [0.5, 0.0]]
+        assert graph.raw_log_ratios.tolist() == [[0.0, -1.0], [0.5, 0.0]]

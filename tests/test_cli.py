@@ -504,6 +504,12 @@ class TestEval:
          "[[0, 1], [0, 0]]", "node_names length must match delta"),
         ('{"node_names": ["a", "b"], "delta": [[0, NaN], [1, 0]], "raw_log_ratios": [[0, 1], [1, 0]]}',
          "[[0, 1], [0, 0]]", "graph entries must be finite"),
+        ('{"node_names": ["a", "b"], "delta": {"a": [0, 1]}, "raw_log_ratios": [[0, 1], [1, 0]]}',
+         "[[0, 1], [0, 0]]", "delta must be a list, got dict"),
+        ('{"node_names": ["a", "b"], "delta": [[0, "1"], [1, 0]], "raw_log_ratios": [[0, 1], [1, 0]]}',
+         "[[0, 1], [0, 0]]", "delta must hold only numbers, got '1'"),
+        ('{"node_names": ["a", "b"], "delta": [[0, 1], [1, 0]], "raw_log_ratios": [[0, true], [1, 0]]}',
+         "[[0, 1], [0, 0]]", "raw_log_ratios must hold only numbers, got True"),
         (None, "[[0, 1], [0, ", "cannot read ground truth from"),
         (None, '{"truth": [[0, 1], [0, 0]]}', "has no 'ground_truth' key"),
     ])

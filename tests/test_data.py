@@ -130,6 +130,20 @@ class TestIngestCsv:
             panel_to_csv(panel)
 
 
+    def test_first_name_with_byte_order_mark_refused(self):
+        # ingest_csv strips a leading U+FEFF as a byte-order mark, so
+        # ("\ufeffa", "b", "c") would read back as ("a", "b", "c")
+        name = "\ufeffa"
+        panel = make_panel(np.eye(3), (name, "b", "c"))
+        with pytest.raises(ValueError, match=f"^node name {re.escape(repr(name))} cannot be written to CSV"):
+            panel_to_csv(panel)
+
+    def test_later_name_with_byte_order_mark_round_trips(self):
+        panel = make_panel(np.eye(3), ("a", "\ufeffb", "c\ufeff"))
+        again = ingest_csv(panel_to_csv(panel))
+        assert again.node_names == panel.node_names
+        np.testing.assert_array_equal(again.values, panel.values)
+
 class TestNormalize:
     def test_hand_example(self):
         # [1, 2, 3]: mean 2, population std sqrt(2/3)

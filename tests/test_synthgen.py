@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from preimage_gc import GENERATOR_IDS, generate, ground_truth_edges
 from preimage_gc.errors import InstabilityError
@@ -203,6 +205,21 @@ class TestDeterminism:
         a = generate(gen, 100, 1)
         b = generate(gen, 100, 2)
         assert np.abs(a.panel.values - b.panel.values).max() > 1e-6
+
+    @given(
+        st.sampled_from(GENERATOR_IDS),
+        st.integers(min_value=50, max_value=300),
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.integers(min_value=0, max_value=999),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_shorter_panel_is_a_prefix(self, gen, T1, extra, seed, burn_in):
+        # bench takes every T's panel from one trajectory at the largest T
+        params = {"burn_in": burn_in}
+        short = generate(gen, T1, seed, params=params).panel.values
+        long = generate(gen, T1 + extra, seed, params=params).panel.values
+        assert short.tobytes() == long[:T1].tobytes()
 
     def test_negative_seed_is_folded_deterministically(self):
         a = generate("linear5", 60, -5)
