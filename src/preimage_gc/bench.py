@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import multiprocessing
@@ -15,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .causality import PipelineConfig, infer_graph
-from .data import TimeSeriesPanel
+from .data import TimeSeriesPanel, _csv_text
 from .errors import ConfigError, InstabilityError, PreimageGCError, ShapeError, UndefinedAucError
 from .synthgen import GENERATOR_IDS, MIN_T, generate
 
@@ -120,21 +118,12 @@ class BenchmarkReport:
     summaries: tuple
 
     def to_records_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["generator_id", "method_id", "T", "seed", "auc", "error"])
-        for r in self.records:
-            writer.writerow(
-                [
-                    r.generator_id,
-                    r.method_id,
-                    r.T,
-                    r.seed,
-                    "" if r.auc is None else repr(r.auc),
-                    "" if r.error is None else r.error,
-                ]
-            )
-        return buf.getvalue()
+        header = ("generator_id", "method_id", "T", "seed", "auc", "error")
+        return _csv_text([header] + [
+            (r.generator_id, r.method_id, r.T, r.seed,
+             "" if r.auc is None else repr(r.auc), "" if r.error is None else r.error)
+            for r in self.records
+        ])
 
     def to_summaries_json(self) -> str:
         return json.dumps([asdict(s) for s in self.summaries], indent=2) + "\n"

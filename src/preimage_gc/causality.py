@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TimeSeriesPanel, _freeze, normalize_columns
+from .data import TimeSeriesPanel, _csv_text, _freeze, _node_names, normalize_columns
 from .errors import (
     DegenerateModelError,
     InsufficientSamplesError,
@@ -24,7 +24,7 @@ from .errors import (
 )
 from .kernels import KernelPcaModel, KernelSpec, _check_p_select, fit_kernel_pca
 from .preimage import PreimageMap, learn_preimage, reconstruct
-from .varm import DEFAULT_RIDGE, VarModelFit, fit_var, predict, residual_variance_about
+from .varm import DEFAULT_RIDGE, VarModelFit, fit_var, residual_variance_about
 
 # The sentinel kernel PipelineConfig accepts besides a KernelSpec: it
 # skips the feature lift entirely (coordinates are the normalized inputs
@@ -60,8 +60,9 @@ class FullModelResult:
     """One fitted pipeline: inputs, features, stage models, reconstruction.
 
     reconstruction holds predicted inputs for rows lag..T-1 of the
-    normalized series; residual_variance is the per-column population
-    variance of (normalized[lag:] - reconstruction).
+    normalized series, the pre-image of var_fit.fitted; residual_variance
+    is the per-column population variance of (normalized[lag:] -
+    reconstruction).
     """
 
     normalized: np.ndarray
@@ -120,17 +121,15 @@ def _fit_pipeline(
                 if not (cap_rank and err.achievable_rank):
                     raise
                 kpca = fit_kernel_pca(config.kernel, X, err.achievable_rank)
-            # project(kpca, X) without a second gram: Kc @ U / sqrt(lam) = U sqrt(lam)
-            H = kpca.dual_coefficients * kpca.eigenvalues
+            H = kpca.coordinates
 
     with _tagged("[var]"):
         var_fit = fit_var(H, config.lag, config.ridge_var)
-        H_hat = predict(var_fit, H)
 
     with _tagged("[preimage]"):
         Y_t = X[config.lag :]
         pmap = learn_preimage(Y_t, H[config.lag :], config.ridge_preimage)
-        Y_hat = reconstruct(pmap, H_hat)
+        Y_hat = reconstruct(pmap, var_fit.fitted)
         residual_variance = residual_variance_about(Y_t, Y_hat)
 
     return FullModelResult(
@@ -181,13 +180,11 @@ class CausalGraph:
     def __post_init__(self):
         _freeze(self, "delta", "raw_log_ratios")
         delta, raw = self.delta, self.raw_log_ratios
-        names = tuple(str(n) for n in self.node_names)
         if delta.ndim != 2 or delta.shape[0] != delta.shape[1]:
             raise ValueError(f"delta must be square, got shape {delta.shape}")
         if raw.shape != delta.shape:
             raise ValueError("raw_log_ratios must match delta's shape")
-        if len(names) != delta.shape[0]:
-            raise ValueError("node_names length must match delta")
+        names = _node_names(self.node_names, delta.shape[0], "delta")
         if not np.all(np.isfinite(delta)) or not np.all(np.isfinite(raw)):
             raise ValueError("graph entries must be finite")
         if np.any(delta < 0):
@@ -216,10 +213,8 @@ class CausalGraph:
         ]
 
     def to_edge_csv(self) -> str:
-        lines = ["cause,effect,delta"]
-        for cause, effect, value in self.edge_rows():
-            lines.append(f"{cause},{effect},{repr(value)}")
-        return "\n".join(lines) + "\n"
+        rows = [(cause, effect, repr(value)) for cause, effect, value in self.edge_rows()]
+        return _csv_text([("cause", "effect", "delta")] + rows)
 
     def to_dict(self) -> dict:
         return {
@@ -235,11 +230,14 @@ class CausalGraph:
         missing = {"node_names", "delta", "raw_log_ratios"} - set(payload)
         if missing:
             raise ValueError(f"graph dict is missing keys: {sorted(missing)}")
-        if not isinstance(payload["node_names"], list):
-            raise ValueError(f"node_names must be a list, got {type(payload['node_names']).__name__}")
+        names = payload["node_names"]
+        if not isinstance(names, list):
+            raise ValueError(f"node_names must be a list, got {type(names).__name__}")
+        if not all(isinstance(name, str) for name in names):
+            raise ValueError(f"node_names must hold only strings, got {names!r}")
         return cls(
             delta=_number_array(payload, "delta"),
-            node_names=tuple(payload["node_names"]),
+            node_names=tuple(names),
             raw_log_ratios=_number_array(payload, "raw_log_ratios"),
         )
 

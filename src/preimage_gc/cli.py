@@ -87,9 +87,9 @@ def _pipeline_config_from_items(section, items) -> PipelineConfig:
         bandwidth = items.get("bandwidth", "median")
         if bandwidth != "median":
             spec_kwargs["bandwidth"] = _parse_float(section, "bandwidth", bandwidth)
-    elif kernel_name == "polynomial":
-        spec_kwargs["degree"] = _parse_int(section, "degree", items.get("degree", "2"))
-        spec_kwargs["offset"] = _parse_float(section, "offset", items.get("offset", "1.0"))
+    for key, parse in (("degree", _parse_int), ("offset", _parse_float)):
+        if key in items:
+            spec_kwargs[key] = parse(section, key, items[key])
 
     kwargs = {}
     if "p_select" in items:

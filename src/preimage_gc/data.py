@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import os
 from dataclasses import dataclass
@@ -45,6 +47,34 @@ def _freeze(obj, *names, dtype=float, order="K"):
         object.__setattr__(obj, name, _frozen_array(getattr(obj, name), dtype, order))
 
 
+def _refuse_overflow(values, what, fix="rescale the input or normalize it"):
+    """DegenerateInputError "<what> float64; <fix>" unless values are all
+    finite; the caller's inputs are, so a non-finite value is an overflow."""
+    if not np.isfinite(values).all():
+        raise DegenerateInputError(f"{what} float64; {fix}")
+
+
+def _csv_text(rows):
+    """rows as CSV text, fields quoted where they need it, each line ended
+    by a bare newline."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _node_names(names, count, what):
+    """names as a tuple of str, one per entry of what; ValueError unless
+    there are count of them, each nonempty and all distinct."""
+    names = tuple(str(n) for n in names)
+    if len(names) != count:
+        raise ValueError(f"node_names length must match {what}: got {len(names)}, need {count}")
+    if any(not n for n in names):
+        raise ValueError("node names must be nonempty")
+    if len(set(names)) != len(names):
+        raise ValueError("node names must be unique")
+    return names
+
+
 @dataclass(frozen=True)
 class TimeSeriesPanel:
     """A multivariate series: ``values`` is T x N, column j belongs to ``node_names[j]``.
@@ -68,16 +98,7 @@ class TimeSeriesPanel:
             raise ValueError(f"panel needs at least 2 nodes, got {N}")
         if not np.all(np.isfinite(values)):
             raise ValueError("panel values must be finite")
-        names = tuple(str(n) for n in self.node_names)
-        if len(names) != N:
-            raise ValueError(
-                f"got {len(names)} node names for {N} columns"
-            )
-        if any(not n for n in names):
-            raise ValueError("node names must be nonempty")
-        if len(set(names)) != len(names):
-            raise ValueError("node names must be unique")
-        object.__setattr__(self, "node_names", names)
+        object.__setattr__(self, "node_names", _node_names(self.node_names, N, "the columns"))
 
     @property
     def n_samples(self):

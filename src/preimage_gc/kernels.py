@@ -14,7 +14,7 @@ from scipy.linalg.blas import daxpy, ddot, dgemm, dgemv, dnrm2, dscal, dsymv
 from scipy.linalg.lapack import dstevd, dsyevd
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from .data import _as_matrix, _freeze
+from .data import _as_matrix, _freeze, _refuse_overflow
 from .errors import (
     DegenerateInputError,
     EigensolverError,
@@ -295,6 +295,12 @@ class KernelPcaModel:
     def n_components(self):
         return self.dual_coefficients.shape[1]
 
+    @property
+    def coordinates(self) -> np.ndarray:
+        """The training points' own coordinates, project(self, training_points)
+        without a second gram: Kc @ U / sqrt(lam) = U sqrt(lam)."""
+        return self.dual_coefficients * self.eigenvalues
+
 
 def _check_p_select(p_select):
     """Accept an int count >= 1 or a float fraction in (0, 1]; else ValueError."""
@@ -463,9 +469,10 @@ def _lanczos_top(K, col_means, grand_mean, p_select):
 def _check_finite_gram(spec, means):
     """DegenerateInputError unless a gram's row or column means are finite:
     its points are, so a non-finite entry, which reaches them, is an overflow."""
-    if not np.isfinite(means).all():
-        fix = "lower the degree or offset" if spec.kind == "polynomial" else "rescale the input or normalize it"
-        raise DegenerateInputError(f"the {spec.kind} gram overflows float64; {fix}")
+    if spec.kind == "polynomial":
+        _refuse_overflow(means, "the polynomial gram overflows", "lower the degree or offset")
+    else:
+        _refuse_overflow(means, f"the {spec.kind} gram overflows")
 
 
 def fit_kernel_pca(spec: KernelSpec, X, p_select) -> KernelPcaModel:

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _as_matrix, _freeze
-from .errors import DegenerateInputError, ShapeError
+from .data import _as_matrix, _freeze, _refuse_overflow
+from .errors import ShapeError
 from .varm import DEFAULT_RIDGE, _solve_ridge
 
 
@@ -51,10 +51,7 @@ def learn_preimage(Y, H, ridge_lambda: float = DEFAULT_RIDGE) -> PreimageMap:
     Gt = _solve_ridge(H, Y, ridge_lambda, "feature matrix")
     with np.errstate(over="ignore", invalid="ignore"):
         fit_error = float(np.mean((Y - H @ Gt) ** 2))
-    if not np.isfinite(fit_error):
-        raise DegenerateInputError(
-            "pre-image training error overflows float64; rescale the input or normalize it"
-        )
+    _refuse_overflow(fit_error, "pre-image training error overflows")
     return PreimageMap(
         gamma=Gt.T, ridge_lambda=float(ridge_lambda), training_fit_error=fit_error
     )

@@ -9,7 +9,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateInputError, EigensolverError, RankError, ShapeError
-from .data import _as_matrix, _freeze, _frozen_array, lag_embed
+from .data import _as_matrix, _freeze, _frozen_array, _refuse_overflow, lag_embed
 
 # The ridge penalty of both solves, fit_var's and learn_preimage's, unless
 # the caller or the PipelineConfig picks another.
@@ -22,29 +22,22 @@ class VarModelFit:
 
     coefficients[ell - 1] is the D x D matrix A_ell in
     y_t = sum_ell A_ell y_{t-ell} + e_t, acting on column vectors.
-    residuals are in-sample (targets minus one-step predictions) and
-    residual_variance their per-column population variance.
+    fitted holds the in-sample one-step predictions of rows lag..T-1 of
+    the series, and residual_variance the per-column population variance
+    of those rows minus fitted.
     """
 
     coefficients: tuple
     lag: int
     ridge_lambda: float
-    residuals: np.ndarray
+    fitted: np.ndarray
     residual_variance: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(
             self, "coefficients", tuple(_frozen_array(A) for A in self.coefficients)
         )
-        _freeze(self, "residuals", "residual_variance")
-
-    @property
-    def n_dims(self):
-        return self.coefficients[0].shape[0]
-
-    def stacked(self) -> np.ndarray:
-        """The (D*L) x D matrix B with predictions = design @ B."""
-        return np.vstack([A.T for A in self.coefficients])
+        _freeze(self, "fitted", "residual_variance")
 
 
 def _column_variance(R):
@@ -52,10 +45,7 @@ def _column_variance(R):
     DegenerateInputError when it overflows float64."""
     with np.errstate(over="ignore", invalid="ignore"):
         variance = R.var(axis=0)
-    if not np.isfinite(variance).all():
-        raise DegenerateInputError(
-            "residual variance overflows float64; rescale the input or normalize it"
-        )
+    _refuse_overflow(variance, "residual variance overflows")
     return variance
 
 
@@ -94,10 +84,8 @@ def _solve_ridge(X, Y, ridge_lambda, label) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         G = X.T @ X + ridge_lambda * np.eye(n)
         XtY = X.T @ Y
-    if not (np.isfinite(G).all() and np.isfinite(XtY).all()):
-        raise DegenerateInputError(
-            f"the {label}'s normal equations overflow float64; rescale the input or normalize it"
-        )
+    for product in (G, XtY):
+        _refuse_overflow(product, f"the {label}'s normal equations overflow")
     try:
         return scipy.linalg.solve(G, XtY, assume_a="pos")
     except np.linalg.LinAlgError as err:
@@ -126,24 +114,15 @@ def fit_var(series, lag: int = 1, ridge_lambda: float = DEFAULT_RIDGE) -> VarMod
         )
     Z, Y = emb.design, emb.targets
     B = _solve_ridge(Z, Y, ridge_lambda, "design")
-    residuals = Y - Z @ B
+    fitted = Z @ B
     coefficients = tuple(B[ell * D : (ell + 1) * D, :].T for ell in range(lag))
     return VarModelFit(
         coefficients=coefficients,
         lag=lag,
         ridge_lambda=float(ridge_lambda),
-        residuals=residuals,
-        residual_variance=_column_variance(residuals),
+        fitted=fitted,
+        residual_variance=_column_variance(Y - fitted),
     )
-
-
-def predict(fit: VarModelFit, series) -> np.ndarray:
-    """One-step predictions for rows lag..T-1 of ``series``."""
-    series = _as_matrix(series, "series")
-    if series.shape[1] != fit.n_dims:
-        raise ShapeError(f"series must have {fit.n_dims} columns, got {series.shape[1]}")
-    emb = lag_embed(series, fit.lag)
-    return emb.design @ fit.stacked()
 
 
 def residual_variance_about(Y, Yhat) -> np.ndarray:

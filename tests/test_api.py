@@ -121,8 +121,8 @@ def _kpca(a):
 
 
 def _var_fit(a):
-    fit = VarModelFit((a["square"],), 1, 0.0, a["tall"], a["vector"])
-    return fit, {"residuals": a["tall"], "residual_variance": a["vector"]}
+    fit = VarModelFit((a["square"],), 1, 0.0, fitted=a["tall"], residual_variance=a["vector"])
+    return fit, {"fitted": a["tall"], "residual_variance": a["vector"]}
 
 
 def _pmap(a):
@@ -165,7 +165,7 @@ def test_array_fields_are_read_only_copies(build):
 
 def test_var_coefficients_are_read_only_copies():
     A = np.eye(2)
-    fit = VarModelFit((A,), 1, 0.0, np.zeros((3, 2)), np.zeros(2))
+    fit = VarModelFit((A,), 1, 0.0, fitted=np.zeros((3, 2)), residual_variance=np.zeros(2))
     A[0, 0] = 5.0
     assert fit.coefficients[0][0, 0] == 1.0
     assert not fit.coefficients[0].flags.writeable

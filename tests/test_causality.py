@@ -1,5 +1,7 @@
 """End-to-end causal pipeline: index formula, graphs, invariances."""
 
+import csv
+import io
 import math
 import re
 import warnings
@@ -21,6 +23,7 @@ from preimage_gc import (
     linear_gc_baseline,
     normalize_columns,
     project,
+    reconstruct,
     run_full_model,
 )
 from preimage_gc.causality import CausalGraph
@@ -245,7 +248,22 @@ class TestRunFullModel:
             panel = random_panel(T, 3, seed=5)
             result = run_full_model(panel)
             ref = project(result.kpca, result.normalized)
-            assert np.max(np.abs(result.features - ref)) <= 1e-10 * np.max(np.abs(ref)), T
+            coordinates = result.kpca.coordinates
+            assert np.max(np.abs(coordinates - ref)) <= 1e-10 * np.max(np.abs(ref)), T
+            np.testing.assert_array_equal(result.features, coordinates)
+
+    @pytest.mark.parametrize("config", [
+        PipelineConfig(),
+        PipelineConfig(kernel=IDENTITY, lag=2),
+        PipelineConfig(kernel=KernelSpec("polynomial"), p_select=4, lag=3),
+    ], ids=["rbf", "identity-lag2", "polynomial-lag3"])
+    def test_reconstruction_is_the_preimage_of_the_var_fitted_values(self, config):
+        # the pre-image stage maps the VAR's own in-sample predictions back
+        result = run_full_model(random_panel(90, 3, seed=6), config)
+        np.testing.assert_array_equal(
+            result.reconstruction, reconstruct(result.preimage_map, result.var_fit.fitted)
+        )
+        assert result.var_fit.fitted.shape == (90 - config.lag, result.features.shape[1])
 
 
 class TestInferGraph:
@@ -515,6 +533,48 @@ class TestCausalGraph:
         lines = text.strip().split("\n")
         assert lines[0] == "cause,effect,delta"
         assert lines[1].startswith("b,c,")
+
+    def test_edge_csv_plain_names_verbatim(self):
+        assert self.make_graph().to_edge_csv() == (
+            "cause,effect,delta\nb,c,0.9\na,b,0.5\nc,a,0.2\na,c,0.1\nb,a,0.0\nc,b,0.0\n"
+        )
+
+    def test_edge_csv_quotes_names_that_need_it(self):
+        names = ("a,b", 'say "c"', "d\ne")
+        delta = np.array([[0.0, 0.5, 0.1], [0.0, 0.0, 0.9], [0.2, 0.0, 0.0]])
+        graph = CausalGraph(delta=delta, node_names=names, raw_log_ratios=delta)
+        rows = list(csv.reader(io.StringIO(graph.to_edge_csv())))
+        assert rows[0] == ["cause", "effect", "delta"]
+        assert [tuple(r) for r in rows[1:]] == [
+            (cause, effect, repr(value)) for cause, effect, value in graph.edge_rows()
+        ]
+
+    def test_inferred_graph_edge_csv_keeps_three_fields(self):
+        panel = random_panel(60, 2, seed=8, names=("a,b", "c"))
+        rows = list(csv.reader(io.StringIO(infer_graph(panel).to_edge_csv())))
+        assert rows[0] == ["cause", "effect", "delta"]
+        assert sorted(r[:2] for r in rows[1:]) == [["a,b", "c"], ["c", "a,b"]]
+        assert {len(r) for r in rows} == {3}
+
+    @pytest.mark.parametrize("names, message", [
+        (("a", "a"), "node names must be unique"),
+        (("", "b"), "node names must be nonempty"),
+        (("a", "b", "c"), "node_names length must match delta: got 3, need 2"),
+    ])
+    def test_rejects_node_names_a_panel_refuses(self, names, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CausalGraph(delta=np.zeros((2, 2)), node_names=names, raw_log_ratios=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("names, message", [
+        ([None, None], "node_names must hold only strings, got [None, None]"),
+        ([[1, 2], "a,b"], "node_names must hold only strings, got [[1, 2], 'a,b']"),
+        (["a", 2], "node_names must hold only strings, got ['a', 2]"),
+        (["", " x"], "node names must be nonempty"),
+    ])
+    def test_from_dict_refuses_bad_node_names(self, names, message):
+        payload = {"node_names": names, "delta": [[0, 1], [1, 0]], "raw_log_ratios": [[0, 1], [1, 0]]}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CausalGraph.from_dict(payload)
 
     def test_dict_round_trip(self):
         graph = self.make_graph()

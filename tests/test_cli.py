@@ -12,7 +12,7 @@ import pytest
 
 import preimage_gc
 import preimage_gc.kernels as kernels_module
-from preimage_gc import PipelineConfig, TimeSeriesPanel, ingest_csv
+from preimage_gc import KernelSpec, PipelineConfig, TimeSeriesPanel, ingest_csv
 from preimage_gc.data import panel_to_csv
 from preimage_gc.cli import _pipeline_config_from_file, main
 
@@ -502,6 +502,10 @@ class TestEval:
          "[[0, 1], [0, 0]]", "raw_log_ratios must match delta's shape"),
         ('{"node_names": ["a", "b", "c"], "delta": [[0, 1], [1, 0]], "raw_log_ratios": [[0, 1], [1, 0]]}',
          "[[0, 1], [0, 0]]", "node_names length must match delta"),
+        ('{"node_names": [null, null], "delta": [[0, 1], [1, 0]], "raw_log_ratios": [[0, 1], [1, 0]]}',
+         "[[0, 1], [0, 0]]", "node_names must hold only strings, got [None, None]"),
+        ('{"node_names": ["a", "a"], "delta": [[0, 1], [1, 0]], "raw_log_ratios": [[0, 1], [1, 0]]}',
+         "[[0, 1], [0, 0]]", "node names must be unique"),
         ('{"node_names": ["a", "b"], "delta": [[0, NaN], [1, 0]], "raw_log_ratios": [[0, 1], [1, 0]]}',
          "[[0, 1], [0, 0]]", "graph entries must be finite"),
         ('{"node_names": ["a", "b"], "delta": {"a": [0, 1]}, "raw_log_ratios": [[0, 1], [1, 0]]}',
@@ -543,6 +547,11 @@ class TestEval:
 class TestShippedConfigs:
     def test_river_config_writes_out_the_defaults(self):
         assert _pipeline_config_from_file(CONFIGS / "river.ini") == PipelineConfig()
+
+    def test_polynomial_without_degree_or_offset_takes_the_spec_defaults(self, tmp_path):
+        config = tmp_path / "poly.ini"
+        config.write_text("[pipeline]\nkernel = polynomial\n")
+        assert _pipeline_config_from_file(config) == PipelineConfig(kernel=KernelSpec("polynomial"))
 
     def test_full_sweep_grid(self, capsys):
         assert run(["bench", "--config", str(CONFIGS / "full_sweep.ini"), "--dry-run"]) == 0

@@ -55,7 +55,7 @@ class TestPanel:
             make_panel([[1.0, 2.0], [3.0, 4.0]], names=("a", "a"))
 
     def test_rejects_name_count_mismatch(self):
-        with pytest.raises(ValueError, match="names"):
+        with pytest.raises(ValueError, match="^node_names length must match the columns: got 3, need 2$"):
             make_panel([[1.0, 2.0], [3.0, 4.0]], names=("a", "b", "c"))
 
     def test_rejects_1d_values(self):

@@ -1,4 +1,4 @@
-"""VAR fitting: recovery, ridge behavior, prediction identities."""
+"""VAR fitting: recovery, ridge behavior, in-sample fitted values."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from preimage_gc import fit_var
 from preimage_gc.data import lag_embed
 from preimage_gc.errors import DegenerateInputError, InsufficientSamplesError, RankError, ShapeError
-from preimage_gc.varm import VarModelFit, predict, residual_variance_about
+from preimage_gc.varm import residual_variance_about
 from preimage_gc.varm import DEFAULT_RIDGE, _solve_ridge
 
 
@@ -51,7 +51,7 @@ class TestFitVar:
             series = rng.normal(size=(60, D))
             fit = fit_var(series, lag=lag, ridge_lambda=0.0)
             emb = lag_embed(series, lag)
-            cross = emb.design.T @ fit.residuals
+            cross = emb.design.T @ (emb.targets - fit.fitted)
             scale = np.abs(emb.design).max() * np.abs(emb.targets).max()
             assert np.abs(cross).max() < 1e-8 * max(scale, 1.0)
 
@@ -60,9 +60,7 @@ class TestFitVar:
         series = rng.normal(size=(100, 2))
         fit = fit_var(series, lag=1, ridge_lambda=1e12)
         assert np.abs(fit.coefficients[0]).max() < 1e-6
-        np.testing.assert_allclose(
-            fit.residuals, lag_embed(series, 1).targets, atol=1e-6
-        )
+        np.testing.assert_allclose(fit.fitted, 0.0, atol=1e-6)
 
     def test_ridge_path_monotone_shrinkage(self):
         rng = np.random.default_rng(4)
@@ -167,43 +165,30 @@ class TestNonFiniteInput:
             fit_var(series, lag=1, ridge_lambda=0.0)
 
 
-class TestPredict:
+class TestFitted:
     def test_hand_example(self):
-        fit = VarModelFit(
-            coefficients=(np.array([[0.5]]),),
-            lag=1,
-            ridge_lambda=0.0,
-            residuals=np.zeros((2, 1)),
-            residual_variance=np.zeros(1),
-        )
-        out = predict(fit, np.array([[1.0], [2.0], [4.0]]))
-        np.testing.assert_array_equal(out, [[0.5], [1.0]])
+        # y_t = 2 y_{t-1} fits exactly, so the fitted rows are the targets
+        fit = fit_var(np.array([[1.0], [2.0], [4.0]]), lag=1, ridge_lambda=0.0)
+        np.testing.assert_allclose(fit.fitted, [[2.0], [4.0]], rtol=1e-12)
+        assert fit.fitted.shape == (2, 1)
 
-    def test_training_predictions_plus_residuals_recover_targets(self):
-        rng = np.random.default_rng(9)
-        series = rng.normal(size=(50, 3))
+    @pytest.mark.parametrize("ridge", [0.0, 1e-3])
+    @pytest.mark.parametrize("lag", [1, 2, 3])
+    def test_fitted_is_design_times_stacked_coefficients(self, lag, ridge):
+        # the one-step prediction formula, design @ [A_1^T; ...; A_L^T],
+        # reproduces fitted bit for bit
+        series = np.random.default_rng(9).normal(size=(50, 3))
+        fit = fit_var(series, lag=lag, ridge_lambda=ridge)
+        stacked = np.vstack([A.T for A in fit.coefficients])
+        np.testing.assert_array_equal(fit.fitted, lag_embed(series, lag).design @ stacked)
+
+    def test_residual_variance_is_about_fitted(self):
+        series = np.random.default_rng(10).normal(size=(40, 2))
         fit = fit_var(series, lag=2, ridge_lambda=1e-3)
-        emb = lag_embed(series, 2)
-        np.testing.assert_allclose(
-            predict(fit, series) + fit.residuals, emb.targets, atol=1e-12
+        np.testing.assert_array_equal(
+            fit.residual_variance,
+            residual_variance_about(lag_embed(series, 2).targets, fit.fitted),
         )
-
-    def test_zero_coefficients_predict_zero(self):
-        fit = VarModelFit(
-            coefficients=(np.zeros((2, 2)),),
-            lag=1,
-            ridge_lambda=0.0,
-            residuals=np.zeros((1, 2)),
-            residual_variance=np.zeros(2),
-        )
-        out = predict(fit, np.arange(10.0).reshape(5, 2))
-        np.testing.assert_array_equal(out, np.zeros((4, 2)))
-
-    def test_wrong_width(self):
-        rng = np.random.default_rng(10)
-        fit = fit_var(rng.normal(size=(30, 2)), lag=1)
-        with pytest.raises(ShapeError):
-            predict(fit, rng.normal(size=(10, 3)))
 
 
 class TestResidualVarianceAbout:
