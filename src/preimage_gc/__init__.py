@@ -11,7 +11,7 @@ submodule, and every error class in ``preimage_gc.errors``.
 """
 
 from .data import TimeSeriesPanel, ingest_csv, normalize_columns
-from .kernels import KernelSpec, fit_kernel_pca, median_bandwidth, project
+from .kernels import KernelSpec, fit_kernel_pca
 from .varm import fit_var
 from .preimage import learn_preimage, reconstruct
 from .causality import (
@@ -40,10 +40,8 @@ __all__ = [
     "ingest_csv",
     "learn_preimage",
     "linear_gc_baseline",
-    "median_bandwidth",
     "normalize_columns",
     "off_diagonal",
-    "project",
     "reconstruct",
     "roc_auc",
     "run_benchmark",

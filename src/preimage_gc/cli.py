@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -20,8 +19,6 @@ from .data import ingest_csv, panel_to_csv
 from .errors import ConfigError, PreimageGCError
 from .kernels import KERNEL_KINDS, KernelSpec
 from .synthgen import GENERATOR_IDS, generate
-
-JOBS_ENV_VAR = "PREIMAGE_GC_JOBS"
 
 PIPELINE_KEYS = (
     "kernel",
@@ -171,23 +168,6 @@ def _bench_setup_from_file(path: Path):
     return generators, methods, T_grid, seeds
 
 
-def _resolve_jobs(flag_value):
-    if flag_value is not None:
-        jobs = flag_value
-    else:
-        raw = os.environ.get(JOBS_ENV_VAR)
-        if raw is None:
-            jobs = 1
-        else:
-            try:
-                jobs = int(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"{JOBS_ENV_VAR} must be an integer, got {raw!r}"
-                ) from None
-    return jobs
-
-
 def _cmd_infer(args) -> int:
     data_path = _require_file(args.data)
     if args.config is None:
@@ -241,7 +221,7 @@ def _cmd_bench(args) -> int:
     config_path = _require_file(args.config)
     # run_benchmark's own checks, so --dry-run refuses what a run would
     generators, methods, T_grid, seeds, jobs = _checked_grid(
-        *_bench_setup_from_file(config_path), _resolve_jobs(args.jobs)
+        *_bench_setup_from_file(config_path), args.jobs
     )
     total = len(generators) * len(methods) * len(T_grid) * len(seeds)
     if args.dry_run:
@@ -327,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run a benchmark sweep from a config")
     p_bench.add_argument("--config", required=True, help="INI file with [bench] and [method ...] sections")
     p_bench.add_argument("--out", default=".", help="output directory (default: .)")
-    p_bench.add_argument("--jobs", type=int, help=f"worker processes (default: ${JOBS_ENV_VAR} or 1)")
+    p_bench.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1)")
     p_bench.add_argument("--dry-run", action="store_true", help="print the cell count and exit")
     p_bench.set_defaults(handler=_cmd_bench)
 

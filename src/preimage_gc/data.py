@@ -131,7 +131,8 @@ def ingest_csv(source) -> TimeSeriesPanel:
     ``source`` may be CSV text, a path (str paths are treated as text, so
     pass ``pathlib.Path`` for files), or an open file object. Every row
     must have exactly as many cells as the header, and every cell must be
-    a finite float; violations name the offending row/column.
+    a finite float written in ASCII without digit grouping; violations
+    name the offending row/column.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -161,16 +162,21 @@ def ingest_csv(source) -> TimeSeriesPanel:
             raise CsvFormatError(
                 f"row {r} has {len(cells)} cells, expected {n_cols}"
             )
+        # float also reads digit grouping and non-ASCII digits ("1_000",
+        # "\u0663"); only the cells of a line that holds either are searched
+        unplain = "_" in line or not line.isascii()
         row = []
         for c, cell in enumerate(cells):
             try:
                 value = float(cell)
             except ValueError:
                 value = math.nan
-            if not math.isfinite(value):
+            if not math.isfinite(value) or unplain and ("_" in cell or not cell.isascii()):
+                # ASCII blanks only, so the repr shows a non-ASCII space
+                shown = cell.strip(" \t")
                 raise CsvParseError(
                     f"row {r}, column {header[c]!r}: "
-                    f"cannot parse {cell.strip()!r} as a finite number"
+                    f"cannot parse {shown!r} as a finite number"
                 )
             row.append(value)
         rows[r - 2] = row

@@ -162,10 +162,21 @@ class KernelSpec:
                 f"finite float64, got {self.bandwidth!r}"
             )
         if self.kind == "polynomial":
-            if int(self.degree) != self.degree or self.degree < 1:
+            if not _positive_integer(self.degree):
                 raise ValueError("polynomial degree must be a positive integer")
             if not 0 <= self.offset < math.inf:
                 raise ValueError(f"polynomial offset must be finite and nonnegative, got {self.offset!r}")
+
+
+def _positive_integer(value):
+    """Whether value is a whole number >= 1 that is not a bool: 2 and 2.0
+    are, True, nan and inf are not."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
+    try:
+        return value >= 1 and int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def _as_points(X, name):
@@ -243,20 +254,12 @@ def _median_distance(d):
     return med
 
 
-def median_bandwidth(X) -> float:
-    """Median pairwise euclidean distance, the usual rbf length scale."""
-    X = _as_points(X, "X")
-    if X.shape[0] < 2:
-        raise InsufficientSamplesError("median bandwidth needs at least 2 points")
-    return _median_distance(pdist(X, "sqeuclidean"))
-
-
 def _rbf_gram(spec, X):
     """The rbf gram K(X, X) and the spec it used, from one pdist of squared
     distances.
 
     A spec without a bandwidth takes the median pairwise distance from a
-    partitioned copy, equal bit for bit to median_bandwidth(X). The kernel
+    partitioned copy, equal bit for bit to np.median(pdist(X)). The kernel
     runs on the T(T-1)/2 condensed entries before squareform spreads them,
     and the diagonal is exp(-0) = 1 of the zero self-distances; K equals
     gram(spec, X, X) bit for bit.
@@ -272,24 +275,20 @@ def _rbf_gram(spec, X):
 
 @dataclass(frozen=True)
 class KernelPcaModel:
-    """Fitted kernel principal axes.
+    """Fitted kernel principal axes of the training points.
 
-    dual_coefficients has one column per component; projecting the
-    centered train/test gram onto it yields the component coordinate.
-    eigenvalues are the retained centered-gram eigenvalues, descending.
-    col_means / grand_mean are the training gram statistics needed to
-    center out-of-sample kernel rows.
+    spec is the kernel the fit used, an rbf's bandwidth included.
+    dual_coefficients has one column per component, the axis as weights
+    on the training points. eigenvalues are the retained centered-gram
+    eigenvalues, descending.
     """
 
     spec: KernelSpec
-    training_points: np.ndarray
     dual_coefficients: np.ndarray
     eigenvalues: np.ndarray
-    col_means: np.ndarray
-    grand_mean: float
 
     def __post_init__(self):
-        _freeze(self, "training_points", "dual_coefficients", "eigenvalues", "col_means")
+        _freeze(self, "dual_coefficients", "eigenvalues")
 
     @property
     def n_components(self):
@@ -297,8 +296,9 @@ class KernelPcaModel:
 
     @property
     def coordinates(self) -> np.ndarray:
-        """The training points' own coordinates, project(self, training_points)
-        without a second gram: Kc @ U / sqrt(lam) = U sqrt(lam)."""
+        """The training points' coordinates on the axes, Kc @ dual_coefficients
+        for their centered gram Kc, without that gram: Kc @ U / sqrt(lam) =
+        U sqrt(lam)."""
         return self.dual_coefficients * self.eigenvalues
 
 
@@ -466,15 +466,6 @@ def _lanczos_top(K, col_means, grand_mean, p_select):
     return None
 
 
-def _check_finite_gram(spec, means):
-    """DegenerateInputError unless a gram's row or column means are finite:
-    its points are, so a non-finite entry, which reaches them, is an overflow."""
-    if spec.kind == "polynomial":
-        _refuse_overflow(means, "the polynomial gram overflows", "lower the degree or offset")
-    else:
-        _refuse_overflow(means, f"the {spec.kind} gram overflows")
-
-
 def fit_kernel_pca(spec: KernelSpec, X, p_select) -> KernelPcaModel:
     """Eigendecompose the double-centered gram of X and keep leading axes.
 
@@ -499,8 +490,8 @@ def fit_kernel_pca(spec: KernelSpec, X, p_select) -> KernelPcaModel:
     float64, DegenerateInputError.
 
     An rbf spec without a bandwidth takes the median pairwise distance
-    of X; the model's spec carries the bandwidth used, so project needs
-    no other.
+    of X, np.median(pdist(X)) bit for bit; the model's spec carries the
+    bandwidth used.
     """
     X = _as_points(X, "X")
     M = X.shape[0]
@@ -516,7 +507,11 @@ def fit_kernel_pca(spec: KernelSpec, X, p_select) -> KernelPcaModel:
             K = gram(spec, X, X)
         # one pass, shared by the Lanczos run and the dense path's centering
         col_means = K.mean(axis=0)
-    _check_finite_gram(spec, col_means)
+    # X is finite, so a non-finite entry, which reaches its column's mean, is an overflow
+    if spec.kind == "polynomial":
+        _refuse_overflow(col_means, "the polynomial gram overflows", "lower the degree or offset")
+    else:
+        _refuse_overflow(col_means, f"the {spec.kind} gram overflows")
     # the mean of the column means, which the Lanczos run needs before any centering
     grand_mean = float(np.mean(col_means))
     # one hold for both solvers: a dense fallback on two threads made T = 400-500 infers 22-28% slower
@@ -535,26 +530,4 @@ def fit_kernel_pca(spec: KernelSpec, X, p_select) -> KernelPcaModel:
     P = A.shape[1]
     A *= np.where(A[np.argmax(np.abs(A), axis=0), np.arange(P)] < 0, -1.0, 1.0)
 
-    return KernelPcaModel(
-        spec=spec,
-        training_points=X,
-        dual_coefficients=A,
-        eigenvalues=lam,
-        col_means=col_means,
-        grand_mean=grand_mean,
-    )
-
-
-def project(model: KernelPcaModel, X) -> np.ndarray:
-    """Coordinates of new points on the fitted axes, training-centered.
-
-    A NaN or inf in X, and a gram with the training points that overflows
-    float64, raise DegenerateInputError.
-    """
-    # gram checks the points; an overflowing gram is refused, as fit_kernel_pca refuses it
-    with np.errstate(over="ignore", invalid="ignore"):
-        Kt = gram(model.spec, X, model.training_points)
-        row_means = Kt.mean(axis=1, keepdims=True)
-    _check_finite_gram(model.spec, row_means)
-    Kt = Kt - model.col_means[None, :] - row_means + model.grand_mean
-    return Kt @ model.dual_coefficients
+    return KernelPcaModel(spec=spec, dual_coefficients=A, eigenvalues=lam)

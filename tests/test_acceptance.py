@@ -24,10 +24,8 @@ from preimage_gc import (
     infer_graph,
     learn_preimage,
     linear_gc_baseline,
-    median_bandwidth,
     normalize_columns,
     off_diagonal,
-    project,
     reconstruct,
     roc_auc,
     run_benchmark,
@@ -169,7 +167,7 @@ def test_check_07_linear_kernel_pca_matches_classical_pca(capsys):
         U, S, _ = np.linalg.svd(Xc, full_matrices=False)
         classical = U * S
         model = fit_kernel_pca(KernelSpec("linear"), X, p_select=4)
-        scores = project(model, X)
+        scores = model.coordinates
         for p in range(4):
             col = scores[:, p]
             ref = classical[:, p]
@@ -184,7 +182,7 @@ def test_check_08_preimage_round_trip(capsys):
     rng = np.random.default_rng(88)
     X = normalize_columns(rng.standard_normal((40, 3)))
     model = fit_kernel_pca(KernelSpec("linear"), X, p_select=1.0)
-    H = project(model, X)
+    H = model.coordinates
     linear_mse = float(np.mean((X - reconstruct(learn_preimage(X, H, 0.0), H)) ** 2))
 
     t = np.arange(200.0)
@@ -192,9 +190,8 @@ def test_check_08_preimage_round_trip(capsys):
         [np.sin(2 * np.pi * t / 40), np.cos(2 * np.pi * t / 25), np.sin(2 * np.pi * t / 60 + 0.5)]
     )
     smooth = normalize_columns(smooth)
-    spec = KernelSpec("rbf", bandwidth=median_bandwidth(smooth))
-    model = fit_kernel_pca(spec, smooth, p_select=0.99)
-    H = project(model, smooth)
+    model = fit_kernel_pca(KernelSpec("rbf"), smooth, p_select=0.99)
+    H = model.coordinates
     recon = reconstruct(learn_preimage(smooth, H), H)
     rbf_ratio = float(np.mean((smooth - recon) ** 2) / smooth.var())
     ok = linear_mse < 1e-10 and rbf_ratio < 0.05

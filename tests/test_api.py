@@ -12,9 +12,7 @@ from preimage_gc import (
     fit_var,
     generate,
     learn_preimage,
-    median_bandwidth,
     normalize_columns,
-    project,
     run_full_model,
 )
 from preimage_gc.causality import CausalGraph
@@ -41,10 +39,8 @@ TOP_LEVEL = [
     "ingest_csv",
     "learn_preimage",
     "linear_gc_baseline",
-    "median_bandwidth",
     "normalize_columns",
     "off_diagonal",
-    "project",
     "reconstruct",
     "roc_auc",
     "run_benchmark",
@@ -80,8 +76,6 @@ _GUARDED = {
     "fit_kernel_pca": ("X", lambda bad: fit_kernel_pca(_LINEAR, bad, 1)),
     "gram X": ("X", lambda bad: gram(_LINEAR, bad, _GOOD)),
     "gram Z": ("Z", lambda bad: gram(_LINEAR, _GOOD, bad)),
-    "median_bandwidth": ("X", median_bandwidth),
-    "project": ("X", lambda bad: project(fit_kernel_pca(_LINEAR, _GOOD, 1), bad)),
 }
 
 
@@ -111,13 +105,8 @@ def _lagged(a):
 
 
 def _kpca(a):
-    model = KernelPcaModel(KernelSpec("linear"), a["tall"], a["tall"], a["vector"], a["vector"], 0.5)
-    return model, {
-        "training_points": a["tall"],
-        "dual_coefficients": a["tall"],
-        "eigenvalues": a["vector"],
-        "col_means": a["vector"],
-    }
+    model = KernelPcaModel(KernelSpec("linear"), a["tall"], a["vector"])
+    return model, {"dual_coefficients": a["tall"], "eigenvalues": a["vector"]}
 
 
 def _var_fit(a):

@@ -22,7 +22,6 @@ from preimage_gc import (
     infer_graph,
     linear_gc_baseline,
     normalize_columns,
-    project,
     reconstruct,
     run_full_model,
 )
@@ -33,7 +32,7 @@ from preimage_gc.errors import (
     InsufficientSamplesError,
     RankError,
 )
-from preimage_gc.kernels import LANCZOS_MIN_ORDER
+from preimage_gc.kernels import LANCZOS_MIN_ORDER, gram
 from preimage_gc.synthgen import generate
 
 
@@ -243,11 +242,14 @@ class TestRunFullModel:
 
     def test_training_features_equal_projection(self):
         # the pipeline reads training coordinates off the fit instead of
-        # projecting the training points again; both eigensolver paths
+        # projecting the training points through their centered gram Kc;
+        # both eigensolver paths
         for T in (120, LANCZOS_MIN_ORDER + 50):
             panel = random_panel(T, 3, seed=5)
             result = run_full_model(panel)
-            ref = project(result.kpca, result.normalized)
+            K = gram(result.kpca.spec, result.normalized, result.normalized)
+            Kc = K - K.mean(axis=0)[None, :] - K.mean(axis=1)[:, None] + K.mean()
+            ref = Kc @ result.kpca.dual_coefficients
             coordinates = result.kpca.coordinates
             assert np.max(np.abs(coordinates - ref)) <= 1e-10 * np.max(np.abs(ref)), T
             np.testing.assert_array_equal(result.features, coordinates)

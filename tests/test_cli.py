@@ -314,18 +314,6 @@ class TestBench:
             )
         assert outputs[0] == outputs[1] == outputs[2]
 
-    def test_env_var_sets_jobs(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PREIMAGE_GC_JOBS", "2")
-        out = tmp_path / "result"
-        assert run(["bench", "--config", str(self.config(tmp_path)), "--out", str(out)]) == 0
-        assert (out / "records.csv").is_file()
-
-    def test_bad_env_var_is_usage_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("PREIMAGE_GC_JOBS", "many")
-        code = run(["bench", "--config", str(self.config(tmp_path)), "--dry-run"])
-        assert code == 2
-        assert "PREIMAGE_GC_JOBS" in capsys.readouterr().err
-
     def test_no_methods_is_config_error(self, tmp_path, capsys):
         config = self.config(tmp_path, "[bench]\ngenerators = logistic2\nT_grid = 50\nseeds = 2\n")
         code = run(["bench", "--config", str(config), "--dry-run"])

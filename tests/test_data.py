@@ -93,6 +93,27 @@ class TestIngestCsv:
         with pytest.raises(CsvParseError, match="row 2, column 'c'"):
             ingest_csv("a,b,c\n1,2,-inf\n4,5\n")
 
+    # float() reads each of these cells, as 1000, 3, 3, 10.5 and 2
+    @pytest.mark.parametrize("text, where, cell", [
+        ("a,b\n1_000,2\n3,4\n", "row 2, column 'a'", "1_000"),
+        ("a,b\n1,2\n3,\u0663\n4,5\n", "row 3, column 'b'", "\u0663"),
+        ("a,b\n1,2\n\uff13,4\n", "row 3, column 'a'", "\uff13"),
+        ("a,b\n1,2\n3,4\n5,1_0.5\n", "row 4, column 'b'", "1_0.5"),
+        ("a,b\n1,2\u00a0\n", "row 2, column 'b'", "2\u00a0"),
+    ])
+    def test_digit_grouping_and_non_ascii_cells_rejected(self, text, where, cell):
+        message = f"{where}: cannot parse {cell!r} as a finite number"
+        with pytest.raises(CsvParseError, match=f"^{re.escape(message)}$"):
+            ingest_csv(text)
+
+    def test_non_ascii_cell_keeps_row_major_order(self):
+        # an unparsable cell precedes a grouped one in the same row
+        with pytest.raises(CsvParseError, match="row 2, column 'a': cannot parse 'x'"):
+            ingest_csv("a,b\nx,1_0\n")
+        # a grouped cell precedes a later row's unparsable one
+        with pytest.raises(CsvParseError, match="row 2, column 'b': cannot parse '1_0'"):
+            ingest_csv("a,b\n1,1_0\ny,2\n")
+
     def test_reads_an_open_file_object(self):
         panel = ingest_csv(io.StringIO("a,b\n1,2\n3,4\n"))
         assert panel.node_names == ("a", "b")

@@ -1,4 +1,4 @@
-"""Kernel evaluation, median bandwidth, and kernel PCA against oracles."""
+"""Kernel evaluation, the median bandwidth rule, and kernel PCA against oracles."""
 
 import os
 import re
@@ -22,9 +22,7 @@ from preimage_gc import (
     PipelineConfig,
     fit_kernel_pca,
     infer_graph,
-    median_bandwidth,
     normalize_columns,
-    project,
 )
 from preimage_gc.errors import DegenerateInputError, InsufficientSamplesError, RankError, ShapeError
 from preimage_gc.kernels import EIGENVALUE_RTOL, LANCZOS_MIN_ORDER, gram
@@ -36,6 +34,17 @@ def classical_pca_scores(X):
     Xc = X - X.mean(axis=0)
     U, S, _ = np.linalg.svd(Xc, full_matrices=False)
     return U * S
+
+
+def median_distance(X):
+    """Reference: the median rule for an rbf bandwidth, numpy's median of
+    scipy's pairwise distances."""
+    return float(np.median(pdist(X)))
+
+
+def fitted_bandwidth(X):
+    """The bandwidth fit_kernel_pca takes for an rbf spec without one."""
+    return fit_kernel_pca(KernelSpec("rbf"), X, 1).spec.bandwidth
 
 
 class TestKernelSpec:
@@ -51,9 +60,16 @@ class TestKernelSpec:
         with pytest.raises(ValueError, match="kind"):
             KernelSpec(kind="sigmoid")
 
-    def test_rejects_bad_degree(self):
-        with pytest.raises(ValueError, match="degree"):
-            KernelSpec(kind="polynomial", degree=0)
+    # inf used to raise a raw OverflowError, nan and None errors that did
+    # not name the degree, and True was taken for 1
+    @pytest.mark.parametrize("degree", [0, 1.5, np.inf, np.nan, True, np.True_, None])
+    def test_rejects_bad_degree(self, degree):
+        with pytest.raises(ValueError, match="^polynomial degree must be a positive integer$"):
+            KernelSpec(kind="polynomial", degree=degree)
+
+    @pytest.mark.parametrize("degree", [2, 2.0])
+    def test_accepts_whole_degree(self, degree):
+        assert KernelSpec(kind="polynomial", degree=degree).degree == degree
 
     @pytest.mark.parametrize("offset", [-1.0, np.nan, np.inf])
     def test_rejects_offset_that_is_negative_or_not_finite(self, offset):
@@ -130,21 +146,26 @@ class TestGram:
             assert evals.min() >= -1e-8 * max(evals.max(), 1.0)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="^point dimensions differ: 2 vs 4$"):
             gram(KernelSpec("linear"), np.zeros((3, 2)), np.zeros((3, 4)))
 
 
 class TestMedianBandwidth:
+    """The bandwidth an rbf spec without one takes: the median pairwise
+    distance of the points, which the fit's spec carries."""
+
     def test_two_points(self):
-        assert median_bandwidth(np.array([[0.0], [1.0]])) == 1.0
+        assert fitted_bandwidth(np.array([[0.0], [1.0]])) == 1.0
 
     def test_three_points(self):
         # pairwise distances {1, 3, 2}, median 2
-        assert median_bandwidth(np.array([[0.0], [1.0], [3.0]])) == 2.0
+        assert fitted_bandwidth(np.array([[0.0], [1.0], [3.0]])) == 2.0
 
     def test_identical_points_degenerate(self):
-        with pytest.raises(DegenerateInputError):
-            median_bandwidth(np.ones((5, 2)))
+        with pytest.raises(DegenerateInputError, match="median pairwise distance is zero"):
+            fitted_bandwidth(np.ones((5, 2)))
+        with pytest.raises(DegenerateInputError, match="median pairwise distance is zero"):
+            kernels_module._rbf_gram(KernelSpec("rbf"), np.ones((5, 2)))
 
     def test_equals_numpy_median_of_pdist(self):
         rng = np.random.default_rng(8)
@@ -152,14 +173,14 @@ class TestMedianBandwidth:
         for n in [2, 3, 4, 5, 6, 7, 8, 9, 40, 101]:
             for dim in (1, 3):
                 X = rng.normal(size=(n, dim))
-                assert median_bandwidth(X) == float(np.median(pdist(X)))
+                assert fitted_bandwidth(X) == median_distance(X)
 
     @pytest.mark.parametrize("n", [6, 8, 201, 203])
     def test_one_pdist_gram_equals_bandwidth_and_gram(self, n):
         # n = 6, 203 give odd pair counts, n = 8, 201 even ones
         X = np.random.default_rng(n).normal(size=(n, 3))
         spec, K = kernels_module._rbf_gram(KernelSpec("rbf"), X)
-        assert spec == KernelSpec("rbf", bandwidth=median_bandwidth(X))
+        assert spec == KernelSpec("rbf", bandwidth=median_distance(X))
         assert np.array_equal(K, gram(spec, X, X))
         given = KernelSpec("rbf", bandwidth=1.3)
         spec, K = kernels_module._rbf_gram(given, X)
@@ -171,14 +192,14 @@ class TestMedianBandwidth:
         X = np.random.default_rng(9).normal(size=(12, 2))
         X[3, 1] = bad
         with pytest.raises(DegenerateInputError, match="finite"):
-            median_bandwidth(X)
+            fitted_bandwidth(X)
 
     @pytest.mark.parametrize("scale", [1e155, 1e200])
     def test_overflowing_distances_rejected(self, scale):
         # an infinite median used to pass as a bandwidth and make a NaN gram
         X = np.random.default_rng(10).normal(size=(12, 2)) * scale
         with pytest.raises(DegenerateInputError, match="overflow"):
-            median_bandwidth(X)
+            fitted_bandwidth(X)
         with pytest.raises(DegenerateInputError, match="overflow"):
             kernels_module._rbf_gram(KernelSpec("rbf"), X)
 
@@ -186,33 +207,28 @@ class TestMedianBandwidth:
         # distances near 1e155 are finite, their squares are not
         X = np.array([[0.0], [1e155], [3e155]])
         with pytest.raises(DegenerateInputError, match="overflow"):
-            median_bandwidth(X)
+            fitted_bandwidth(X)
 
     def test_median_is_a_bandwidth_the_spec_accepts(self):
         # the smallest and largest scales whose median survives the check
         for scale in (1e-150, 1e150):
             X = np.random.default_rng(11).normal(size=(12, 2)) * scale
-            assert KernelSpec("rbf", bandwidth=median_bandwidth(X)).bandwidth > 0
-
-    def test_one_point_is_too_few(self):
-        with pytest.raises(InsufficientSamplesError, match="at least 2 points"):
-            median_bandwidth(np.zeros((1, 3)))
+            assert KernelSpec("rbf", bandwidth=fitted_bandwidth(X)).bandwidth > 0
 
 
 class TestFitKernelPca:
     @pytest.mark.parametrize("M", [50, LANCZOS_MIN_ORDER + 50])
     def test_rbf_without_bandwidth_fits_with_the_median(self, M):
         # both sides of the Lanczos crossover; the model's spec carries the
-        # bandwidth, so project of the training points gives their coordinates
+        # bandwidth, so its coordinates are those of the centered gram it gives
         X = np.random.default_rng(M).normal(size=(M, 3))
         model = fit_kernel_pca(KernelSpec("rbf"), X, 0.95)
-        given = fit_kernel_pca(KernelSpec("rbf", bandwidth=median_bandwidth(X)), X, 0.95)
+        given = fit_kernel_pca(KernelSpec("rbf", bandwidth=median_distance(X)), X, 0.95)
         assert model.spec == given.spec
-        for field in ("dual_coefficients", "eigenvalues", "col_means"):
+        for field in ("dual_coefficients", "eigenvalues"):
             assert np.array_equal(getattr(model, field), getattr(given, field)), field
-        assert model.grand_mean == given.grand_mean
         np.testing.assert_allclose(
-            project(model, X), model.dual_coefficients * model.eigenvalues, atol=1e-10
+            centered_gram(model.spec, X) @ model.dual_coefficients, model.coordinates, atol=1e-10
         )
 
     def test_linear_kernel_matches_classical_pca(self):
@@ -220,7 +236,7 @@ class TestFitKernelPca:
         X = rng.normal(size=(30, 5))
         ref = classical_pca_scores(X)
         model = fit_kernel_pca(KernelSpec("linear"), X, 5)
-        H = project(model, X)
+        H = model.coordinates
         for p in range(5):
             col, want = H[:, p], ref[:, p]
             if np.dot(col, want) < 0:
@@ -296,10 +312,15 @@ class TestFitKernelPca:
     def test_dense_grand_mean_is_the_mean_of_the_column_means(self):
         # as on the Lanczos path; on this gram K.mean() differs in the last bit
         X = np.random.default_rng(0).normal(size=(60, 3))
-        model = fit_kernel_pca(KernelSpec("rbf", bandwidth=median_bandwidth(X)), X, 0.95)
+        model = fit_kernel_pca(KernelSpec("rbf", bandwidth=median_distance(X)), X, 0.95)
         K = gram(model.spec, X, X)
-        assert float(K.mean()) != float(np.mean(K.mean(axis=0)))
-        assert model.grand_mean == float(np.mean(model.col_means))
+        c = K.mean(axis=0)
+        assert float(K.mean()) != float(np.mean(c))
+        # the fit's dense solve runs on one thread of scipy's pool
+        with kernels_module._eigensolve(True):
+            lam, U = kernels_module._dense_top(K - c[None, :] - c[:, None] + np.mean(c), 0.95)
+        assert np.array_equal(model.eigenvalues, lam)
+        assert np.array_equal(np.abs(model.dual_coefficients), np.abs(U / np.sqrt(lam)))
 
     def test_sign_convention_largest_entry_positive(self):
         rng = np.random.default_rng(10)
@@ -321,6 +342,7 @@ class TestFitKernelPca:
 
 
 def centered_gram(spec, X):
+    """Reference: the double-centered gram Kc of X."""
     K = gram(spec, X, X)
     col_means = K.mean(axis=0)
     return K - col_means[None, :] - col_means[:, None] + K.mean()
@@ -481,7 +503,7 @@ class TestLanczosPath:
 
     def rbf_case(self):
         X = np.random.default_rng(13).normal(size=(self.M, 3))
-        return KernelSpec("rbf", bandwidth=median_bandwidth(X)), X
+        return KernelSpec("rbf", bandwidth=median_distance(X)), X
 
     def rank3_case(self):
         return KernelSpec("linear"), np.random.default_rng(14).normal(size=(self.M, 3))
@@ -522,7 +544,7 @@ class TestLanczosPath:
         # rbf on 1-d points: the spectrum reaches the rounding floor within
         # a few dozen pairs; the run stops once the top few have converged
         X = np.random.default_rng(15).uniform(size=(self.M, 1))
-        self.assert_matches_dense(KernelSpec("rbf", bandwidth=median_bandwidth(X)), X, 0.95)
+        self.assert_matches_dense(KernelSpec("rbf", bandwidth=median_distance(X)), X, 0.95)
         assert solver_calls == {"lanczos": 1, "eigh": 0}
         assert matvecs[0] <= 4 * kernels_module.LANCZOS_CHECK_EVERY
 
@@ -571,22 +593,32 @@ class TestLanczosPath:
         assert matvecs[0] == 0
 
     def test_lanczos_answer_leaves_the_gram_uncentered(self, solver_calls, monkeypatch):
+        # and centers it implicitly with the dense path's grand mean, the
+        # mean of the column means
         spec, X = self.rbf_case()
-        built = []
-        rbf_gram = kernels_module._rbf_gram
+        built, handed = [], []
+        rbf_gram, lanczos = kernels_module._rbf_gram, kernels_module._lanczos_top
 
         def kept(*args):
             out = rbf_gram(*args)
             built.append(out[1])
             return out
 
+        def seen(*args):
+            handed.append(args)
+            return lanczos(*args)
+
         monkeypatch.setattr(kernels_module, "_rbf_gram", kept)
-        model = fit_kernel_pca(spec, X, 0.95)
+        monkeypatch.setattr(kernels_module, "_lanczos_top", seen)
+        fit_kernel_pca(spec, X, 0.95)
         assert solver_calls == {"lanczos": 1, "eigh": 0}
         K = gram(spec, X, X)
         assert np.array_equal(built[0], K)
-        assert np.array_equal(model.col_means, K.mean(axis=0))
-        assert model.grand_mean == pytest.approx(K.mean(), rel=1e-14)
+        [(gram_handed, col_means, grand_mean, _)] = handed
+        assert gram_handed is built[0]
+        assert np.array_equal(col_means, K.mean(axis=0))
+        assert grand_mean == float(np.mean(K.mean(axis=0)))
+        assert grand_mean == pytest.approx(K.mean(), rel=1e-14)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_gram_goes_dense(self, matvecs, bad):
@@ -611,7 +643,7 @@ class TestLanczosPath:
         values = generate(generator_id, T, 0).panel.values
         for i in range(-1, values.shape[1]):
             X = normalize_columns(values if i < 0 else np.delete(values, i, axis=1))
-            spec = KernelSpec("rbf", bandwidth=median_bandwidth(X))
+            spec = KernelSpec("rbf", bandwidth=median_distance(X))
             K = gram(spec, X, X)
             col_means = K.mean(axis=0)
             pairs = kernels_module._lanczos_top(K, col_means, float(np.mean(col_means)), 0.95)
@@ -624,62 +656,11 @@ class TestLanczosPath:
             np.testing.assert_allclose(A, A_ref, rtol=0, atol=1e-8 * np.abs(A_ref).max())
 
 
-class TestProject:
-    def test_training_projections_centered(self):
-        rng = np.random.default_rng(11)
-        X = rng.normal(size=(30, 3))
-        model = fit_kernel_pca(KernelSpec("rbf", bandwidth=1.2), X, 5)
-        H = project(model, X)
-        np.testing.assert_allclose(H.mean(axis=0), 0.0, atol=1e-10)
-
-    def test_single_row_matches_batch(self):
-        rng = np.random.default_rng(12)
-        X = rng.normal(size=(25, 3))
-        Z = rng.normal(size=(7, 3))
-        model = fit_kernel_pca(KernelSpec("rbf", bandwidth=1.0), X, 4)
-        batch = project(model, Z)
-        for i in range(7):
-            row = project(model, Z[i : i + 1])
-            np.testing.assert_allclose(row[0], batch[i], atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        model = fit_kernel_pca(KernelSpec("linear"), np.eye(4), 2)
-        with pytest.raises(ShapeError, match="^point dimensions differ: 7 vs 4$"):
-            project(model, np.zeros((3, 7)))
-
-    @pytest.mark.parametrize("spec, scale", [
-        (KernelSpec("polynomial", degree=3), 1e120),
-        (KernelSpec("polynomial", degree=2, offset=0.0), 1e200),
-    ])
-    def test_overflowing_gram_is_degenerate_input_without_warnings(self, spec, scale):
-        # these used to warn "overflow encountered" and return non-finite coordinates
-        X = np.random.default_rng(16).normal(size=(30, 3))
-        model = fit_kernel_pca(spec, X, 0.95)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DegenerateInputError, match=f"the {spec.kind} gram overflows float64"):
-                project(model, scale * X)
-
-    def test_nan_point_is_degenerate_input(self):
-        X = np.random.default_rng(17).normal(size=(30, 3))
-        model = fit_kernel_pca(KernelSpec("rbf", bandwidth=1.0), X, 4)
-        Z = X[:5].copy()
-        Z[2, 1] = np.nan
-        with pytest.raises(DegenerateInputError):
-            project(model, Z)
-
-
-def _fit_then_project(X):
-    clean = np.random.default_rng(18).normal(size=X.shape)
-    return project(fit_kernel_pca(KernelSpec("rbf", bandwidth=1.0), clean, 4), X)
-
-
 NONFINITE_ENTRY_POINTS = {
     "fit rbf with a bandwidth": lambda X: fit_kernel_pca(KernelSpec("rbf", bandwidth=1.0), X, 0.95),
     "fit rbf median": lambda X: fit_kernel_pca(KernelSpec("rbf"), X, 0.95),
     "fit linear": lambda X: fit_kernel_pca(KernelSpec("linear"), X, 2),
     "fit polynomial": lambda X: fit_kernel_pca(KernelSpec("polynomial"), X, 0.95),
-    "project": _fit_then_project,
     "gram": lambda X: gram(KernelSpec("rbf", bandwidth=1.0), X, X),
     "normalize_columns": normalize_columns,
 }
@@ -733,7 +714,7 @@ class TestBlasThreads:
 
     def points(self, M, seed=20):
         X = np.random.default_rng(seed).normal(size=(M, 3))
-        return KernelSpec("rbf", bandwidth=median_bandwidth(X)), X
+        return KernelSpec("rbf", bandwidth=median_distance(X)), X
 
     def test_lanczos_solve_runs_on_one_thread(self, pool, monkeypatch):
         seen = self.seen_by(monkeypatch, "_lanczos_top", pool)

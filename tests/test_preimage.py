@@ -9,9 +9,7 @@ from preimage_gc import (
     KernelSpec,
     fit_kernel_pca,
     learn_preimage,
-    median_bandwidth,
     normalize_columns,
-    project,
     reconstruct,
 )
 from preimage_gc.errors import DegenerateInputError, RankError, ShapeError
@@ -141,7 +139,7 @@ class TestKernelRoundTrip:
         Y = normalize_columns(rng.normal(size=(60, 3)))
         rank = int(np.linalg.matrix_rank(Y - Y.mean(axis=0)))
         model = fit_kernel_pca(KernelSpec("linear"), Y, rank)
-        H = project(model, Y)
+        H = model.coordinates
         pmap = learn_preimage(Y, H, ridge_lambda=0.0)
         mse = float(np.mean((reconstruct(pmap, H) - Y) ** 2))
         assert mse < 1e-10
@@ -156,9 +154,8 @@ class TestKernelRoundTrip:
             ]
         )
         Yn = normalize_columns(Y)
-        spec = KernelSpec("rbf", bandwidth=median_bandwidth(Yn))
-        model = fit_kernel_pca(spec, Yn, 0.99)
-        H = project(model, Yn)
+        model = fit_kernel_pca(KernelSpec("rbf"), Yn, 0.99)
+        H = model.coordinates
         pmap = learn_preimage(Yn, H, ridge_lambda=1e-3)
         mse = float(np.mean((reconstruct(pmap, H) - Yn) ** 2))
         assert mse < 0.05 * float(np.var(Yn))
