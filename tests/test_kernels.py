@@ -296,6 +296,9 @@ class TestFitKernelPca:
         (KernelSpec("polynomial", offset=1e200), 1.0),
         (KernelSpec("polynomial", degree=400), 1.0),
         (KernelSpec("linear"), 1e200),
+        # a spec that fits unit-scale points overflows on large ones
+        (KernelSpec("polynomial", degree=3), 1e120),
+        (KernelSpec("polynomial", degree=2, offset=0.0), 1e200),
     ])
     def test_overflowing_gram_is_degenerate_input_without_warnings(self, spec, scale):
         # these used to warn and end in "centered gram has rank 0"
@@ -308,6 +311,14 @@ class TestFitKernelPca:
     def test_one_point_is_too_few(self):
         with pytest.raises(InsufficientSamplesError, match="at least 2 points"):
             fit_kernel_pca(KernelSpec("rbf"), np.zeros((1, 3)), 0.95)
+
+    @pytest.mark.parametrize("M", [30, LANCZOS_MIN_ORDER + 50])
+    def test_training_coordinates_centered(self, M):
+        # the dense solve centers the gram, the Lanczos run centers implicitly
+        X = np.random.default_rng(11).normal(size=(M, 3))
+        model = fit_kernel_pca(KernelSpec("rbf", bandwidth=1.2), X, 5)
+        H = model.coordinates
+        np.testing.assert_allclose(H.mean(axis=0), 0.0, atol=1e-10 * np.abs(H).max())
 
     def test_dense_grand_mean_is_the_mean_of_the_column_means(self):
         # as on the Lanczos path; on this gram K.mean() differs in the last bit
