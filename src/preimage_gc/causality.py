@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TimeSeriesPanel, _csv_text, _freeze, _node_names, normalize_columns
+from .data import TimeSeriesPanel, _csv_text, _finite_nonnegative, _freeze, _node_names, normalize_columns
 from .errors import (
     DegenerateModelError,
     InsufficientSamplesError,
@@ -24,7 +24,7 @@ from .errors import (
 )
 from .kernels import KernelPcaModel, KernelSpec, _check_p_select, fit_kernel_pca
 from .preimage import PreimageMap, learn_preimage, reconstruct
-from .varm import DEFAULT_RIDGE, VarModelFit, fit_var, residual_variance_about
+from .varm import DEFAULT_RIDGE, VarModelFit, _column_variance, fit_var
 
 # The sentinel kernel PipelineConfig accepts besides a KernelSpec: it
 # skips the feature lift entirely (coordinates are the normalized inputs
@@ -51,7 +51,7 @@ class PipelineConfig:
         _check_p_select(self.p_select)
         if isinstance(self.lag, bool) or not isinstance(self.lag, (int, np.integer)) or self.lag < 1:
             raise ValueError(f"lag must be a positive integer, got {self.lag!r}")
-        if not (0 <= self.ridge_var < math.inf and 0 <= self.ridge_preimage < math.inf):
+        if not (_finite_nonnegative(self.ridge_var) and _finite_nonnegative(self.ridge_preimage)):
             raise ValueError(f"ridge_var and ridge_preimage must be finite and >= 0, got {self.ridge_var}, {self.ridge_preimage}")
 
 
@@ -130,7 +130,7 @@ def _fit_pipeline(
         Y_t = X[config.lag :]
         pmap = learn_preimage(Y_t, H[config.lag :], config.ridge_preimage)
         Y_hat = reconstruct(pmap, var_fit.fitted)
-        residual_variance = residual_variance_about(Y_t, Y_hat)
+        residual_variance = _column_variance(Y_t - Y_hat)
 
     return FullModelResult(
         normalized=X,

@@ -1,10 +1,11 @@
-"""Panel container, CSV ingestion, normalization, and lag embedding."""
+"""Panel container, CSV ingestion, normalization, and shared argument checks."""
 
 from __future__ import annotations
 
 import csv
 import io
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -15,7 +16,6 @@ from .errors import (
     CsvParseError,
     CsvSchemaError,
     DegenerateInputError,
-    InsufficientSamplesError,
     ShapeError,
 )
 
@@ -52,6 +52,14 @@ def _refuse_overflow(values, what, fix="rescale the input or normalize it"):
     finite; the caller's inputs are, so a non-finite value is an overflow."""
     if not np.isfinite(values).all():
         raise DegenerateInputError(f"{what} float64; {fix}")
+
+
+def _finite_nonnegative(value):
+    """Whether value is a real number in [0, inf) that is not a bool: 0,
+    1e-3 and np.float64(2) are; True, "1", None, [1.0], nan and inf are not."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        return False
+    return 0 <= value < math.inf
 
 
 def _csv_text(rows):
@@ -107,22 +115,6 @@ class TimeSeriesPanel:
     @property
     def n_nodes(self):
         return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class LaggedDesign:
-    """Lag-embedded regression problem: ``targets[t] ~ design[t]``.
-
-    ``design`` rows hold the lag-1 block first, then lag-2, ..., lag-L,
-    each block in original column order.
-    """
-
-    design: np.ndarray
-    targets: np.ndarray
-    lag: int
-
-    def __post_init__(self):
-        _freeze(self, "design", "targets", order="C")
 
 
 def ingest_csv(source) -> TimeSeriesPanel:
@@ -233,23 +225,3 @@ def normalize_columns(values, node_names=None) -> np.ndarray:
         )
         raise DegenerateInputError(f"{label} {problem} and cannot be normalized")
     return (values - means) / stds
-
-
-def lag_embed(values, lag: int) -> LaggedDesign:
-    """Stack ``lag`` past rows next to each target row.
-
-    For row t of ``targets`` (original time L+t), ``design[t]`` is the
-    concatenation ``[y_{L+t-1}, y_{L+t-2}, ..., y_{L+t-lag}]``.
-    """
-    values = _as_matrix(values, "values")
-    if isinstance(lag, bool) or not isinstance(lag, (int, np.integer)) or lag < 1:
-        raise ValueError(f"lag must be a positive integer, got {lag!r}")
-    T = values.shape[0]
-    if T <= lag:
-        raise InsufficientSamplesError(
-            f"need more than lag={lag} rows to embed, got {T}"
-        )
-    blocks = [values[lag - ell : T - ell] for ell in range(1, lag + 1)]
-    return LaggedDesign(
-        design=np.hstack(blocks), targets=values[lag:], lag=lag
-    )

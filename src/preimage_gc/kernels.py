@@ -14,7 +14,7 @@ from scipy.linalg.blas import daxpy, ddot, dgemm, dgemv, dnrm2, dscal, dsymv
 from scipy.linalg.lapack import dstevd, dsyevd
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from .data import _as_matrix, _freeze, _refuse_overflow
+from .data import _as_matrix, _finite_nonnegative, _freeze, _refuse_overflow
 from .errors import (
     DegenerateInputError,
     EigensolverError,
@@ -164,7 +164,7 @@ class KernelSpec:
         if self.kind == "polynomial":
             if not _positive_integer(self.degree):
                 raise ValueError("polynomial degree must be a positive integer")
-            if not 0 <= self.offset < math.inf:
+            if not _finite_nonnegative(self.offset):
                 raise ValueError(f"polynomial offset must be finite and nonnegative, got {self.offset!r}")
 
 
@@ -210,10 +210,10 @@ def gram(spec: KernelSpec, X, Z) -> np.ndarray:
 
 
 def _usable_bandwidth(bandwidth):
-    """Whether the rbf can divide by 2 bandwidth^2: bandwidth > 0 and the
-    divisor, computed as _rbf_of_squared computes it, neither underflows
-    to zero nor overflows."""
-    if not bandwidth > 0:
+    """Whether the rbf can divide by 2 bandwidth^2: bandwidth is a number
+    > 0 that is not a bool, and the divisor, computed as _rbf_of_squared
+    computes it, neither underflows to zero nor overflows."""
+    if not _finite_nonnegative(bandwidth):
         return False
     try:
         return 0.0 < 2.0 * float(bandwidth) ** 2 < math.inf

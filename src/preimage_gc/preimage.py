@@ -17,11 +17,10 @@ class PreimageMap:
     """gamma (D x P) maps a feature coordinate row h to the input row gamma @ h.
 
     training_fit_error is the mean squared reconstruction error over the
-    training pairs the map was learned from.
+    training pairs the map was learned from. The map keeps no ridge penalty.
     """
 
     gamma: np.ndarray
-    ridge_lambda: float
     training_fit_error: float
 
     def __post_init__(self):
@@ -52,9 +51,7 @@ def learn_preimage(Y, H, ridge_lambda: float = DEFAULT_RIDGE) -> PreimageMap:
     with np.errstate(over="ignore", invalid="ignore"):
         fit_error = float(np.mean((Y - H @ Gt) ** 2))
     _refuse_overflow(fit_error, "pre-image training error overflows")
-    return PreimageMap(
-        gamma=Gt.T, ridge_lambda=float(ridge_lambda), training_fit_error=fit_error
-    )
+    return PreimageMap(gamma=Gt.T, training_fit_error=fit_error)
 
 
 def reconstruct(pmap: PreimageMap, H) -> np.ndarray:

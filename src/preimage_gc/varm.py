@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DegenerateInputError, EigensolverError, RankError, ShapeError
-from .data import _as_matrix, _freeze, _frozen_array, _refuse_overflow, lag_embed
+from .errors import DegenerateInputError, EigensolverError, InsufficientSamplesError, RankError
+from .data import _as_matrix, _finite_nonnegative, _freeze, _frozen_array, _refuse_overflow
 
 # The ridge penalty of both solves, fit_var's and learn_preimage's, unless
 # the caller or the PipelineConfig picks another.
@@ -21,15 +21,14 @@ class VarModelFit:
     """Interceptless VAR(L) fit.
 
     coefficients[ell - 1] is the D x D matrix A_ell in
-    y_t = sum_ell A_ell y_{t-ell} + e_t, acting on column vectors.
+    y_t = sum_ell A_ell y_{t-ell} + e_t, acting on column vectors; the
+    lag L is len(coefficients), and the fit keeps no ridge penalty.
     fitted holds the in-sample one-step predictions of rows lag..T-1 of
     the series, and residual_variance the per-column population variance
     of those rows minus fitted.
     """
 
     coefficients: tuple
-    lag: int
-    ridge_lambda: float
     fitted: np.ndarray
     residual_variance: np.ndarray
 
@@ -60,7 +59,7 @@ def _solve_ridge(X, Y, ridge_lambda, label) -> np.ndarray:
     and a least-squares SVD that does not converge an EigensolverError.
     label names X in the messages.
     """
-    if not 0 <= ridge_lambda < np.inf:
+    if not _finite_nonnegative(ridge_lambda):
         raise ValueError(f"ridge_lambda must be finite and >= 0, got {ridge_lambda}")
     for name, arr in ((label, X), ("targets", Y)):
         if not np.isfinite(arr).all():
@@ -98,13 +97,21 @@ def _solve_ridge(X, Y, ridge_lambda, label) -> np.ndarray:
 def fit_var(series, lag: int = 1, ridge_lambda: float = DEFAULT_RIDGE) -> VarModelFit:
     """Least-squares (ridge_lambda > 0: ridge) fit of an interceptless VAR.
 
-    A rank-deficient design at ridge_lambda = 0, or a ridge too small to
-    make the solve positive definite, raises RankError; a residual
-    variance that overflows raises DegenerateInputError.
+    Row t of the design is [y_{L+t-1}, y_{L+t-2}, ..., y_{L+t-L}], the
+    lag-1 block first, each block in column order, and its target is
+    y_{L+t}. Design and targets are C-ordered copies whatever the series'
+    layout, so a fit's bits do not depend on it. A series with no more
+    than lag rows raises InsufficientSamplesError. A rank-deficient
+    design at ridge_lambda = 0, or a ridge too small to make the solve
+    positive definite, raises RankError; a residual variance that
+    overflows raises DegenerateInputError.
     """
     series = _as_matrix(series, "series")
+    if isinstance(lag, bool) or not isinstance(lag, (int, np.integer)) or lag < 1:
+        raise ValueError(f"lag must be a positive integer, got {lag!r}")
     T, D = series.shape
-    emb = lag_embed(series, lag)
+    if T <= lag:
+        raise InsufficientSamplesError(f"need more than lag={lag} rows to embed, got {T}")
     recommended = lag + D * lag + 1
     if T < recommended:
         warnings.warn(
@@ -112,26 +119,14 @@ def fit_var(series, lag: int = 1, ridge_lambda: float = DEFAULT_RIDGE) -> VarMod
             f"at least {recommended} are recommended",
             stacklevel=2,
         )
-    Z, Y = emb.design, emb.targets
+    # C-order copies: the layout picks the solve's BLAS path and so its last bits
+    Z = np.ascontiguousarray(np.hstack([series[lag - ell : T - ell] for ell in range(1, lag + 1)]))
+    Y = np.array(series[lag:], order="C")
     B = _solve_ridge(Z, Y, ridge_lambda, "design")
     fitted = Z @ B
     coefficients = tuple(B[ell * D : (ell + 1) * D, :].T for ell in range(lag))
     return VarModelFit(
         coefficients=coefficients,
-        lag=lag,
-        ridge_lambda=float(ridge_lambda),
         fitted=fitted,
         residual_variance=_column_variance(Y - fitted),
     )
-
-
-def residual_variance_about(Y, Yhat) -> np.ndarray:
-    """Per-column population variance of Y - Yhat about its mean.
-
-    A variance that overflows float64 raises DegenerateInputError.
-    """
-    Y = _as_matrix(Y, "Y")
-    Yhat = _as_matrix(Yhat, "Yhat")
-    if Y.shape != Yhat.shape:
-        raise ShapeError(f"shape mismatch: {Y.shape} vs {Yhat.shape}")
-    return _column_variance(Y - Yhat)

@@ -16,12 +16,11 @@ from preimage_gc import (
     run_full_model,
 )
 from preimage_gc.causality import CausalGraph
-from preimage_gc.data import LaggedDesign, lag_embed
 from preimage_gc.errors import ShapeError
 from preimage_gc.kernels import KernelPcaModel, gram
 from preimage_gc.preimage import PreimageMap
 from preimage_gc.synthgen import LINEAR5_COEFFICIENTS, SyntheticDataset
-from preimage_gc.varm import VarModelFit, residual_variance_about
+from preimage_gc.varm import VarModelFit
 
 # what the CLI, demos/, README.md and tests/test_acceptance.py use
 TOP_LEVEL = [
@@ -67,10 +66,7 @@ _LINEAR = KernelSpec("linear")
 # each stage's array arguments: a call that passes `bad` as the named one
 _GUARDED = {
     "normalize_columns": ("values", normalize_columns),
-    "lag_embed": ("values", lambda bad: lag_embed(bad, 1)),
     "fit_var": ("series", fit_var),
-    "residual_variance_about Y": ("Y", lambda bad: residual_variance_about(bad, _GOOD)),
-    "residual_variance_about Yhat": ("Yhat", lambda bad: residual_variance_about(_GOOD, bad)),
     "learn_preimage Y": ("Y", lambda bad: learn_preimage(bad, _GOOD)),
     "learn_preimage H": ("H", lambda bad: learn_preimage(_GOOD, bad)),
     "fit_kernel_pca": ("X", lambda bad: fit_kernel_pca(_LINEAR, bad, 1)),
@@ -100,22 +96,18 @@ def _panel(a):
     return TimeSeriesPanel(a["tall"], ("a", "b", "c")), {"values": a["tall"]}
 
 
-def _lagged(a):
-    return LaggedDesign(a["tall"], a["tall"][:, :2], 1), {"design": a["tall"], "targets": a["tall"]}
-
-
 def _kpca(a):
     model = KernelPcaModel(KernelSpec("linear"), a["tall"], a["vector"])
     return model, {"dual_coefficients": a["tall"], "eigenvalues": a["vector"]}
 
 
 def _var_fit(a):
-    fit = VarModelFit((a["square"],), 1, 0.0, fitted=a["tall"], residual_variance=a["vector"])
+    fit = VarModelFit((a["square"],), fitted=a["tall"], residual_variance=a["vector"])
     return fit, {"fitted": a["tall"], "residual_variance": a["vector"]}
 
 
 def _pmap(a):
-    return PreimageMap(a["tall"], 0.0, 1.0), {"gamma": a["tall"]}
+    return PreimageMap(a["tall"], 1.0), {"gamma": a["tall"]}
 
 
 def _graph(a):
@@ -133,7 +125,7 @@ def _dataset(a):
 
 
 @pytest.mark.parametrize(
-    "build", [_panel, _lagged, _kpca, _var_fit, _pmap, _graph, _dataset],
+    "build", [_panel, _kpca, _var_fit, _pmap, _graph, _dataset],
     ids=lambda f: f.__name__.lstrip("_"),
 )
 def test_array_fields_are_read_only_copies(build):
@@ -154,7 +146,7 @@ def test_array_fields_are_read_only_copies(build):
 
 def test_var_coefficients_are_read_only_copies():
     A = np.eye(2)
-    fit = VarModelFit((A,), 1, 0.0, fitted=np.zeros((3, 2)), residual_variance=np.zeros(2))
+    fit = VarModelFit((A,), fitted=np.zeros((3, 2)), residual_variance=np.zeros(2))
     A[0, 0] = 5.0
     assert fit.coefficients[0][0, 0] == 1.0
     assert not fit.coefficients[0].flags.writeable
@@ -167,13 +159,24 @@ def test_linear5_coefficients_are_read_only():
 def test_panel_and_design_are_c_ordered():
     values = np.asfortranarray(np.random.default_rng(1).normal(size=(6, 3)))
     assert TimeSeriesPanel(values, ("a", "b", "c")).values.flags.c_contiguous
-    lagged = LaggedDesign(values, values, 1)
-    assert lagged.design.flags.c_contiguous and lagged.targets.flags.c_contiguous
+    # fit_var solves on C-ordered copies of its design and targets, so an
+    # F-ordered series, whose layout would pick another BLAS path, fits
+    # to the same bits
+    series = np.random.default_rng(3).normal(size=(1000, 22))
+    for lag in (1, 2, 3):
+        for ridge in (0.0, 1e-3):
+            c_fit = fit_var(series, lag, ridge)
+            f_fit = fit_var(np.asfortranarray(series), lag, ridge)
+            case = f"lag {lag}, ridge {ridge}"
+            for A, B in zip(c_fit.coefficients, f_fit.coefficients, strict=True):
+                np.testing.assert_array_equal(A, B, err_msg=case)
+            np.testing.assert_array_equal(c_fit.fitted, f_fit.fitted, err_msg=case)
+            np.testing.assert_array_equal(c_fit.residual_variance, f_fit.residual_variance, err_msg=case)
 
 
 def test_other_fields_keep_the_input_layout():
     # the layout picks the BLAS path and so the last bits of later products
     gamma = np.asfortranarray(np.random.default_rng(2).normal(size=(4, 3)))
-    assert PreimageMap(gamma, 0.0, 0.0).gamma.flags.f_contiguous
+    assert PreimageMap(gamma, 0.0).gamma.flags.f_contiguous
     result = run_full_model(generate("fanout3", 60, 0).panel)
     assert result.preimage_map.gamma.flags.f_contiguous

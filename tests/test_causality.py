@@ -132,7 +132,7 @@ class TestPipelineConfig:
 
     @pytest.mark.parametrize("lag", [2.0, 1.5, True, "2", 0])
     def test_rejects_lag_that_is_not_a_positive_integer(self, lag):
-        # 2.0 used to pass and crash lag_embed with an untyped TypeError
+        # 2.0 used to pass and crash the VAR's lag embedding with an untyped TypeError
         with pytest.raises(ValueError, match="lag must be a positive integer, got " + re.escape(repr(lag))):
             PipelineConfig(lag=lag)
 
@@ -140,9 +140,10 @@ class TestPipelineConfig:
         assert PipelineConfig(lag=np.int64(2)).lag == 2
 
     @pytest.mark.parametrize("key", ["ridge_var", "ridge_preimage"])
-    @pytest.mark.parametrize("ridge", [np.nan, np.inf])
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf, None, "1", True, np.bool_(True)])
     def test_rejects_nonfinite_ridge(self, key, ridge):
-        # these used to be reported as overflowing normal equations
+        # nan and inf used to be reported as overflowing normal equations;
+        # None and "1" raised an untyped TypeError, and True passed as 1
         with pytest.raises(ValueError, match="ridge_var and ridge_preimage must be finite"):
             PipelineConfig(**{key: ridge})
 
@@ -266,6 +267,11 @@ class TestRunFullModel:
             result.reconstruction, reconstruct(result.preimage_map, result.var_fit.fitted)
         )
         assert result.var_fit.fitted.shape == (90 - config.lag, result.features.shape[1])
+        # the residual variance FullModelResult documents, bit for bit
+        np.testing.assert_array_equal(
+            result.residual_variance,
+            (result.normalized[config.lag :] - result.reconstruction).var(axis=0),
+        )
 
 
 class TestInferGraph:

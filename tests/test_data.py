@@ -1,4 +1,4 @@
-"""Panel construction, CSV round trips, normalization, lag embedding."""
+"""Panel construction, CSV round trips, normalization."""
 
 import io
 import re
@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from preimage_gc import TimeSeriesPanel, ingest_csv, normalize_columns
-from preimage_gc.data import lag_embed, panel_to_csv
+from preimage_gc.data import panel_to_csv
 from preimage_gc.errors import (
     CsvFormatError,
     CsvParseError,
     CsvSchemaError,
     DegenerateInputError,
-    InsufficientSamplesError,
 )
 
 
@@ -205,47 +204,3 @@ class TestNormalize:
         once = normalize_columns(rng.normal(size=(12, 3)) * rng.uniform(0.5, 20.0))
         twice = normalize_columns(once)
         np.testing.assert_allclose(twice, once, atol=1e-10)
-
-
-class TestLagEmbed:
-    def test_lag_one(self):
-        emb = lag_embed(np.array([[1.0], [2.0], [3.0], [4.0]]), 1)
-        np.testing.assert_array_equal(emb.design, [[1], [2], [3]])
-        np.testing.assert_array_equal(emb.targets, [[2], [3], [4]])
-
-    def test_lag_two_block_order(self):
-        # lag-1 block comes first: row for target 3 is [2, 1]
-        emb = lag_embed(np.array([[1.0], [2.0], [3.0], [4.0]]), 2)
-        np.testing.assert_array_equal(emb.design, [[2, 1], [3, 2]])
-        np.testing.assert_array_equal(emb.targets, [[3], [4]])
-
-    def test_multivariate_blocks(self):
-        x = np.arange(8.0).reshape(4, 2)
-        emb = lag_embed(x, 2)
-        np.testing.assert_array_equal(emb.design[0], [2, 3, 0, 1])
-        np.testing.assert_array_equal(emb.targets[0], [4, 5])
-
-    def test_too_short_series(self):
-        with pytest.raises(InsufficientSamplesError):
-            lag_embed(np.zeros((2, 1)), 2)
-
-    def test_bad_lag(self):
-        with pytest.raises(ValueError):
-            lag_embed(np.zeros((5, 1)), 0)
-
-    @pytest.mark.parametrize("lag", [2.0, True])
-    def test_non_integer_lag(self, lag):
-        # 2.0 used to raise an untyped TypeError from range()
-        with pytest.raises(ValueError, match="lag must be a positive integer"):
-            lag_embed(np.zeros((5, 1)), lag)
-
-    @given(
-        st.integers(min_value=1, max_value=4),
-        st.integers(min_value=5, max_value=30),
-        st.integers(min_value=1, max_value=3),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_shapes(self, lag, T, D):
-        emb = lag_embed(np.arange(float(T * D)).reshape(T, D), lag)
-        assert emb.design.shape == (T - lag, D * lag)
-        assert emb.targets.shape == (T - lag, D)

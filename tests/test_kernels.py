@@ -71,17 +71,22 @@ class TestKernelSpec:
     def test_accepts_whole_degree(self, degree):
         assert KernelSpec(kind="polynomial", degree=degree).degree == degree
 
-    @pytest.mark.parametrize("offset", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("offset", [-1.0, np.nan, np.inf, None, "1", True, np.bool_(True)])
     def test_rejects_offset_that_is_negative_or_not_finite(self, offset):
-        # nan and inf used to end in "[pca] centered gram has rank 0"
+        # nan and inf used to end in "[pca] centered gram has rank 0";
+        # None and "1" raised an untyped TypeError, and True passed as 1
         with pytest.raises(ValueError, match="offset.*got " + re.escape(repr(offset))):
             KernelSpec("polynomial", offset=offset)
 
 
-    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, np.nan, np.inf, 1e154, 1e155, 1e-200, np.float64(1e200)])
+    @pytest.mark.parametrize(
+        "bandwidth",
+        [0.0, -1.0, np.nan, np.inf, 1e154, 1e155, 1e-200, np.float64(1e200), "1", [1.0], True, np.bool_(True)],
+    )
     def test_rejects_bandwidth_the_rbf_cannot_divide_by(self, bandwidth):
         # 1e155 used to raise OverflowError in the rbf, and 1e154 and
-        # 1e-200 to end in "[pca] centered gram has rank 0"
+        # 1e-200 to end in "[pca] centered gram has rank 0"; "1" and [1.0]
+        # raised an untyped TypeError, and True passed as 1
         with pytest.raises(ValueError, match="bandwidth.*got " + re.escape(repr(bandwidth))):
             KernelSpec("rbf", bandwidth=bandwidth)
 

@@ -100,16 +100,12 @@ class TestLearnPreimage:
 
 class TestReconstruct:
     def test_hand_example(self):
-        pmap = PreimageMap(
-            gamma=np.array([[2.0], [3.0]]), ridge_lambda=0.0, training_fit_error=0.0
-        )
+        pmap = PreimageMap(gamma=np.array([[2.0], [3.0]]), training_fit_error=0.0)
         out = reconstruct(pmap, np.array([[1.0], [-1.0]]))
         np.testing.assert_array_equal(out, [[2.0, 3.0], [-2.0, -3.0]])
 
     def test_zero_features_reconstruct_zero(self):
-        pmap = PreimageMap(
-            gamma=np.ones((3, 2)), ridge_lambda=0.0, training_fit_error=0.0
-        )
+        pmap = PreimageMap(gamma=np.ones((3, 2)), training_fit_error=0.0)
         np.testing.assert_array_equal(
             reconstruct(pmap, np.zeros((4, 2))), np.zeros((4, 3))
         )
@@ -126,9 +122,7 @@ class TestReconstruct:
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
     def test_wrong_feature_width(self):
-        pmap = PreimageMap(
-            gamma=np.ones((2, 3)), ridge_lambda=0.0, training_fit_error=0.0
-        )
+        pmap = PreimageMap(gamma=np.ones((2, 3)), training_fit_error=0.0)
         with pytest.raises(ShapeError):
             reconstruct(pmap, np.zeros((5, 4)))
 

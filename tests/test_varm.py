@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from preimage_gc import fit_var
-from preimage_gc.data import lag_embed
-from preimage_gc.errors import DegenerateInputError, InsufficientSamplesError, RankError, ShapeError
-from preimage_gc.varm import residual_variance_about
-from preimage_gc.varm import DEFAULT_RIDGE, _solve_ridge
+from preimage_gc.errors import DegenerateInputError, InsufficientSamplesError, RankError
+from preimage_gc.varm import DEFAULT_RIDGE, _column_variance, _solve_ridge
 
 
 def simulate_var1(A, T, x0, noise=None):
@@ -21,6 +19,14 @@ def simulate_var1(A, T, x0, noise=None):
             x = x + noise[t]
         out[t] = x
     return out
+
+
+def lagged_design(series, lag):
+    """The VAR's regression problem built by hand: design rows hold the
+    lag-1 block first, each block in column order, and the targets are
+    rows lag..T-1."""
+    T = series.shape[0]
+    return np.hstack([series[lag - ell : T - ell] for ell in range(1, lag + 1)]), series[lag:]
 
 
 class TestFitVar:
@@ -50,9 +56,9 @@ class TestFitVar:
         for D, lag in ((1, 1), (3, 2)):
             series = rng.normal(size=(60, D))
             fit = fit_var(series, lag=lag, ridge_lambda=0.0)
-            emb = lag_embed(series, lag)
-            cross = emb.design.T @ (emb.targets - fit.fitted)
-            scale = np.abs(emb.design).max() * np.abs(emb.targets).max()
+            design, targets = lagged_design(series, lag)
+            cross = design.T @ (targets - fit.fitted)
+            scale = np.abs(design).max() * np.abs(targets).max()
             assert np.abs(cross).max() < 1e-8 * max(scale, 1.0)
 
     def test_huge_ridge_shrinks_coefficients(self):
@@ -86,17 +92,19 @@ class TestFitVar:
         with pytest.raises(RankError, match="ridge"):
             fit_var(series, lag=1, ridge_lambda=0.0)
 
-    @pytest.mark.parametrize("ridge", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf, -1.0, None, "1", True, np.bool_(True)])
     def test_rejects_ridge_that_is_negative_or_not_finite(self, ridge):
-        # nan used to be reported as overflowing normal equations
+        # nan used to be reported as overflowing normal equations; None and
+        # "1" raised an untyped TypeError, and True was used as 1.0
         series = np.random.default_rng(6).normal(size=(50, 2))
         with pytest.raises(ValueError, match="ridge_lambda must be finite and >= 0"):
             fit_var(series, lag=1, ridge_lambda=ridge)
 
-    def test_rejects_float_lag(self):
+    @pytest.mark.parametrize("lag", [2.0, 0, True])
+    def test_rejects_float_lag(self, lag):
         # 2.0 used to raise an untyped TypeError inside the embedding
-        with pytest.raises(ValueError, match="lag must be a positive integer"):
-            fit_var(np.random.default_rng(6).normal(size=(50, 2)), lag=2.0)
+        with pytest.raises(ValueError, match="lag must be a positive integer, got " + repr(lag)):
+            fit_var(np.random.default_rng(6).normal(size=(50, 2)), lag=lag)
 
     def test_same_data_ridge_succeeds(self):
         rng = np.random.default_rng(6)
@@ -179,43 +187,34 @@ class TestFitted:
         # reproduces fitted bit for bit
         series = np.random.default_rng(9).normal(size=(50, 3))
         fit = fit_var(series, lag=lag, ridge_lambda=ridge)
+        assert fit.fitted.shape == (50 - lag, 3)
+        assert len(fit.coefficients) == lag
         stacked = np.vstack([A.T for A in fit.coefficients])
-        np.testing.assert_array_equal(fit.fitted, lag_embed(series, lag).design @ stacked)
+        np.testing.assert_array_equal(fit.fitted, lagged_design(series, lag)[0] @ stacked)
 
     def test_residual_variance_is_about_fitted(self):
         series = np.random.default_rng(10).normal(size=(40, 2))
         fit = fit_var(series, lag=2, ridge_lambda=1e-3)
         np.testing.assert_array_equal(
-            fit.residual_variance,
-            residual_variance_about(lag_embed(series, 2).targets, fit.fitted),
+            fit.residual_variance, (lagged_design(series, 2)[1] - fit.fitted).var(axis=0)
         )
 
 
-class TestResidualVarianceAbout:
+class TestColumnVariance:
     def test_matches_numpy_population_variance(self):
         rng = np.random.default_rng(11)
-        Y = rng.normal(size=(40, 3))
-        Yhat = rng.normal(size=(40, 3))
-        np.testing.assert_allclose(
-            residual_variance_about(Y, Yhat), (Y - Yhat).var(axis=0), atol=0
-        )
+        R = rng.normal(size=(40, 3)) - rng.normal(size=(40, 3))
+        np.testing.assert_array_equal(_column_variance(R), R.var(axis=0))
 
     def test_exact_prediction_gives_zero(self):
         Y = np.arange(10.0).reshape(5, 2)
-        np.testing.assert_array_equal(residual_variance_about(Y, Y), [0.0, 0.0])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            residual_variance_about(np.zeros((3, 2)), np.zeros((4, 2)))
+        np.testing.assert_array_equal(_column_variance(Y - Y), [0.0, 0.0])
 
     def test_overflow_raises_degenerate_input(self):
         Y = np.random.default_rng(23).normal(size=(10, 2)) * 1e200
-        with pytest.raises(DegenerateInputError, match="overflows"):
-            residual_variance_about(Y, np.zeros_like(Y))
+        with pytest.raises(DegenerateInputError, match="residual variance overflows"):
+            _column_variance(Y)
 
     def test_constant_offset_has_zero_variance(self):
         # variance is about the residual mean, so a bias does not count
-        Y = np.zeros((6, 2))
-        np.testing.assert_array_equal(
-            residual_variance_about(Y, Y + 5.0), [0.0, 0.0]
-        )
+        np.testing.assert_array_equal(_column_variance(np.full((6, 2), -5.0)), [0.0, 0.0])

@@ -19,6 +19,13 @@ quote, on the source tree given by --src (default: this checkout's src/):
   `python -m preimage_gc infer` on the nonlinear5 panel of seed 0 at
   T = 1000, each with the largest peak RSS of its children, and the
   sha256 of the graph.json infer wrote;
+- the identity digest: the sha256 over raw_log_ratios.tobytes() of 150
+  graph calls, so that two trees can be checked for identical numbers
+  without a sweep. For each generator in GENERATOR_IDS order, then each
+  T of DIGEST_T, then each seed of DIGEST_SEEDS, the panel goes through
+  four infer_graph configs (default rbf, rbf at lag 2, rbf at p_select
+  0.999, polynomial at p_select 4) in that order and then
+  linear_gc_baseline; warnings are suppressed, as they change no output;
 - the machine: core count, Python, numpy and scipy versions, the BLAS
   build each of numpy and scipy loads, and the BLAS thread variables.
 
@@ -41,6 +48,7 @@ import shutil
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,6 +63,8 @@ IMPORT_TIMER = (
     "import time; start = time.perf_counter(); import preimage_gc.cli; "
     "print(time.perf_counter() - start)"
 )
+DIGEST_T = (50, 300, 1000)
+DIGEST_SEEDS = (0, 1)
 SWEEP_JOBS = (1, 2)
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -99,6 +109,45 @@ def infer_latency():
             cpu.append(1e3 * (time.process_time() - cpu_start))
         out[str(T)] = {"best_ms": min(times), "runs_ms": times, "cpu_runs_ms": cpu}
     return out
+
+
+def identity_digest():
+    """sha256 over the raw_log_ratios bytes of the DIGEST_* grid, and its time."""
+    from preimage_gc import (
+        GENERATOR_IDS,
+        KernelSpec,
+        PipelineConfig,
+        generate,
+        infer_graph,
+        linear_gc_baseline,
+    )
+
+    configs = {
+        "default rbf": PipelineConfig(),
+        "rbf, lag 2": PipelineConfig(lag=2),
+        "rbf, p_select 0.999": PipelineConfig(p_select=0.999),
+        "polynomial, p_select 4": PipelineConfig(kernel=KernelSpec("polynomial"), p_select=4),
+    }
+    digest = hashlib.sha256()
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for generator in GENERATOR_IDS:
+            for T in DIGEST_T:
+                for seed in DIGEST_SEEDS:
+                    panel = generate(generator, T, seed).panel
+                    graphs = [infer_graph(panel, config) for config in configs.values()]
+                    graphs.append(linear_gc_baseline(panel))
+                    for graph in graphs:
+                        digest.update(graph.raw_log_ratios.tobytes())
+    return {
+        "generators": list(GENERATOR_IDS),
+        "T": list(DIGEST_T),
+        "seeds": list(DIGEST_SEEDS),
+        "configs": list(configs) + ["linear_gc_baseline"],
+        "raw_log_ratios_sha256": digest.hexdigest(),
+        "wall_s": time.perf_counter() - start,
+    }
 
 
 def _sha256(path):
@@ -202,6 +251,7 @@ def main(argv=None):
                 "repeats": INFER_REPEATS,
                 "T": infer_latency(),
             },
+            "identity_digest": identity_digest(),
             "full_sweep": {f"jobs_{jobs}": sweep_wall(src, jobs, work) for jobs in SWEEP_JOBS},
             "cold_start": cold,
         }
