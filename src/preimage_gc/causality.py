@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TimeSeriesPanel, _csv_text, _finite_nonnegative, _freeze, _node_names, normalize_columns
+from .data import TimeSeriesPanel, _check_lag, _csv_text, _finite_nonnegative, _freeze, _node_names, normalize_columns
 from .errors import (
     DegenerateModelError,
     InsufficientSamplesError,
@@ -49,10 +49,9 @@ class PipelineConfig:
         if not isinstance(k, KernelSpec) and k != IDENTITY:
             raise ValueError(f"kernel must be a KernelSpec or {IDENTITY!r}; got {k!r}")
         _check_p_select(self.p_select)
-        if isinstance(self.lag, bool) or not isinstance(self.lag, (int, np.integer)) or self.lag < 1:
-            raise ValueError(f"lag must be a positive integer, got {self.lag!r}")
+        _check_lag(self.lag)
         if not (_finite_nonnegative(self.ridge_var) and _finite_nonnegative(self.ridge_preimage)):
-            raise ValueError(f"ridge_var and ridge_preimage must be finite and >= 0, got {self.ridge_var}, {self.ridge_preimage}")
+            raise ValueError(f"ridge_var and ridge_preimage must be finite and >= 0, got {self.ridge_var!r}, {self.ridge_preimage!r}")
 
 
 @dataclass(frozen=True)

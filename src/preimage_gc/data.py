@@ -62,6 +62,13 @@ def _finite_nonnegative(value):
     return 0 <= value < math.inf
 
 
+def _check_lag(lag):
+    """Raise ValueError unless lag is a whole number >= 1 of an integer
+    type that is not a bool: 2 and np.int64(2) pass; 2.0, True and 0 do not."""
+    if isinstance(lag, bool) or not isinstance(lag, (int, np.integer)) or lag < 1:
+        raise ValueError(f"lag must be a positive integer, got {lag!r}")
+
+
 def _csv_text(rows):
     """rows as CSV text, fields quoted where they need it, each line ended
     by a bare newline."""

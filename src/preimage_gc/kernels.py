@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import daxpy, ddot, dgemm, dgemv, dnrm2, dscal, dsymv
 from scipy.linalg.lapack import dstevd, dsyevd
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import pdist, squareform
 
 from .data import _as_matrix, _finite_nonnegative, _freeze, _refuse_overflow
 from .errors import (
@@ -20,7 +20,6 @@ from .errors import (
     EigensolverError,
     InsufficientSamplesError,
     RankError,
-    ShapeError,
 )
 
 KERNEL_KINDS = ("rbf", "linear", "polynomial")
@@ -179,39 +178,9 @@ def _positive_integer(value):
         return False
 
 
-def _as_points(X, name):
-    X = _as_matrix(X, name)
-    if not np.isfinite(X).all():
-        raise DegenerateInputError(f"{name} must be finite; it holds NaN or inf")
-    return X
-
-
-def gram(spec: KernelSpec, X, Z) -> np.ndarray:
-    """Pairwise kernel matrix K[i, j] = k(X[i], Z[j]) of finite points."""
-    same = X is Z
-    X = _as_points(X, "X")
-    Z = X if same else _as_points(Z, "Z")
-    if X.shape[1] != Z.shape[1]:
-        raise ShapeError(
-            f"point dimensions differ: {X.shape[1]} vs {Z.shape[1]}"
-        )
-    if spec.kind == "rbf":
-        if spec.bandwidth is None:
-            raise ValueError("gram needs an rbf bandwidth; fit_kernel_pca takes the median")
-        return _rbf_of_squared(cdist(X, Z, "sqeuclidean"), spec.bandwidth)
-    if spec.kind == "linear":
-        K = X @ Z.T
-    else:
-        K = (X @ Z.T + spec.offset) ** spec.degree
-    if same:
-        # gemm output is not exactly symmetric; make it so
-        K = 0.5 * (K + K.T)
-    return K
-
-
 def _usable_bandwidth(bandwidth):
     """Whether the rbf can divide by 2 bandwidth^2: bandwidth is a number
-    > 0 that is not a bool, and the divisor, computed as _rbf_of_squared
+    > 0 that is not a bool, and the divisor, computed as _rbf_gram
     computes it, neither underflows to zero nor overflows."""
     if not _finite_nonnegative(bandwidth):
         return False
@@ -219,16 +188,6 @@ def _usable_bandwidth(bandwidth):
         return 0.0 < 2.0 * float(bandwidth) ** 2 < math.inf
     except OverflowError:  # a Python float's ** raises instead of returning inf
         return False
-
-
-def _rbf_of_squared(D, bandwidth):
-    """exp(-D / (2 bandwidth^2)) over squared distances D, in place.
-
-    In place: at T = 1000 each T x T temporary costs about a millisecond;
-    pairwise distances are exactly symmetric, so no symmetrizing either.
-    """
-    np.divide(D, -2.0 * bandwidth**2, out=D)
-    return np.exp(D, out=D)
 
 
 def _median_distance(d):
@@ -262,13 +221,18 @@ def _rbf_gram(spec, X):
     partitioned copy, equal bit for bit to np.median(pdist(X)). The kernel
     runs on the T(T-1)/2 condensed entries before squareform spreads them,
     and the diagonal is exp(-0) = 1 of the zero self-distances; K equals
-    gram(spec, X, X) bit for bit.
+    exp(-D / (2 bandwidth^2)) over the T x T squared distances D, divided
+    and exponentiated in that order, bit for bit.
     """
     d = pdist(X, "sqeuclidean")
     if spec.bandwidth is None:
         # the copy is freed before squareform, so the peak stays the condensed vector and the gram
         spec = KernelSpec("rbf", bandwidth=_median_distance(d.copy()))
-    K = squareform(_rbf_of_squared(d, spec.bandwidth))
+    # in place: at T = 1000 each temporary of this size costs about a
+    # millisecond; pairwise distances are exactly symmetric, so no
+    # symmetrizing either
+    np.divide(d, -2.0 * spec.bandwidth**2, out=d)
+    K = squareform(np.exp(d, out=d))
     np.fill_diagonal(K, 1.0)
     return spec, K
 
@@ -493,7 +457,9 @@ def fit_kernel_pca(spec: KernelSpec, X, p_select) -> KernelPcaModel:
     of X, np.median(pdist(X)) bit for bit; the model's spec carries the
     bandwidth used.
     """
-    X = _as_points(X, "X")
+    X = _as_matrix(X, "X")
+    if not np.isfinite(X).all():
+        raise DegenerateInputError("X must be finite; it holds NaN or inf")
     M = X.shape[0]
     if M < 2:
         raise InsufficientSamplesError("kernel PCA needs at least 2 points")
@@ -504,7 +470,9 @@ def fit_kernel_pca(spec: KernelSpec, X, p_select) -> KernelPcaModel:
         if spec.kind == "rbf":
             spec, K = _rbf_gram(spec, X)
         else:
-            K = gram(spec, X, X)
+            K = X @ X.T if spec.kind == "linear" else (X @ X.T + spec.offset) ** spec.degree
+            # X @ X.T is exactly symmetric on contiguous points but not on every view; make it so
+            K = 0.5 * (K + K.T)
         # one pass, shared by the Lanczos run and the dense path's centering
         col_means = K.mean(axis=0)
     # X is finite, so a non-finite entry, which reaches its column's mean, is an overflow

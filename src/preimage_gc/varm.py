@@ -9,7 +9,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateInputError, EigensolverError, InsufficientSamplesError, RankError
-from .data import _as_matrix, _finite_nonnegative, _freeze, _frozen_array, _refuse_overflow
+from .data import _as_matrix, _check_lag, _finite_nonnegative, _freeze, _frozen_array, _refuse_overflow
 
 # The ridge penalty of both solves, fit_var's and learn_preimage's, unless
 # the caller or the PipelineConfig picks another.
@@ -60,7 +60,7 @@ def _solve_ridge(X, Y, ridge_lambda, label) -> np.ndarray:
     label names X in the messages.
     """
     if not _finite_nonnegative(ridge_lambda):
-        raise ValueError(f"ridge_lambda must be finite and >= 0, got {ridge_lambda}")
+        raise ValueError(f"ridge_lambda must be finite and >= 0, got {ridge_lambda!r}")
     for name, arr in ((label, X), ("targets", Y)):
         if not np.isfinite(arr).all():
             raise DegenerateInputError(f"NaN or inf in the {name}")
@@ -107,8 +107,7 @@ def fit_var(series, lag: int = 1, ridge_lambda: float = DEFAULT_RIDGE) -> VarMod
     overflows raises DegenerateInputError.
     """
     series = _as_matrix(series, "series")
-    if isinstance(lag, bool) or not isinstance(lag, (int, np.integer)) or lag < 1:
-        raise ValueError(f"lag must be a positive integer, got {lag!r}")
+    _check_lag(lag)
     T, D = series.shape
     if T <= lag:
         raise InsufficientSamplesError(f"need more than lag={lag} rows to embed, got {T}")

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 import preimage_gc.causality as causality_module
 from preimage_gc import (
@@ -32,7 +33,7 @@ from preimage_gc.errors import (
     InsufficientSamplesError,
     RankError,
 )
-from preimage_gc.kernels import LANCZOS_MIN_ORDER, gram
+from preimage_gc.kernels import LANCZOS_MIN_ORDER
 from preimage_gc.synthgen import generate
 
 
@@ -143,8 +144,11 @@ class TestPipelineConfig:
     @pytest.mark.parametrize("ridge", [np.nan, np.inf, None, "1", True, np.bool_(True)])
     def test_rejects_nonfinite_ridge(self, key, ridge):
         # nan and inf used to be reported as overflowing normal equations;
-        # None and "1" raised an untyped TypeError, and True passed as 1
-        with pytest.raises(ValueError, match="ridge_var and ridge_preimage must be finite"):
+        # None and "1" raised an untyped TypeError, and True passed as 1;
+        # the message shows each value as written, so "1" reads '1'
+        ridges = {"ridge_var": 1e-3, "ridge_preimage": 1e-3, key: ridge}
+        got = f"{ridges['ridge_var']!r}, {ridges['ridge_preimage']!r}"
+        with pytest.raises(ValueError, match="^ridge_var and ridge_preimage must be finite and >= 0, got " + re.escape(got) + "$"):
             PipelineConfig(**{key: ridge})
 
 
@@ -248,7 +252,8 @@ class TestRunFullModel:
         for T in (120, LANCZOS_MIN_ORDER + 50):
             panel = random_panel(T, 3, seed=5)
             result = run_full_model(panel)
-            K = gram(result.kpca.spec, result.normalized, result.normalized)
+            D = cdist(result.normalized, result.normalized, "sqeuclidean")
+            K = np.exp(D / (-2.0 * result.kpca.spec.bandwidth**2))
             Kc = K - K.mean(axis=0)[None, :] - K.mean(axis=1)[:, None] + K.mean()
             ref = Kc @ result.kpca.dual_coefficients
             coordinates = result.kpca.coordinates
@@ -374,13 +379,24 @@ class TestInferGraph:
         import preimage_gc.kernels as kernels_module
         from preimage_gc import generate
 
-        def no_gram(*args, **kwargs):
-            raise AssertionError("kernels.gram called")
+        events = []
+        fit, rbf_gram = causality_module.fit_kernel_pca, kernels_module._rbf_gram
+
+        def fit_seen(*args):
+            events.append("fit")
+            return fit(*args)
+
+        def gram_seen(*args):
+            events.append("gram")
+            return rbf_gram(*args)
 
         values = generate("logistic2", 300, 0).panel.values[:, [1]]
         config = PipelineConfig(p_select=40)
-        monkeypatch.setattr(kernels_module, "gram", no_gram)
+        monkeypatch.setattr(causality_module, "fit_kernel_pca", fit_seen)
+        monkeypatch.setattr(kernels_module, "_rbf_gram", gram_seen)
         capped = causality_module._fit_pipeline(values, config, cap_rank=True)
+        # the refused fit and the refit each build one gram
+        assert events == ["fit", "gram", "fit", "gram"]
         P = capped.kpca.n_components
         assert P < 40
         direct = causality_module._fit_pipeline(values, PipelineConfig(p_select=P))

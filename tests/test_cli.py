@@ -237,7 +237,8 @@ class TestInfer:
             answers.append(lanczos(*args, **kwargs))
             return answers[-1]
 
-        T = kernels_module.LANCZOS_MIN_ORDER + 20
+        T = 220
+        assert T >= kernels_module.LANCZOS_MIN_ORDER
         data = self.synth_csv(tmp_path, gen="logistic2", T=T, seed=2)
         capped, dense = tmp_path / "capped", tmp_path / "dense"
         with monkeypatch.context() as patch:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 import preimage_gc
 import preimage_gc.kernels as kernels_module
@@ -24,8 +24,8 @@ from preimage_gc import (
     infer_graph,
     normalize_columns,
 )
-from preimage_gc.errors import DegenerateInputError, InsufficientSamplesError, RankError, ShapeError
-from preimage_gc.kernels import EIGENVALUE_RTOL, LANCZOS_MIN_ORDER, gram
+from preimage_gc.errors import DegenerateInputError, InsufficientSamplesError, RankError
+from preimage_gc.kernels import EIGENVALUE_RTOL, LANCZOS_MIN_ORDER
 from preimage_gc.synthgen import GENERATOR_IDS, generate
 
 
@@ -47,14 +47,40 @@ def fitted_bandwidth(X):
     return fit_kernel_pca(KernelSpec("rbf"), X, 1).spec.bandwidth
 
 
+def reference_gram(spec, X, Z):
+    """Reference: the pairwise kernel matrix K[i, j] = k(X[i], Z[j]). The
+    rbf divides and exponentiates cdist's squared distances in place; for
+    X is Z the linear and polynomial grams are symmetrized, since gemm
+    output is not exactly symmetric."""
+    if spec.kind == "rbf":
+        D = cdist(X, Z, "sqeuclidean")
+        np.divide(D, -2.0 * spec.bandwidth**2, out=D)
+        return np.exp(D, out=D)
+    K = X @ Z.T if spec.kind == "linear" else (X @ Z.T + spec.offset) ** spec.degree
+    return 0.5 * (K + K.T) if X is Z else K
+
+
+def built_gram(monkeypatch, spec, X):
+    """The fit of X and the uncentered gram it built: every order takes the
+    Lanczos branch, whose stand-in keeps a copy of the gram and leaves the
+    answer to the dense path."""
+    seen = []
+
+    def keep(K, *args):
+        seen.append(K.copy())
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels_module, "LANCZOS_MIN_ORDER", 0)
+        patch.setattr(kernels_module, "_lanczos_top", keep)
+        model = fit_kernel_pca(spec, X, 1)
+    [K] = seen
+    return model, K
+
+
 class TestKernelSpec:
     def test_rbf_needs_bandwidth(self):
-        # a spec without one is the median rule of fit_kernel_pca; a gram
-        # cannot guess it
-        X = np.random.default_rng(1).normal(size=(6, 2))
+        # a spec without one is the median rule of fit_kernel_pca
         assert KernelSpec(kind="rbf").bandwidth is None
-        with pytest.raises(ValueError, match="bandwidth"):
-            gram(KernelSpec(kind="rbf"), X, X)
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
@@ -93,66 +119,63 @@ class TestKernelSpec:
     @pytest.mark.parametrize("bandwidth", [1e153, 1e-150, np.float64(1e153), 2])
     def test_accepted_bandwidth_divides_to_a_finite_gram(self, bandwidth):
         spec = KernelSpec("rbf", bandwidth=bandwidth)
-        K = gram(spec, [[0.0], [1.0]], [[0.0], [1.0]])
+        _, K = kernels_module._rbf_gram(spec, np.array([[0.0], [1.0]]))
         assert np.all(np.isfinite(K)) and np.all(np.diag(K) == 1.0)
 
 
 class TestGram:
-    def test_linear_hand_example(self):
-        X = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(
-            gram(KernelSpec("linear"), X, X), [[5.0, 11.0], [11.0, 25.0]]
-        )
+    """The gram each fit builds: the rbf from one pdist, the linear and
+    polynomial ones from one gemm, symmetrized."""
 
-    def test_polynomial_hand_example(self):
-        # (<x, z> + 1)^2 with <x, z> = 1
-        X = np.array([[1.0, 0.0]])
-        Z = np.array([[1.0, 1.0]])
-        K = gram(KernelSpec("polynomial", degree=2, offset=1.0), X, Z)
-        np.testing.assert_array_equal(K, [[4.0]])
+    SPECS = (KernelSpec("linear"), KernelSpec("polynomial", degree=3), KernelSpec("rbf", bandwidth=2.0))
+
+    def test_linear_hand_example(self, monkeypatch):
+        X = np.array([[1.0, 2.0], [3.0, 4.0]])
+        _, K = built_gram(monkeypatch, KernelSpec("linear"), X)
+        np.testing.assert_array_equal(K, [[5.0, 11.0], [11.0, 25.0]])
+
+    def test_polynomial_hand_example(self, monkeypatch):
+        # (<x, z> + 1)^2 with <x, z> = 1, 1 and 2
+        X = np.array([[1.0, 0.0], [1.0, 1.0]])
+        _, K = built_gram(monkeypatch, KernelSpec("polynomial", degree=2, offset=1.0), X)
+        np.testing.assert_array_equal(K, [[4.0, 4.0], [4.0, 9.0]])
 
     def test_rbf_diagonal_is_one(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(15, 3))
-        K = gram(KernelSpec("rbf", bandwidth=1.3), X, X)
+        _, K = kernels_module._rbf_gram(KernelSpec("rbf", bandwidth=1.3), X)
         np.testing.assert_array_equal(np.diag(K), np.ones(15))
 
     def test_rbf_matches_direct_formula(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(6, 2))
-        Z = rng.normal(size=(4, 2))
         bw = 0.9
-        K = gram(KernelSpec("rbf", bandwidth=bw), X, Z)
+        _, K = kernels_module._rbf_gram(KernelSpec("rbf", bandwidth=bw), X)
         for i in range(6):
-            for j in range(4):
-                d2 = np.sum((X[i] - Z[j]) ** 2)
+            for j in range(6):
+                d2 = np.sum((X[i] - X[j]) ** 2)
                 assert K[i, j] == pytest.approx(np.exp(-d2 / (2 * bw**2)), rel=1e-12)
 
-    def test_symmetric_on_same_points(self):
-        rng = np.random.default_rng(2)
-        X = rng.normal(size=(20, 4))
-        for spec in (
-            KernelSpec("linear"),
-            KernelSpec("polynomial", degree=3),
-            KernelSpec("rbf", bandwidth=2.0),
-        ):
-            K = gram(spec, X, X)
+    def test_symmetric_on_same_points(self, monkeypatch):
+        # a column-strided view: numpy's X @ X.T on it is not exactly
+        # symmetric at this size (it is on contiguous points)
+        X = np.random.default_rng(2).normal(size=(300, 6))[:, ::2]
+        for spec in self.SPECS:
+            _, K = built_gram(monkeypatch, spec, X)
             assert np.abs(K - K.T).max() == 0.0
 
-    def test_positive_semidefinite(self):
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(25, 3))
-        for spec in (
-            KernelSpec("linear"),
-            KernelSpec("polynomial", degree=2),
-            KernelSpec("rbf", bandwidth=1.0),
-        ):
-            evals = np.linalg.eigvalsh(gram(spec, X, X))
-            assert evals.min() >= -1e-8 * max(evals.max(), 1.0)
+    @pytest.mark.parametrize("spec", SPECS + (KernelSpec("rbf"),), ids=["linear", "polynomial", "rbf", "rbf-median"])
+    def test_fit_builds_the_reference_gram(self, monkeypatch, spec):
+        X = np.random.default_rng(2).normal(size=(20, 4))
+        model, K = built_gram(monkeypatch, spec, X)
+        assert np.array_equal(K, reference_gram(model.spec, X, X))
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError, match="^point dimensions differ: 2 vs 4$"):
-            gram(KernelSpec("linear"), np.zeros((3, 2)), np.zeros((3, 4)))
+    def test_positive_semidefinite(self, monkeypatch):
+        X = np.random.default_rng(3).normal(size=(25, 3))
+        for spec in (KernelSpec("linear"), KernelSpec("polynomial", degree=2), KernelSpec("rbf", bandwidth=1.0)):
+            _, K = built_gram(monkeypatch, spec, X)
+            evals = np.linalg.eigvalsh(K)
+            assert evals.min() >= -1e-8 * max(evals.max(), 1.0)
 
 
 class TestMedianBandwidth:
@@ -186,11 +209,11 @@ class TestMedianBandwidth:
         X = np.random.default_rng(n).normal(size=(n, 3))
         spec, K = kernels_module._rbf_gram(KernelSpec("rbf"), X)
         assert spec == KernelSpec("rbf", bandwidth=median_distance(X))
-        assert np.array_equal(K, gram(spec, X, X))
+        assert np.array_equal(K, reference_gram(spec, X, X))
         given = KernelSpec("rbf", bandwidth=1.3)
         spec, K = kernels_module._rbf_gram(given, X)
         assert spec is given
-        assert np.array_equal(K, gram(given, X, X))
+        assert np.array_equal(K, reference_gram(given, X, X))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_points_rejected(self, bad):
@@ -279,10 +302,8 @@ class TestFitKernelPca:
     def test_fraction_one_keeps_full_rank(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(20, 3))
-        K = gram(KernelSpec("linear"), X, X)
-        Kc = K - K.mean(0) - K.mean(1)[:, None] + K.mean()
         model = fit_kernel_pca(KernelSpec("linear"), X, 1.0)
-        assert model.n_components == np.linalg.matrix_rank(Kc)
+        assert model.n_components == np.linalg.matrix_rank(centered_gram(KernelSpec("linear"), X))
 
     def test_overrequest_reports_achievable_rank(self):
         rng = np.random.default_rng(9)
@@ -329,7 +350,7 @@ class TestFitKernelPca:
         # as on the Lanczos path; on this gram K.mean() differs in the last bit
         X = np.random.default_rng(0).normal(size=(60, 3))
         model = fit_kernel_pca(KernelSpec("rbf", bandwidth=median_distance(X)), X, 0.95)
-        K = gram(model.spec, X, X)
+        K = reference_gram(model.spec, X, X)
         c = K.mean(axis=0)
         assert float(K.mean()) != float(np.mean(c))
         # the fit's dense solve runs on one thread of scipy's pool
@@ -359,7 +380,7 @@ class TestFitKernelPca:
 
 def centered_gram(spec, X):
     """Reference: the double-centered gram Kc of X."""
-    K = gram(spec, X, X)
+    K = reference_gram(spec, X, X)
     col_means = K.mean(axis=0)
     return K - col_means[None, :] - col_means[:, None] + K.mean()
 
@@ -486,7 +507,11 @@ class TestLanczosPath:
     self-stopping Lanczos run; they must agree with a dense eigh, and
     whatever the run cannot settle must go to the dense path."""
 
-    M = LANCZOS_MIN_ORDER + 100
+    M = 300
+
+    def test_order_is_on_the_lanczos_side(self):
+        # a crossover moved past M would quietly test the dense path
+        assert self.M >= LANCZOS_MIN_ORDER
 
     @pytest.fixture
     def solver_calls(self, monkeypatch):
@@ -569,7 +594,7 @@ class TestLanczosPath:
         # steps; 4 components cannot be settled there, and the run stops
         # instead of stepping through rounding noise up to the cap
         spec, X = self.rank3_case()
-        K = gram(spec, X, X)
+        K = reference_gram(spec, X, X)
         col_means = K.mean(axis=0)
         assert kernels_module._lanczos_top(K, col_means, float(np.mean(col_means)), 4) is None
         assert matvecs[0] <= kernels_module.LANCZOS_CHECK_EVERY
@@ -628,7 +653,7 @@ class TestLanczosPath:
         monkeypatch.setattr(kernels_module, "_lanczos_top", seen)
         fit_kernel_pca(spec, X, 0.95)
         assert solver_calls == {"lanczos": 1, "eigh": 0}
-        K = gram(spec, X, X)
+        K = reference_gram(spec, X, X)
         assert np.array_equal(built[0], K)
         [(gram_handed, col_means, grand_mean, _)] = handed
         assert gram_handed is built[0]
@@ -639,7 +664,7 @@ class TestLanczosPath:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_gram_goes_dense(self, matvecs, bad):
         spec, X = self.rbf_case()
-        K = gram(spec, X, X)
+        K = reference_gram(spec, X, X)
         K[3, 5] = K[5, 3] = bad
         col_means = K.mean(axis=0)
         assert kernels_module._lanczos_top(K, col_means, float(np.mean(col_means)), 0.95) is None
@@ -660,7 +685,7 @@ class TestLanczosPath:
         for i in range(-1, values.shape[1]):
             X = normalize_columns(values if i < 0 else np.delete(values, i, axis=1))
             spec = KernelSpec("rbf", bandwidth=median_distance(X))
-            K = gram(spec, X, X)
+            K = reference_gram(spec, X, X)
             col_means = K.mean(axis=0)
             pairs = kernels_module._lanczos_top(K, col_means, float(np.mean(col_means)), 0.95)
             assert pairs is not None, i
@@ -677,7 +702,6 @@ NONFINITE_ENTRY_POINTS = {
     "fit rbf median": lambda X: fit_kernel_pca(KernelSpec("rbf"), X, 0.95),
     "fit linear": lambda X: fit_kernel_pca(KernelSpec("linear"), X, 2),
     "fit polynomial": lambda X: fit_kernel_pca(KernelSpec("polynomial"), X, 0.95),
-    "gram": lambda X: gram(KernelSpec("rbf", bandwidth=1.0), X, X),
     "normalize_columns": normalize_columns,
 }
 
@@ -685,7 +709,7 @@ NONFINITE_ENTRY_POINTS = {
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("entry", list(NONFINITE_ENTRY_POINTS))
 def test_nonfinite_point_is_refused_as_such(entry, bad):
-    # these used to call a NaN or inf an overflow, and gram returned NaN entries
+    # these used to call a NaN or inf an overflow
     X = np.random.default_rng(19).normal(size=(30, 3))
     X[7, 1] = bad
     with warnings.catch_warnings():

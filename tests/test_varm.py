@@ -1,5 +1,7 @@
 """VAR fitting: recovery, ridge behavior, in-sample fitted values."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -97,7 +99,8 @@ class TestFitVar:
         # nan used to be reported as overflowing normal equations; None and
         # "1" raised an untyped TypeError, and True was used as 1.0
         series = np.random.default_rng(6).normal(size=(50, 2))
-        with pytest.raises(ValueError, match="ridge_lambda must be finite and >= 0"):
+        # the message shows the value as written, so "1" reads '1'
+        with pytest.raises(ValueError, match="^ridge_lambda must be finite and >= 0, got " + re.escape(repr(ridge)) + "$"):
             fit_var(series, lag=1, ridge_lambda=ridge)
 
     @pytest.mark.parametrize("lag", [2.0, 0, True])

@@ -19,13 +19,14 @@ quote, on the source tree given by --src (default: this checkout's src/):
   `python -m preimage_gc infer` on the nonlinear5 panel of seed 0 at
   T = 1000, each with the largest peak RSS of its children, and the
   sha256 of the graph.json infer wrote;
-- the identity digest: the sha256 over raw_log_ratios.tobytes() of 150
+- the identity digest: the sha256 over raw_log_ratios.tobytes() of 180
   graph calls, so that two trees can be checked for identical numbers
   without a sweep. For each generator in GENERATOR_IDS order, then each
   T of DIGEST_T, then each seed of DIGEST_SEEDS, the panel goes through
-  four infer_graph configs (default rbf, rbf at lag 2, rbf at p_select
-  0.999, polynomial at p_select 4) in that order and then
-  linear_gc_baseline; warnings are suppressed, as they change no output;
+  five infer_graph configs (default rbf, rbf at lag 2, rbf at p_select
+  0.999, polynomial at p_select 4, linear at p_select 2) in that order
+  and then linear_gc_baseline, so every kernel kind is covered; warnings
+  are suppressed, as they change no output;
 - the machine: core count, Python, numpy and scipy versions, the BLAS
   build each of numpy and scipy loads, and the BLAS thread variables.
 
@@ -127,6 +128,8 @@ def identity_digest():
         "rbf, lag 2": PipelineConfig(lag=2),
         "rbf, p_select 0.999": PipelineConfig(p_select=0.999),
         "polynomial, p_select 4": PipelineConfig(kernel=KernelSpec("polynomial"), p_select=4),
+        # p_select 2: logistic2 has 2 nodes, so a linear gram has rank 2 at most
+        "linear, p_select 2": PipelineConfig(kernel=KernelSpec("linear"), p_select=2),
     }
     digest = hashlib.sha256()
     start = time.perf_counter()
