@@ -18,7 +18,7 @@ from preimage_gc import (
 from preimage_gc.causality import CausalGraph
 from preimage_gc.errors import ShapeError
 from preimage_gc.kernels import KernelPcaModel
-from preimage_gc.preimage import PreimageMap
+from preimage_gc.preimage import PreimageMap, reconstruct
 from preimage_gc.synthgen import LINEAR5_COEFFICIENTS, SyntheticDataset
 from preimage_gc.varm import VarModelFit
 
@@ -70,6 +70,7 @@ _GUARDED = {
     "learn_preimage Y": ("Y", lambda bad: learn_preimage(bad, _GOOD)),
     "learn_preimage H": ("H", lambda bad: learn_preimage(_GOOD, bad)),
     "fit_kernel_pca": ("X", lambda bad: fit_kernel_pca(_LINEAR, bad, 1)),
+    "reconstruct H": ("H", lambda bad: reconstruct(PreimageMap(np.ones((2, 2)), 0.0), bad)),
 }
 
 

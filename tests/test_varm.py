@@ -103,11 +103,16 @@ class TestFitVar:
         with pytest.raises(ValueError, match="^ridge_lambda must be finite and >= 0, got " + re.escape(repr(ridge)) + "$"):
             fit_var(series, lag=1, ridge_lambda=ridge)
 
-    @pytest.mark.parametrize("lag", [2.0, 0, True])
+    @pytest.mark.parametrize("lag", [2.0, 0, True, 1.5, "2"])
     def test_rejects_float_lag(self, lag):
-        # 2.0 used to raise an untyped TypeError inside the embedding
-        with pytest.raises(ValueError, match="lag must be a positive integer, got " + repr(lag)):
+        # 2.0 used to raise an untyped TypeError inside the embedding; the
+        # check is PipelineConfig's, so it refuses the same values
+        with pytest.raises(ValueError, match="lag must be a positive integer, got " + re.escape(repr(lag))):
             fit_var(np.random.default_rng(6).normal(size=(50, 2)), lag=lag)
+
+    def test_accepts_numpy_integer_lag(self):
+        series = np.random.default_rng(6).normal(size=(50, 2))
+        assert len(fit_var(series, lag=np.int64(2)).coefficients) == 2
 
     def test_same_data_ridge_succeeds(self):
         rng = np.random.default_rng(6)
