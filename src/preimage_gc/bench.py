@@ -216,6 +216,13 @@ def _map_in_workers(fn, tasks, jobs):
         yield from results
 
 
+def _whole(what, value) -> int:
+    """value as an int if its type is an integer type other than bool, else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _checked_grid(generators, methods, T_grid, seeds, jobs):
     """run_benchmark's arguments as lists (seeds as a seed list) and an int
     job count; ConfigError for anything it cannot sweep, a repeated value
@@ -232,19 +239,16 @@ def _checked_grid(generators, methods, T_grid, seeds, jobs):
     for method_id, config in methods:
         if not isinstance(config, PipelineConfig):
             raise ConfigError(f"method {method_id!r} has no PipelineConfig")
-    T_grid = [int(T) for T in T_grid]
+    T_grid = [_whole("T", T) for T in T_grid]
     if not T_grid:
         raise ConfigError("empty T grid")
     for T in T_grid:
         if T < MIN_T:
             raise ConfigError(f"T values must be >= {MIN_T}, got {T}")
-    if isinstance(seeds, (int, np.integer)):
-        seed_list = list(range(int(seeds)))
-    else:
-        seed_list = [int(s) for s in seeds]
+    seed_list = [_whole("seed", s) for s in seeds] if np.iterable(seeds) else list(range(_whole("seed count", seeds)))
     if not seed_list:
         raise ConfigError("no seeds given")
-    jobs = int(jobs)
+    jobs = _whole("jobs", jobs)
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     method_ids = [method_id for method_id, _ in methods]

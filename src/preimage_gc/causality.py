@@ -42,7 +42,6 @@ class PipelineConfig:
     lag: int = 1
     ridge_var: float = DEFAULT_RIDGE
     ridge_preimage: float = DEFAULT_RIDGE
-    normalize_input: bool = True
 
     def __post_init__(self):
         k = self.kernel
@@ -103,10 +102,7 @@ def _fit_pipeline(
         )
 
     with _tagged("[normalize]"):
-        if config.normalize_input:
-            X = normalize_columns(values, node_names)
-        else:
-            X = values.copy()
+        X = normalize_columns(values, node_names)
 
     with _tagged("[pca]"):
         if config.kernel == IDENTITY:

@@ -29,10 +29,8 @@ PIPELINE_KEYS = (
     "lag",
     "ridge_var",
     "ridge_preimage",
-    "normalize",
 )
 BENCH_KEYS = ("generators", "T_grid", "seeds")
-_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 def _require_file(path_str) -> Path:
@@ -54,13 +52,6 @@ def _parse_int(section, key, raw):
         return int(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key} must be an integer, got {raw!r}") from None
-
-
-def _parse_bool(section, key, raw):
-    try:
-        return _BOOLEANS[raw.strip().lower()]
-    except KeyError:
-        raise ConfigError(f"[{section}] {key} must be true/false, got {raw!r}") from None
 
 
 def _pipeline_config_from_items(section, items) -> PipelineConfig:
@@ -101,8 +92,6 @@ def _pipeline_config_from_items(section, items) -> PipelineConfig:
         kwargs["ridge_var"] = _parse_float(section, "ridge_var", items["ridge_var"])
     if "ridge_preimage" in items:
         kwargs["ridge_preimage"] = _parse_float(section, "ridge_preimage", items["ridge_preimage"])
-    if "normalize" in items:
-        kwargs["normalize_input"] = _parse_bool(section, "normalize", items["normalize"])
     try:
         kernel = IDENTITY if kernel_name == IDENTITY else KernelSpec(kernel_name, **spec_kwargs)
         return PipelineConfig(kernel=kernel, **kwargs)

@@ -471,8 +471,9 @@ def fit_kernel_pca(spec: KernelSpec, X, p_select) -> KernelPcaModel:
             spec, K = _rbf_gram(spec, X)
         else:
             K = X @ X.T if spec.kind == "linear" else (X @ X.T + spec.offset) ** spec.degree
-            # X @ X.T is exactly symmetric on contiguous points but not on every view; make it so
-            K = 0.5 * (K + K.T)
+            # X @ X.T is not exactly symmetric on every view; halving before the sum
+            # keeps entries above half the float64 maximum finite
+            K = 0.5 * K + 0.5 * K.T
         # one pass, shared by the Lanczos run and the dense path's centering
         col_means = K.mean(axis=0)
     # X is finite, so a non-finite entry, which reaches its column's mean, is an overflow

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -394,6 +395,19 @@ class TestRunBenchmark:
         methods = [(m, config) for m, (_, config) in zip(method_ids, self.small_methods())]
         with pytest.raises(ConfigError, match=message):
             run_benchmark(generators, methods, T_grid, seeds)
+
+    @pytest.mark.parametrize("T_grid, seeds, jobs, message", [
+        ([50], 2.0, 1, "seed count must be an integer, got 2.0"),
+        ([50], True, 1, "seed count must be an integer, got True"),
+        ([50], [0, 1.5], 1, "seed must be an integer, got 1.5"),
+        ([50.7], 2, 1, "T must be an integer, got 50.7"),
+        ([50], 2, 1.5, "jobs must be an integer, got 1.5"),
+    ], ids=["seeds-2.0", "seeds-True", "seed-1.5", "T-50.7", "jobs-1.5"])
+    def test_non_integer_grid_value_rejected(self, T_grid, seeds, jobs, message):
+        # these used to be truncated (T 50.7 ran as 50, jobs 1.5 as 1, seed
+        # 1.5 as 1), counted (True as one seed) or crash untyped (2.0 seeds)
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            run_benchmark(["logistic2"], self.small_methods(), T_grid, seeds, jobs=jobs)
 
     def test_method_without_pipeline_config_rejected(self):
         methods = [("kernel", PipelineConfig()), ("raw", {"kernel": "rbf"})]

@@ -4,7 +4,6 @@ import csv
 import io
 import math
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -110,7 +109,6 @@ class TestPipelineConfig:
         assert config.lag == 1
         assert config.ridge_var == 1e-3
         assert config.ridge_preimage == 1e-3
-        assert config.normalize_input is True
 
     def test_rejects_unknown_kernel_string(self):
         with pytest.raises(ValueError, match="kernel"):
@@ -186,52 +184,15 @@ class TestRunFullModel:
         with pytest.raises(DegenerateInputError, match=rf"\[normalize\] {panel.node_names[0]} .*overflows"):
             run(huge)
 
-    @pytest.mark.parametrize("scale", [1e155, 1e200])
-    def test_overflowing_distances_fail_in_pca_without_normalize(self, scale):
-        # used to end in "[pca] centered gram has rank 0 (all points identical?)"
+    def test_preimage_failure_is_tagged(self):
+        # a duplicated column leaves the identity features rank-deficient,
+        # which only the pre-image's unpenalized least squares refuses
         panel = generate("nonlinear5", 100, 0).panel
-        huge = TimeSeriesPanel(panel.values * scale, panel.node_names)
-        with pytest.raises(DegenerateInputError, match=r"\[pca\] pairwise distances overflow"):
-            infer_graph(huge, PipelineConfig(normalize_input=False))
-
-    @pytest.mark.parametrize("scale", [1e155, 1e200])
-    def test_overflowing_residual_variance_is_tagged_without_normalize(self, scale):
-        # used to end in the untagged "reduced-model residual variance must
-        # be positive, got inf; increase the ridge penalties"
-        panel = generate("nonlinear5", 100, 0).panel
-        huge = TimeSeriesPanel(panel.values * scale, panel.node_names)
-        config = PipelineConfig(kernel=IDENTITY, ridge_var=0.0, ridge_preimage=0.0, normalize_input=False)
-        with pytest.raises(DegenerateInputError, match=r"^\[var\] residual variance overflows"):
-            infer_graph(huge, config)
-        with pytest.raises(DegenerateInputError, match=r"^\[var\] the design's normal equations overflow"):
-            infer_graph(huge, PipelineConfig(kernel=IDENTITY, normalize_input=False))
-
-    @pytest.mark.parametrize("scale", [1e155, 1e160])
-    def test_overflowing_preimage_error_is_tagged_without_normalize(self, scale):
-        # distances overflow to an identity gram under a given bandwidth, so
-        # the lift and the VAR fit; the pre-image's training error used to
-        # come back inf after "RuntimeWarning: overflow encountered in square"
-        values = generate("nonlinear5", 50, 0).panel.values * scale
-        config = PipelineConfig(kernel=KernelSpec("rbf", bandwidth=1.0), p_select=2, normalize_input=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DegenerateInputError, match=r"^\[preimage\] pre-image training error overflows"):
-                causality_module._fit_pipeline(values, config)
-
-    def test_linear_path_below_overflow_still_fits_without_normalize(self):
-        panel = generate("nonlinear5", 100, 0).panel
-        config = PipelineConfig(kernel=IDENTITY, ridge_var=0.0, ridge_preimage=0.0, normalize_input=False)
-        base = infer_graph(panel, config)
-        big = infer_graph(TimeSeriesPanel(panel.values * 1e150, panel.node_names), config)
-        np.testing.assert_allclose(big.delta, base.delta, rtol=1e-9, atol=1e-12)
-
-    def test_largest_scale_below_overflow_still_fits_without_normalize(self):
-        # the rbf with the median bandwidth is scale-free up to rounding
-        panel = generate("nonlinear5", 100, 0).panel
-        config = PipelineConfig(normalize_input=False)
-        base = infer_graph(panel, config)
-        huge = infer_graph(TimeSeriesPanel(panel.values * 1e154, panel.node_names), config)
-        np.testing.assert_allclose(huge.delta, base.delta, rtol=1e-9, atol=1e-12)
+        values = panel.values.copy()
+        values[:, 4] = values[:, 3]
+        config = PipelineConfig(kernel=IDENTITY, ridge_preimage=0.0)
+        with pytest.raises(RankError, match=r"^\[preimage\] feature matrix has rank 4 < 5; use a positive ridge_lambda$"):
+            run_full_model(TimeSeriesPanel(values, panel.node_names), config)
 
     def test_too_short_panel(self):
         panel = random_panel(4, 2, seed=2)
@@ -522,10 +483,9 @@ class TestInferGraphProperties:
         shift = data.draw(st.floats(min_value=-100.0, max_value=100.0))
         values = panel.values.copy()
         values[:, j] = sign * scale * values[:, j] + shift
-        config = PipelineConfig(normalize_input=True)
-        a = infer_graph(panel, config)
-        b = infer_graph(TimeSeriesPanel(values, panel.node_names), config)
-        np.testing.assert_allclose(b.delta, a.delta, rtol=0, atol=1e-8)
+        rescaled = TimeSeriesPanel(values, panel.node_names)
+        for run in (infer_graph, linear_gc_baseline):
+            np.testing.assert_allclose(run(rescaled).delta, run(panel).delta, rtol=0, atol=1e-8)
 
 
 class TestCausalGraph:

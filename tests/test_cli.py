@@ -142,28 +142,6 @@ class TestInfer:
         assert "[normalize]" in err
         assert panel.node_names[0] in err
 
-    def test_overflowing_distances_without_normalize_is_tagged_runtime_error(self, tmp_path, capsys):
-        data = self.synth_csv(tmp_path)
-        panel = ingest_csv(data)
-        huge = tmp_path / "huge.csv"
-        huge.write_text(panel_to_csv(TimeSeriesPanel(panel.values * 1e200, panel.node_names)))
-        config = tmp_path / "pipeline.ini"
-        config.write_text("[pipeline]\nnormalize = false\n")
-        assert run(["infer", str(huge), "--config", str(config), "--out", str(tmp_path / "result")]) == 1
-        assert "[pca] pairwise distances overflow" in capsys.readouterr().err
-
-    def test_overflowing_residual_variance_is_tagged_runtime_error(self, tmp_path, capsys):
-        data = self.synth_csv(tmp_path)
-        panel = ingest_csv(data)
-        huge = tmp_path / "huge.csv"
-        huge.write_text(panel_to_csv(TimeSeriesPanel(panel.values * 1e200, panel.node_names)))
-        config = tmp_path / "pipeline.ini"
-        config.write_text(
-            "[pipeline]\nkernel = linear-identity\nridge_var = 0\nridge_preimage = 0\nnormalize = false\n"
-        )
-        assert run(["infer", str(huge), "--config", str(config), "--out", str(tmp_path / "result")]) == 1
-        assert "[var] residual variance overflows" in capsys.readouterr().err
-
     def test_unconverged_least_squares_is_tagged_runtime_error(self, tmp_path, capsys, monkeypatch):
         def unconverged(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
@@ -362,7 +340,7 @@ class TestUsageErrors:
         ("lag = two\n", "[pipeline] lag must be an integer, got 'two'"),
         ("lag = 2.0\n", "[pipeline] lag must be an integer, got '2.0'"),
         ("kernel = polynomial\ndegree = 2.5\n", "[pipeline] degree must be an integer, got '2.5'"),
-        ("normalize = maybe\n", "[pipeline] normalize must be true/false, got 'maybe'"),
+        ("normalize = true\n", "unknown key(s) in [pipeline]: normalize"),
         ("kernel = linear\nbandwidth = 1.0\n", "[pipeline] bandwidth only applies to the rbf kernel"),
         ("kernel = polynomial\nbandwidth = median\n", "[pipeline] bandwidth only applies to the rbf kernel"),
         ("degree = 3\n", "[pipeline] degree/offset only apply to the polynomial kernel"),

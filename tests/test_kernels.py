@@ -334,6 +334,22 @@ class TestFitKernelPca:
             with pytest.raises(DegenerateInputError, match=f"the {spec.kind} gram overflows float64"):
                 fit_kernel_pca(spec, X, 0.95)
 
+    @pytest.mark.parametrize("spec, big", [
+        (KernelSpec("linear"), 1.2e154),
+        (KernelSpec("polynomial", offset=0.0), 1.1e77),
+    ])
+    @pytest.mark.parametrize("p_select", [1, 0.95])
+    def test_gram_entry_above_half_the_float64_maximum_fits(self, spec, big, p_select):
+        # the symmetrizing step used to overflow in K + K.T and refuse this
+        # finite gram (largest entry about 1.4e308) as overflowing
+        X = np.random.default_rng(0).normal(size=(30, 2))
+        X[0] = [big, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_kernel_pca(spec, X, p_select)
+        assert model.dual_coefficients.shape == (30, 1)
+        assert 1e308 < model.eigenvalues[0] < np.finfo(float).max
+
     def test_one_point_is_too_few(self):
         with pytest.raises(InsufficientSamplesError, match="at least 2 points"):
             fit_kernel_pca(KernelSpec("rbf"), np.zeros((1, 3)), 0.95)
