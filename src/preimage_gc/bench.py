@@ -13,8 +13,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .causality import PipelineConfig, infer_graph
-from .data import TimeSeriesPanel, _csv_text
-from .errors import ConfigError, InstabilityError, PreimageGCError, ShapeError, UndefinedAucError
+from .data import TimeSeriesPanel, _csv_text, _is_integer
+from .errors import ConfigError, PreimageGCError, ShapeError, UndefinedAucError
 from .synthgen import GENERATOR_IDS, MIN_T, generate
 
 # The environment bench workers start in. numpy's and scipy's OpenBLAS
@@ -132,34 +132,23 @@ class BenchmarkReport:
 def _run_trajectory(task, progress=None):
     """Simulate one (generator, seed) once and score every method on every T.
 
-    Every T's panel is the first T rows of one trajectory generated at
-    the largest T, a prefix that per-T generation reproduces bit for bit
-    (see synthgen). A trajectory that diverges at step k fails every T
-    whose run reaches step k with that error, and is generated again at
-    the largest T left. Returns, for each T in the task's T order, one
-    CellRecord per method in method order, and passes each to
+    The trajectory is generated once, at the largest T, and every T's
+    panel is its first T rows, which generating at that T gives bit for
+    bit (see synthgen). If that one generation fails, every (T, method)
+    cell records its error. Returns one CellRecord per (T, method), T in
+    the task's T order and methods in method order, and passes each to
     ``progress`` (if given) as soon as it is complete.
     """
     generator_id, seed, T_grid, methods = task
-    errors = {}
-    open_T = sorted(T_grid)
-    while open_T:
-        try:
-            dataset = generate(generator_id, open_T[-1], seed)
-            break
-        except PreimageGCError as err:
-            # runs that end before the divergent step never reach it
-            spared = 0
-            if isinstance(err, InstabilityError):
-                spared = sum(err.params["burn_in"] + T <= err.step for T in open_T[:-1])
-            errors.update(dict.fromkeys(open_T[spared:], err))
-            del open_T[spared:]
-    trajectory = []
+    generation_error = None
+    try:
+        dataset = generate(generator_id, max(T_grid), seed)
+    except PreimageGCError as err:
+        generation_error = err
+    records = []
     for T in T_grid:
-        generation_error = errors.get(T)
         if generation_error is None:
             panel = TimeSeriesPanel(dataset.panel.values[:T], dataset.panel.node_names)
-        records = []
         for method_id, config in methods:
             auc, error = None, generation_error
             if error is None:
@@ -182,8 +171,7 @@ def _run_trajectory(task, progress=None):
             records.append(record)
             if progress is not None:
                 progress(record)
-        trajectory.append(records)
-    return trajectory
+    return records
 
 
 @contextmanager
@@ -218,7 +206,7 @@ def _map_in_workers(fn, tasks, jobs):
 
 def _whole(what, value) -> int:
     """value as an int if its type is an integer type other than bool, else ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _is_integer(value):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
@@ -273,14 +261,15 @@ def run_benchmark(
     count (0..seeds-1) or an explicit list. A repeated generator, method
     id, T or seed is a ConfigError. Each (generator, seed) trajectory is
     generated once, at the largest T, and every T's panel is its prefix;
-    every method runs on each panel. Trajectories are independent, so
-    jobs > 1 runs them in worker processes with one BLAS thread each;
-    records always come back in grid order (generator, method, T, seed),
-    so the report is identical regardless of jobs. ``progress`` (if
-    given) is called with each CellRecord in (generator, seed, T,
-    method) order: at jobs = 1 as each record completes, at jobs > 1 a
-    trajectory's records together once it and every earlier trajectory
-    are done, not in completion order.
+    every method runs on each panel. A trajectory whose generation fails
+    records that one error in each of its (T, method) cells. Trajectories
+    are independent, so jobs > 1 runs them in worker processes with one
+    BLAS thread each; records always come back in grid order (generator,
+    method, T, seed), so the report is identical regardless of jobs.
+    ``progress`` (if given) is called with each CellRecord in (generator,
+    seed, T, method) order: at jobs = 1 as each record completes, at
+    jobs > 1 a trajectory's records together once it and every earlier
+    trajectory are done, not in completion order.
     """
     generators, methods, T_grid, seed_list, jobs = _checked_grid(generators, methods, T_grid, seeds, jobs)
 
@@ -294,15 +283,14 @@ def run_benchmark(
         for trajectory in _map_in_workers(_run_trajectory, tasks, jobs):
             trajectories.append(trajectory)
             if progress is not None:
-                for records in trajectory:
-                    for record in records:
-                        progress(record)
+                for record in trajectory:
+                    progress(record)
 
     # tasks run generator -> seed, each T -> method; records go out
     # generator -> method -> T -> seed
-    n_seeds = len(seed_list)
+    n_seeds, n_methods = len(seed_list), len(methods)
     records = [
-        trajectories[g * n_seeds + s][t][m]
+        trajectories[g * n_seeds + s][t * n_methods + m]
         for g in range(len(generators))
         for m in range(len(methods))
         for t in range(len(T_grid))

@@ -272,6 +272,11 @@ def infer_graph(panel: TimeSeriesPanel, config: PipelineConfig | None = None) ->
     delta = np.zeros((N, N))
     raw = np.zeros((N, N))
     for i in range(N):
+        # Each reduced fit normalizes the raw reduced columns itself, as a
+        # fit of the panel without node i would. Deleting column i from
+        # the normalized full panel instead is not the same in the last
+        # bits: numpy's column means and standard deviations can round
+        # differently once the matrix has one column fewer.
         reduced_values = np.delete(values, i, axis=1)
         reduced_names = names[:i] + names[i + 1 :]
         with _tagged(f"excluding node {names[i]!r}:"):

@@ -62,10 +62,15 @@ def _finite_nonnegative(value):
     return 0 <= value < math.inf
 
 
+def _is_integer(value):
+    """Whether value's type is an integer type other than bool: 2 and
+    np.int64(2) are; 2.0, "2" and True are not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_lag(lag):
-    """Raise ValueError unless lag is a whole number >= 1 of an integer
-    type that is not a bool: 2 and np.int64(2) pass; 2.0, True and 0 do not."""
-    if isinstance(lag, bool) or not isinstance(lag, (int, np.integer)) or lag < 1:
+    """Raise ValueError unless lag is an integer (see _is_integer) >= 1."""
+    if not _is_integer(lag) or lag < 1:
         raise ValueError(f"lag must be a positive integer, got {lag!r}")
 
 

@@ -10,7 +10,9 @@ Each stream is drawn in time order, and no draw's value depends on T,
 so a shorter panel is a prefix of a longer one: ``generate(g, T1, s)``
 gives the first T1 rows of ``generate(g, T2, s)`` bit for bit for
 T1 < T2, and the run diverges at the same step whenever it reaches it.
-The bench sweep relies on this to simulate each (generator, seed) once.
+The bench sweep relies on the prefix property alone, to simulate each
+(generator, seed) once at its largest T; it does not read the step at
+which a run diverges, and fails every T of a trajectory that does.
 
 The default parameters below are the definitions of record for these
 benchmarks; tests and shipped configs rely on them.
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TimeSeriesPanel, _freeze, _frozen_array
+from .data import TimeSeriesPanel, _freeze, _frozen_array, _is_integer
 from .errors import InstabilityError
 
 GENERATOR_IDS = ("logistic2", "fanout3", "fanin3", "linear5", "nonlinear5")
@@ -313,12 +315,16 @@ def generate(generator_id, T, seed, params=None) -> SyntheticDataset:
 
     Runs burn_in + T steps and keeps the last T. ``params`` may override
     any default of the chosen generator (unknown keys are rejected).
-    Negative seeds are folded into the unsigned 64-bit range.
+    T and seed must be integers (a bool is refused); negative seeds are
+    folded into the unsigned 64-bit range.
     """
     if generator_id not in _BUILDERS:
         raise ValueError(
             f"unknown generator {generator_id!r}; choose from {GENERATOR_IDS}"
         )
+    for what, value in (("T", T), ("seed", seed)):
+        if not _is_integer(value):
+            raise ValueError(f"{what} must be an integer, got {value!r}")
     T = int(T)
     if T < MIN_T:
         raise ValueError(f"T must be >= {MIN_T}, got {T}")

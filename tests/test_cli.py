@@ -12,9 +12,9 @@ import pytest
 
 import preimage_gc
 import preimage_gc.kernels as kernels_module
-from preimage_gc import KernelSpec, PipelineConfig, TimeSeriesPanel, ingest_csv
+from preimage_gc import KernelSpec, PipelineConfig, TimeSeriesPanel, generate, ingest_csv
 from preimage_gc.data import panel_to_csv
-from preimage_gc.cli import _pipeline_config_from_file, main
+from preimage_gc.cli import _bench_setup_from_file, _pipeline_config_from_file, main
 
 PIPELINE_INI = """\
 [pipeline]
@@ -523,6 +523,17 @@ class TestShippedConfigs:
     def test_full_sweep_grid(self, capsys):
         assert run(["bench", "--config", str(CONFIGS / "full_sweep.ini"), "--dry-run"]) == 0
         assert capsys.readouterr().out == "2000 cells: 5 generators x 2 methods x 4 T values x 50 seeds\n"
+
+    def test_full_sweep_trajectories_stay_far_from_divergence(self):
+        # bench fails a whole trajectory if its generation diverges, and
+        # the shipped sweep is meant never to take that path
+        generators, _, T_grid, seeds = _bench_setup_from_file(CONFIGS / "full_sweep.ini")
+        largest = max(
+            np.abs(generate(g, max(T_grid), s).panel.values).max()
+            for g in generators
+            for s in range(seeds)
+        )
+        assert largest < 10
 
 
 class TestParser:

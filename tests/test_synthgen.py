@@ -270,6 +270,29 @@ class TestParameters:
         with pytest.raises(ValueError, match="unknown generator"):
             generate("lorenz", 60, 0)
 
+    @pytest.mark.parametrize(
+        "T, seed, message",
+        [
+            (100.9, 0, "T must be an integer, got 100.9"),
+            ("100", 0, "T must be an integer, got '100'"),
+            (np.float64(100.0), 0, f"T must be an integer, got {np.float64(100.0)!r}"),
+            (True, 0, "T must be an integer, got True"),
+            (100, 1.7, "seed must be an integer, got 1.7"),
+            (100, True, "seed must be an integer, got True"),
+            (100, None, "seed must be an integer, got None"),
+        ],
+    )
+    def test_non_integer_T_or_seed_rejected(self, T, seed, message):
+        with pytest.raises(ValueError) as exc:
+            generate("fanout3", T, seed)
+        assert str(exc.value) == message
+
+    def test_numpy_integers_accepted(self):
+        a = generate("fanout3", np.int64(60), np.uint64(3))
+        b = generate("fanout3", 60, 3)
+        assert a.panel.values.tobytes() == b.panel.values.tobytes()
+        assert a.seed == 3
+
     def test_override_changes_output(self):
         a = generate("fanout3", 100, 4)
         b = generate("fanout3", 100, 4, params={"tanh_gain": 1.4})

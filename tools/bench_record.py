@@ -29,6 +29,10 @@ quote, on the source tree given by --src (default: this checkout's src/):
   are suppressed, as they change no output;
 - the machine: core count, Python, numpy and scipy versions, the BLAS
   build each of numpy and scipy loads, and the BLAS thread variables.
+- src_sha256: the sha256 over the sorted relative paths and bytes of
+  the .py files of the measured preimage_gc package, so that a record
+  names the tree it measured, whether --src is a git checkout or a
+  plain copy.
 
 The record goes under its label into the --out file, which has no
 default, so that no run overwrites an earlier change's record; records
@@ -157,6 +161,18 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def src_sha256(src):
+    """sha256 over the sorted relative paths and bytes of the package's .py files."""
+    package = src / "preimage_gc"
+    digest = hashlib.sha256()
+    for rel in sorted(path.relative_to(package).as_posix() for path in package.rglob("*.py")):
+        data = (package / rel).read_bytes()
+        # path and length first, so no two trees hash the same byte stream
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def sweep_wall(src, jobs, work):
     """Wall and CPU time of one full_sweep.ini bench run and digests of its outputs."""
     out = work / f"sweep-j{jobs}"
@@ -246,6 +262,7 @@ def main(argv=None):
         # before this process loads numpy and grows past the children; see _child
         cold = cold_start(src, work)
         record = {
+            "src_sha256": src_sha256(src),
             "machine": machine(),
             "infer_graph": {
                 "generator": INFER_GENERATOR,
