@@ -23,7 +23,7 @@ from .causality import (
     run_full_model,
 )
 from .synthgen import GENERATOR_IDS, generate, ground_truth_edges
-from .bench import off_diagonal, roc_auc, run_benchmark, summarize
+from .bench import off_diagonal, roc_auc, run_benchmark
 
 __all__ = [
     "GENERATOR_IDS",
@@ -46,5 +46,4 @@ __all__ = [
     "roc_auc",
     "run_benchmark",
     "run_full_model",
-    "summarize",
 ]

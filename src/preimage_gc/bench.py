@@ -33,7 +33,7 @@ def _average_ranks(x):
     order = np.argsort(x, kind="stable")
     ordered = x[order]
     # each tie group is a run of equal values in sorted order: [start, end)
-    bounds = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1], True])
+    bounds = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1], [True])))
     # the mean of the 1-based positions start + 1 .. end
     group_ranks = (bounds[:-1] + bounds[1:] + 1) / 2.0
     ranks = np.empty(x.size)
@@ -55,7 +55,7 @@ def roc_auc(scores, labels) -> float:
         raise ShapeError(
             f"length mismatch: {scores.shape[0]} scores, {labels.shape[0]} labels"
         )
-    if not np.all(np.isin(labels, (0, 1))):
+    if not ((labels == 0) | (labels == 1)).all():
         raise ValueError("labels must be 0/1")
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")

@@ -213,6 +213,26 @@ def panel_to_csv(panel: TimeSeriesPanel) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _column_moments(values):
+    """(mean, variance) of each column of the 2-d values, the mean with
+    shape (1, N) and the population variance with shape (N,).
+
+    The reductions and in-place divisions of numpy's own mean and var, in
+    their order, without the wrappers around them (numpy 2.x,
+    numpy/_core/_methods.py): equal bit for bit to values.mean(axis=0)
+    and values.var(axis=0), and after np.sqrt to values.std(axis=0),
+    whatever the layout. The caller sets the error state.
+    """
+    n = values.shape[0]
+    mean = np.add.reduce(values, axis=0, keepdims=True)
+    mean /= n
+    deviations = values - mean
+    np.square(deviations, out=deviations)
+    variance = np.add.reduce(deviations, axis=0)
+    variance /= n
+    return mean, variance
+
+
 def normalize_columns(values, node_names=None) -> np.ndarray:
     """Center each column and scale to unit population variance.
 
@@ -221,17 +241,18 @@ def normalize_columns(values, node_names=None) -> np.ndarray:
     naming the node when names are given.
     """
     values = _as_matrix(values, "values")
-    finite = np.isfinite(values).all(axis=0)
     # a NaN, inf or overflow is reported below as the column's error, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        means = values.mean(axis=0)
-        stds = values.std(axis=0)  # population convention, ddof=0
-    bad = np.flatnonzero(~finite | (stds == 0.0) | ~np.isfinite(stds))
-    if bad.size:
-        j = int(bad[0])
+        means, variance = _column_moments(values)
+        stds = np.sqrt(variance)  # population convention, ddof=0
+    # a column holding NaN or inf has a NaN standard deviation, so every
+    # bad column fails this test; only the first is searched for the cause
+    usable = (stds > 0.0) & (stds < math.inf)
+    if not usable.all():
+        j = int(np.flatnonzero(~usable)[0])
         label = node_names[j] if node_names is not None else f"column {j}"
         problem = (
-            "holds NaN or inf" if not finite[j]
+            "holds NaN or inf" if not np.isfinite(values[:, j]).all()
             else "has zero variance" if stds[j] == 0.0
             else "has a standard deviation that overflows float64"
         )

@@ -195,12 +195,12 @@ def _median_distance(d):
 
     The median is taken of the square roots of d's one or two middle
     values: sqrt is monotone, and sqrt of a squared pdist distance equals
-    the pdist distance bit for bit.
+    the pdist distance bit for bit. The mean of two is their sum over 2,
+    as np.mean computes it.
     """
     k = d.size // 2
     d.partition(k)
-    middle = np.sqrt([d[k]] if d.size % 2 else [d[:k].max(), d[k]])
-    med = float(np.mean(middle))
+    med = math.sqrt(d[k]) if d.size % 2 else (math.sqrt(d[:k].max()) + math.sqrt(d[k])) / 2
     if med <= 0.0:
         raise DegenerateInputError(
             "median pairwise distance is zero (points coincide)"
@@ -284,20 +284,21 @@ def _component_count(values, total, p_select):
     is the values' own sum, their last cumulative sum."""
     if not isinstance(p_select, (float, np.floating)):
         return int(p_select)
-    cum = np.cumsum(values)
+    cum = values.cumsum()
     target = p_select * (cum[-1] if total is None else total)
-    return int(np.searchsorted(cum, target, side="left")) + 1
+    return int(cum.searchsorted(target, side="left")) + 1
 
 
 def _dense_top(Kc, p_select):
-    """Leading eigenpairs of Kc that p_select asks for, by a full eigh."""
+    """Leading eigenpairs of Kc that p_select asks for, by a full eigh.
+    A Kc in Fortran order is overwritten; any other is copied into it."""
     # LAPACK syevd, as in np.linalg.eigh, but through scipy's OpenBLAS,
     # which also serves the Lanczos run: numpy's own OpenBLAS threads
     # would compete with scipy's, still spinning after a failed Lanczos
     # attempt, and take 1.7-1.9x as long at M = 500-1000. Called directly,
     # it is scipy.linalg.eigh(Kc, driver="evd") bit for bit without the
     # wrapper's checks (365 against 400 us at M = 50).
-    evals, evecs, info = dsyevd(Kc, lower=1)
+    evals, evecs, info = dsyevd(Kc, lower=1, overwrite_a=1)
     if info:
         raise EigensolverError(
             f"eigendecomposition of the centered gram did not converge (LAPACK dsyevd info {info})"
@@ -350,6 +351,18 @@ def _ritz_settled(theta, S, residual, total, p_select):
     return theta[:P], S[:, :P]
 
 
+@functools.lru_cache(maxsize=8)
+def _start_vector(M):
+    """The unit Lanczos start vector of order M, read-only: the same
+    seeded draw for every gram of that order, built once per order (about
+    20 us), so each leave-one-out fit of a panel reuses its full fit's.
+    Not a vector of ones: Kc annihilates it."""
+    v0 = np.random.default_rng(0).standard_normal(M)
+    q0 = dscal(1.0 / dnrm2(v0), v0)
+    q0.setflags(write=False)
+    return q0
+
+
 def _lanczos_top(K, col_means, grand_mean, p_select):
     """The eigenpairs _dense_top would take from the centered gram, from a
     Lanczos run on the uncentered gram K that stops as soon as they are
@@ -391,13 +404,11 @@ def _lanczos_top(K, col_means, grand_mean, p_select):
     Q = np.empty((M, steps + 1), order="F")
     alpha = np.empty(steps)
     beta = np.empty(steps)
-    # Not a vector of ones: Kc annihilates it.
-    v0 = np.random.default_rng(0).standard_normal(M)
-    Q[:, 0] = dscal(1.0 / dnrm2(v0), v0)
+    Q[:, 0] = _start_vector(M)
     for j in range(steps):
         basis = Q[:, : j + 1]
         q = Q[:, j]
-        s = q.sum()
+        s = np.add.reduce(q)
         w = dsymv(1.0, upper, q)
         w -= ddot(col_means, q) - grand_mean * s
         w = daxpy(col_means, w, a=-s)
@@ -474,15 +485,17 @@ def fit_kernel_pca(spec: KernelSpec, X, p_select) -> KernelPcaModel:
             # X @ X.T is not exactly symmetric on every view; halving before the sum
             # keeps entries above half the float64 maximum finite
             K = 0.5 * K + 0.5 * K.T
-        # one pass, shared by the Lanczos run and the dense path's centering
-        col_means = K.mean(axis=0)
+        # one pass, shared by the Lanczos run and the dense path's centering:
+        # K.mean(axis=0)'s reduction and in-place division, without its wrapper
+        col_means = np.add.reduce(K, axis=0)
+        col_means /= M
     # X is finite, so a non-finite entry, which reaches its column's mean, is an overflow
     if spec.kind == "polynomial":
         _refuse_overflow(col_means, "the polynomial gram overflows", "lower the degree or offset")
     else:
         _refuse_overflow(col_means, f"the {spec.kind} gram overflows")
     # the mean of the column means, which the Lanczos run needs before any centering
-    grand_mean = float(np.mean(col_means))
+    grand_mean = float(np.add.reduce(col_means) / M)
     # one hold for both solvers: a dense fallback on two threads made T = 400-500 infers 22-28% slower
     with _eigensolve(M < ONE_THREAD_ORDER):
         pairs = _lanczos_top(K, col_means, grand_mean, p_select) if M >= LANCZOS_MIN_ORDER else None
@@ -490,13 +503,16 @@ def fit_kernel_pca(spec: KernelSpec, X, p_select) -> KernelPcaModel:
             lam, U = pairs
         else:
             # centered in place, the same operations in the same order as
-            # K - col_means[None, :] - col_means[:, None] + grand_mean
-            K -= col_means[None, :]
-            K -= col_means[:, None]
-            K += grand_mean
-            lam, U = _dense_top(K, p_select)
+            # K - col_means[None, :] - col_means[:, None] + grand_mean. K is
+            # exactly symmetric, so K.T is K in Fortran order, the layout
+            # dsyevd works in without a transposing copy
+            Kc = K.T
+            Kc -= col_means[None, :]
+            Kc -= col_means[:, None]
+            Kc += grand_mean
+            lam, U = _dense_top(Kc, p_select)
     A = U / np.sqrt(lam)[None, :]
     P = A.shape[1]
-    A *= np.where(A[np.argmax(np.abs(A), axis=0), np.arange(P)] < 0, -1.0, 1.0)
+    A *= np.where(A[np.abs(A).argmax(axis=0), np.arange(P)] < 0, -1.0, 1.0)
 
     return KernelPcaModel(spec=spec, dual_coefficients=A, eigenvalues=lam)

@@ -49,7 +49,10 @@ def learn_preimage(Y, H, ridge_lambda: float = DEFAULT_RIDGE) -> PreimageMap:
         )
     Gt = _solve_ridge(H, Y, ridge_lambda, "feature matrix")
     with np.errstate(over="ignore", invalid="ignore"):
-        fit_error = float(np.mean((Y - H @ Gt) ** 2))
+        residuals = Y - H @ Gt
+        np.square(residuals, out=residuals)
+        # np.mean's reduction and division, without its wrapper
+        fit_error = float(np.add.reduce(residuals, axis=None) / residuals.size)
     _refuse_overflow(fit_error, "pre-image training error overflows")
     return PreimageMap(gamma=Gt.T, training_fit_error=fit_error)
 

@@ -6,14 +6,19 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import LinAlgWarning
+from scipy.linalg.lapack import dlange, dpocon, dpotrf, dpotrs
 
 from .errors import DegenerateInputError, EigensolverError, InsufficientSamplesError, RankError
-from .data import _as_matrix, _check_lag, _finite_nonnegative, _freeze, _frozen_array, _refuse_overflow
+from .data import _as_matrix, _check_lag, _column_moments, _finite_nonnegative, _freeze, _frozen_array, _refuse_overflow
 
 # The ridge penalty of both solves, fit_var's and learn_preimage's, unless
 # the caller or the PipelineConfig picks another.
 DEFAULT_RIDGE = 1e-3
+
+# scipy.linalg.solve warns of a system whose reciprocal condition number
+# is below this, and so does the ridge solve
+_RCOND_FLOOR = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -43,7 +48,7 @@ def _column_variance(R):
     """Per-column population variance of the residuals R, raising
     DegenerateInputError when it overflows float64."""
     with np.errstate(over="ignore", invalid="ignore"):
-        variance = R.var(axis=0)
+        _, variance = _column_moments(R)
     _refuse_overflow(variance, "residual variance overflows")
     return variance
 
@@ -54,10 +59,11 @@ def _solve_ridge(X, Y, ridge_lambda, label) -> np.ndarray:
     With ridge_lambda = 0 a rank-deficient X is refused outright; the
     RankError suggests the fix instead of silently picking one of the
     infinitely many minimizers. A ridge too small to make X^T X + lambda I
-    positive definite is a RankError too. A NaN or inf in X or Y, or in
-    the products the ridge solve forms from them, is a DegenerateInputError,
-    and a least-squares SVD that does not converge an EigensolverError.
-    label names X in the messages.
+    positive definite is a RankError too, and one that leaves it too
+    ill-conditioned to trust warns with scipy's LinAlgWarning. A NaN or
+    inf in X or Y, or in the products the ridge solve forms from them, is
+    a DegenerateInputError, and a least-squares SVD that does not
+    converge an EigensolverError. label names X in the messages.
     """
     if not _finite_nonnegative(ridge_lambda):
         raise ValueError(f"ridge_lambda must be finite and >= 0, got {ridge_lambda!r}")
@@ -78,20 +84,32 @@ def _solve_ridge(X, Y, ridge_lambda, label) -> np.ndarray:
                 achievable_rank=int(rank),
             )
         return B
-    # finite X and Y whose products overflow are reported here, not as
-    # scipy's untyped ValueError
+    # finite X and Y whose products overflow are reported here; LAPACK
+    # would factor them into NaNs
     with np.errstate(over="ignore", invalid="ignore"):
         G = X.T @ X + ridge_lambda * np.eye(n)
         XtY = X.T @ Y
     for product in (G, XtY):
         _refuse_overflow(product, f"the {label}'s normal equations overflow")
-    try:
-        return scipy.linalg.solve(G, XtY, assume_a="pos")
-    except np.linalg.LinAlgError as err:
+    if n == 1:
+        # as scipy.linalg.solve(G, XtY, assume_a="pos") does; G >= ridge_lambda > 0
+        return XtY / G[0, 0]
+    # the LAPACK calls scipy.linalg.solve(G, XtY, assume_a="pos") makes,
+    # in its upper-triangle form, without the wrapper's 25-30 us a call at
+    # n = 3-5 (2 cores, scipy 1.17.1): the same bits, returned in C order
+    c, info = dpotrf(G, lower=0)
+    if info == 0:
+        B, info = dpotrs(c, XtY, lower=0)
+    if info:
         raise RankError(
-            f"ridge solve on the {label} failed ({err}); "
-            f"use a larger ridge_lambda than {ridge_lambda}"
-        ) from err
+            f"ridge solve on the {label} failed (LAPACK dpotrf/dpotrs info {info}: "
+            f"not positive definite); use a larger ridge_lambda than {ridge_lambda}"
+        )
+    # scipy's condition estimate, from the factor it already has
+    rcond, _ = dpocon(c, dlange("1", G))
+    if rcond < _RCOND_FLOOR:
+        warnings.warn(f"ill-conditioned ridge solve on the {label} (rcond = {rcond})", LinAlgWarning, stacklevel=3)
+    return np.ascontiguousarray(B)
 
 
 def fit_var(series, lag: int = 1, ridge_lambda: float = DEFAULT_RIDGE) -> VarModelFit:
@@ -119,7 +137,9 @@ def fit_var(series, lag: int = 1, ridge_lambda: float = DEFAULT_RIDGE) -> VarMod
             stacklevel=2,
         )
     # C-order copies: the layout picks the solve's BLAS path and so its last bits
-    Z = np.ascontiguousarray(np.hstack([series[lag - ell : T - ell] for ell in range(1, lag + 1)]))
+    Z = np.empty((T - lag, D * lag))
+    for ell in range(1, lag + 1):
+        Z[:, (ell - 1) * D : ell * D] = series[lag - ell : T - ell]
     Y = np.array(series[lag:], order="C")
     B = _solve_ridge(Z, Y, ridge_lambda, "design")
     fitted = Z @ B

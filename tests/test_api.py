@@ -44,7 +44,6 @@ TOP_LEVEL = [
     "roc_auc",
     "run_benchmark",
     "run_full_model",
-    "summarize",
 ]
 
 

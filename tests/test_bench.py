@@ -19,9 +19,8 @@ from preimage_gc import (
     off_diagonal,
     roc_auc,
     run_benchmark,
-    summarize,
 )
-from preimage_gc.bench import CellRecord
+from preimage_gc.bench import CellRecord, summarize
 from preimage_gc.errors import ConfigError, InstabilityError, ShapeError, UndefinedAucError
 
 

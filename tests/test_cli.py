@@ -162,21 +162,25 @@ class TestInfer:
         err = capsys.readouterr().err
         assert "[pipeline]" in err and "bandwidth" in err and repr(float(bandwidth)) in err
 
-    def test_singular_ridge_solve_is_tagged_runtime_error(self, tmp_path, capsys):
-        # c = 2a makes the design singular; a 1e-300 ridge cannot fix that
-        a, b = np.random.default_rng(0).normal(size=(2, 200)).tolist()
+    @pytest.mark.parametrize(
+        "seed, ridge_var, stage", [(0, "1e-300", "[var]"), (1, "1e-3", "[preimage]")]
+    )
+    def test_singular_ridge_solve_is_tagged_runtime_error(self, tmp_path, capsys, seed, ridge_var, stage):
+        # c = 2a makes the design and the features singular; a 1e-300 ridge
+        # cannot fix that, and 1e-3 lets the VAR through to the pre-image
+        a, b = np.random.default_rng(seed).normal(size=(2, 200)).tolist()
         rows = "\n".join(f"{x!r},{y!r},{2 * x!r}" for x, y in zip(a, b))
         data = tmp_path / "collinear.csv"
         data.write_text("a,b,c\n" + rows + "\n")
         config = tmp_path / "tiny_ridge.ini"
         config.write_text(
             "[pipeline]\nkernel = linear-identity\n"
-            "ridge_var = 1e-300\nridge_preimage = 1e-300\n"
+            f"ridge_var = {ridge_var}\nridge_preimage = 1e-300\n"
         )
         code = run(["infer", str(data), "--config", str(config), "--out", str(tmp_path)])
         assert code == 1
         err = capsys.readouterr().err
-        assert "[var]" in err
+        assert f"{stage} ridge solve" in err
         assert "ridge_lambda" in err
 
     @pytest.mark.parametrize("T", [kernels_module.LANCZOS_MIN_ORDER - 50, kernels_module.LANCZOS_MIN_ORDER + 50])

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from preimage_gc import TimeSeriesPanel, ingest_csv, normalize_columns
-from preimage_gc.data import panel_to_csv
+from preimage_gc.data import _column_moments, panel_to_csv
 from preimage_gc.errors import (
     CsvFormatError,
     CsvParseError,
@@ -197,6 +197,18 @@ class TestNormalize:
         with pytest.raises(DegenerateInputError, match="column 1"):
             normalize_columns(values)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_first_bad_column_is_named_with_its_cause(self, bad):
+        # column 1 holds a non-finite value, column 2 is flat: column 1 is
+        # reported, and as non-finite, not as an overflowing deviation
+        values = np.array([[1.0, 2.0, 7.0], [2.0, bad, 7.0], [4.0, 5.0, 7.0]])
+        with pytest.raises(DegenerateInputError, match="^b holds NaN or inf and cannot be normalized$"):
+            normalize_columns(values, ("a", "b", "c"))
+        values[:, 1] = 3.0
+        values[0, 2] = bad
+        with pytest.raises(DegenerateInputError, match="^b has zero variance and cannot be normalized$"):
+            normalize_columns(values, ("a", "b", "c"))
+
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_idempotent(self, seed):
@@ -204,3 +216,33 @@ class TestNormalize:
         once = normalize_columns(rng.normal(size=(12, 3)) * rng.uniform(0.5, 20.0))
         twice = normalize_columns(once)
         np.testing.assert_allclose(twice, once, atol=1e-10)
+
+
+class TestColumnMoments:
+    """_column_moments is numpy's mean, var and std reduction, bit for bit."""
+
+    @given(
+        rows=st.integers(min_value=1, max_value=600),
+        cols=st.integers(min_value=1, max_value=6),
+        layout=st.sampled_from(["C", "F", "strided", "reversed", "transposed"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        scale=st.integers(min_value=-8, max_value=8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_numpy_bit_for_bit(self, rows, cols, layout, seed, scale):
+        rng = np.random.default_rng(seed)
+        # offsets that dwarf the spread, so the deviations cancel digits
+        base = (rng.normal(size=(2 * rows, 2 * cols)) + rng.uniform(-50.0, 50.0, 2 * cols)) * 10.0**scale
+        values = {
+            "C": np.ascontiguousarray(base[:rows, :cols]),
+            "F": np.asfortranarray(base[:rows, :cols]),
+            "strided": base[::2, ::2],
+            "reversed": base[:rows, :cols][::-1, ::-1],
+            "transposed": np.ascontiguousarray(base.T)[:cols, :rows].T,
+        }[layout]
+        assert values.shape == (rows, cols)
+        mean, variance = _column_moments(values)
+        assert mean.shape == (1, cols)
+        assert mean[0].tobytes() == values.mean(axis=0).tobytes()
+        assert variance.tobytes() == values.var(axis=0).tobytes()
+        assert np.sqrt(variance).tobytes() == values.std(axis=0).tobytes()

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.blas import dnrm2, dscal
 from scipy.spatial.distance import cdist, pdist
 
 import preimage_gc
@@ -632,6 +633,16 @@ class TestLanczosPath:
         assert kernels_module._lanczos_top(Kc, np.zeros(self.M), 0.0, 0.95) is None
         lam, _ = kernels_module._dense_top(Kc, 0.95)
         np.testing.assert_allclose(lam, [5.0, 1.0], rtol=1e-12)
+
+    def test_start_vector_is_one_read_only_draw_per_order(self):
+        # built once per order and kept for at most 8 orders; it is the
+        # unit-normalized default_rng(0) draw the run always started from
+        start = kernels_module._start_vector(self.M)
+        v0 = np.random.default_rng(0).standard_normal(self.M)
+        assert start.tobytes() == dscal(1.0 / dnrm2(v0), v0).tobytes()
+        assert not start.flags.writeable
+        assert kernels_module._start_vector(self.M) is start
+        assert kernels_module._start_vector.cache_info().maxsize == 8
 
     def test_mass_target_within_the_step_cap_matches_dense(self, solver_calls):
         self.assert_matches_dense(*self.rbf_case(), 0.999)

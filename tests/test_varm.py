@@ -1,9 +1,11 @@
 """VAR fitting: recovery, ridge behavior, in-sample fitted values."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from preimage_gc import fit_var
 from preimage_gc.errors import DegenerateInputError, InsufficientSamplesError, RankError
@@ -206,6 +208,74 @@ class TestFitted:
         np.testing.assert_array_equal(
             fit.residual_variance, (lagged_design(series, 2)[1] - fit.fitted).var(axis=0)
         )
+
+
+class TestRidgeSolve:
+    """The ridge solve is scipy.linalg.solve(G, X^T Y, assume_a="pos") for
+    G = X^T X + lambda I, bit for bit, without scipy's wrapper."""
+
+    @staticmethod
+    def scipy_solve(X, Y, ridge):
+        G = X.T @ X + ridge * np.eye(X.shape[1])
+        return scipy.linalg.solve(G, X.T @ Y, assume_a="pos")
+
+    def test_equals_scipy_on_random_systems(self):
+        rng = np.random.default_rng(26)
+        orders = set()
+        for _ in range(300):
+            n = int(rng.integers(1, 21))
+            rows = int(rng.integers(1, n + 40))
+            X = rng.normal(size=(rows, n)) * rng.uniform(0.1, 10.0, n)
+            Y = rng.normal(size=(rows, int(rng.integers(1, 6))))
+            ridge = float(10.0 ** rng.uniform(-6.0, 1.0))
+            got = _solve_ridge(X, Y, ridge, "design")
+            want = self.scipy_solve(X, Y, ridge)
+            # tobytes: a signed zero counts as a difference
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous
+            orders.add(n)
+        assert orders == set(range(1, 21))
+
+    def test_refused_factorization_is_a_rank_error(self):
+        # two equal columns of ones on 64 rows: 1e-300 vanishes next to
+        # X^T X = 64, and the Cholesky factorization's second pivot is
+        # 64 - (64 / 8)^2 = 0 exactly, however the arithmetic rounds
+        X = np.ones((64, 2))
+        Y = np.arange(64.0)[:, None]
+        with pytest.raises(RankError, match="ridge"):
+            _solve_ridge(X, Y, 1e-300, "design")
+        with pytest.raises(np.linalg.LinAlgError):
+            self.scipy_solve(X, Y, 1e-300)
+
+    def test_warns_of_ill_conditioning_where_scipy_does(self):
+        # nearly collinear designs with tiny ridges: the solve warns, and
+        # refuses, on exactly the systems scipy.linalg.solve does
+        rng = np.random.default_rng(27)
+        seen = set()
+        for _ in range(150):
+            n = int(rng.integers(2, 6))
+            X = rng.normal(size=(30, n))
+            X[:, -1] = X[:, 0] + 10.0 ** rng.uniform(-9.0, -5.0) * rng.normal(size=30)
+            Y = rng.normal(size=(30, 2))
+            ridge = float(10.0 ** rng.uniform(-18.0, -10.0))
+            outcomes = []
+            for solve, refusal in (
+                (lambda: self.scipy_solve(X, Y, ridge), np.linalg.LinAlgError),
+                (lambda: _solve_ridge(X, Y, ridge, "design"), RankError),
+            ):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
+                        solve()
+                        refused = False
+                    except refusal:
+                        refused = True
+                warned = any(issubclass(w.category, scipy.linalg.LinAlgWarning) for w in caught)
+                outcomes.append((refused, warned))
+            assert outcomes[0] == outcomes[1]
+            seen.add(outcomes[0])
+        assert seen == {(False, False), (False, True), (True, False)}
 
 
 class TestColumnVariance:
