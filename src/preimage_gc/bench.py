@@ -212,8 +212,8 @@ def _whole(what, value) -> int:
 
 
 def _checked_grid(generators, methods, T_grid, seeds, jobs):
-    """run_benchmark's arguments as lists (seeds as a seed list) and an int
-    job count; ConfigError for anything it cannot sweep, a repeated value
+    """run_benchmark's arguments as lists and int seed and job counts;
+    ConfigError for anything it cannot sweep, a repeated grid value
     included, since its records would be pooled into one summary."""
     generators = list(generators)
     if not generators:
@@ -233,18 +233,18 @@ def _checked_grid(generators, methods, T_grid, seeds, jobs):
     for T in T_grid:
         if T < MIN_T:
             raise ConfigError(f"T values must be >= {MIN_T}, got {T}")
-    seed_list = [_whole("seed", s) for s in seeds] if np.iterable(seeds) else list(range(_whole("seed count", seeds)))
-    if not seed_list:
+    seeds = _whole("seed count", seeds)
+    if seeds < 1:
         raise ConfigError("no seeds given")
     jobs = _whole("jobs", jobs)
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     method_ids = [method_id for method_id, _ in methods]
-    for label, values in (("generator", generators), ("method", method_ids), ("T", T_grid), ("seed", seed_list)):
+    for label, values in (("generator", generators), ("method", method_ids), ("T", T_grid)):
         repeated = sorted({v for v in values if values.count(v) > 1})
         if repeated:
             raise ConfigError(f"repeated {label} value(s) in the grid: {', '.join(map(str, repeated))}")
-    return generators, methods, T_grid, seed_list, jobs
+    return generators, methods, T_grid, seeds, jobs
 
 
 def run_benchmark(
@@ -258,8 +258,8 @@ def run_benchmark(
     """Score every (generator, method, T, seed) cell and summarize.
 
     methods is a list of (method_id, PipelineConfig) pairs; seeds is a
-    count (0..seeds-1) or an explicit list. A repeated generator, method
-    id, T or seed is a ConfigError. Each (generator, seed) trajectory is
+    count, and the seeds are 0..seeds-1. A repeated generator, method id
+    or T is a ConfigError. Each (generator, seed) trajectory is
     generated once, at the largest T, and every T's panel is its prefix;
     every method runs on each panel. A trajectory whose generation fails
     records that one error in each of its (T, method) cells. Trajectories
@@ -271,10 +271,10 @@ def run_benchmark(
     jobs > 1 a trajectory's records together once it and every earlier
     trajectory are done, not in completion order.
     """
-    generators, methods, T_grid, seed_list, jobs = _checked_grid(generators, methods, T_grid, seeds, jobs)
+    generators, methods, T_grid, seeds, jobs = _checked_grid(generators, methods, T_grid, seeds, jobs)
 
     # one task per trajectory, so each (generator, seed) is simulated once
-    tasks = [(g, s, T_grid, methods) for g in generators for s in seed_list]
+    tasks = [(g, s, T_grid, methods) for g in generators for s in range(seeds)]
     if jobs == 1:
         trajectories = [_run_trajectory(task, progress) for task in tasks]
     else:
@@ -288,13 +288,13 @@ def run_benchmark(
 
     # tasks run generator -> seed, each T -> method; records go out
     # generator -> method -> T -> seed
-    n_seeds, n_methods = len(seed_list), len(methods)
+    n_methods = len(methods)
     records = [
-        trajectories[g * n_seeds + s][t * n_methods + m]
+        trajectories[g * seeds + s][t * n_methods + m]
         for g in range(len(generators))
-        for m in range(len(methods))
+        for m in range(n_methods)
         for t in range(len(T_grid))
-        for s in range(n_seeds)
+        for s in range(seeds)
     ]
 
     return BenchmarkReport(

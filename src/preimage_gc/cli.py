@@ -212,11 +212,11 @@ def _cmd_bench(args) -> int:
     generators, methods, T_grid, seeds, jobs = _checked_grid(
         *_bench_setup_from_file(config_path), args.jobs
     )
-    total = len(generators) * len(methods) * len(T_grid) * len(seeds)
+    total = len(generators) * len(methods) * len(T_grid) * seeds
     if args.dry_run:
         print(
             f"{total} cells: {len(generators)} generators x {len(methods)} methods "
-            f"x {len(T_grid)} T values x {len(seeds)} seeds"
+            f"x {len(T_grid)} T values x {seeds} seeds"
         )
         return 0
 

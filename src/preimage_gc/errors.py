@@ -3,7 +3,7 @@
 Everything raised deliberately by this library derives from
 :class:`PreimageGCError`, so callers can catch one base class at the
 boundary (the CLI does exactly that). Genuine usage errors such as bad
-argument values raise the builtin ``ValueError``/``IndexError`` instead.
+argument values raise the builtin ``ValueError`` instead.
 """
 
 from __future__ import annotations
@@ -58,17 +58,9 @@ class EigensolverError(PreimageGCError):
 
 
 class InstabilityError(PreimageGCError):
-    """A synthetic trajectory diverged.
-
-    ``step`` is the simulation step (burn-in included) at which the state
-    first exceeded the magnitude bound; ``params`` the offending parameter
-    set.
-    """
-
-    def __init__(self, message, step, params):
-        super().__init__(message)
-        self.step = step
-        self.params = dict(params)
+    """A synthetic trajectory diverged; the message names the simulation
+    step (burn-in included) at which the state first reached the magnitude
+    bound."""
 
 
 class DegenerateModelError(PreimageGCError):

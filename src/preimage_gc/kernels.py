@@ -14,7 +14,7 @@ from scipy.linalg.blas import daxpy, ddot, dgemm, dgemv, dnrm2, dscal, dsymv
 from scipy.linalg.lapack import dstevd, dsyevd
 from scipy.spatial.distance import pdist, squareform
 
-from .data import _as_matrix, _finite_nonnegative, _freeze, _refuse_overflow
+from .data import _as_matrix, _finite_nonnegative, _freeze, _is_integer, _refuse_overflow
 from .errors import (
     DegenerateInputError,
     EigensolverError,
@@ -141,7 +141,7 @@ class KernelSpec:
     bandwidth   rbf only: positive length scale in exp(-d^2 / (2 bw^2)),
                 or None for the median pairwise distance of the points
                 fit_kernel_pca is given (the model's spec then carries it)
-    degree      polynomial only: positive integer exponent
+    degree      polynomial only: integer exponent >= 1, not 2.0 or True
     offset      polynomial only: finite nonnegative additive constant
     """
 
@@ -161,21 +161,10 @@ class KernelSpec:
                 f"finite float64, got {self.bandwidth!r}"
             )
         if self.kind == "polynomial":
-            if not _positive_integer(self.degree):
+            if not (_is_integer(self.degree) and self.degree >= 1):
                 raise ValueError("polynomial degree must be a positive integer")
             if not _finite_nonnegative(self.offset):
                 raise ValueError(f"polynomial offset must be finite and nonnegative, got {self.offset!r}")
-
-
-def _positive_integer(value):
-    """Whether value is a whole number >= 1 that is not a bool: 2 and 2.0
-    are, True, nan and inf are not."""
-    if isinstance(value, (bool, np.bool_)):
-        return False
-    try:
-        return value >= 1 and int(value) == value
-    except (TypeError, ValueError, OverflowError):
-        return False
 
 
 def _usable_bandwidth(bandwidth):
@@ -267,12 +256,12 @@ class KernelPcaModel:
 
 
 def _check_p_select(p_select):
-    """Accept an int count >= 1 or a float fraction in (0, 1]; else ValueError."""
-    if isinstance(p_select, bool) or not isinstance(p_select, (int, np.integer, float, np.floating)):
-        raise ValueError(f"p_select must be an int count or float fraction, got {p_select!r}")
+    """Accept an integer count >= 1 or a float fraction in (0, 1]; else ValueError."""
     if isinstance(p_select, (float, np.floating)):
         if not 0.0 < p_select <= 1.0:
             raise ValueError(f"fractional p_select must lie in (0, 1], got {p_select}")
+    elif not _is_integer(p_select):
+        raise ValueError(f"p_select must be an int count or float fraction, got {p_select!r}")
     elif p_select < 1:
         raise ValueError(f"integer p_select must be >= 1, got {p_select}")
 
