@@ -8,7 +8,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -114,8 +114,13 @@ class CellSummary:
 
 @dataclass(frozen=True)
 class BenchmarkReport:
+    """A sweep's CellRecords in grid order; summaries is worked out from them."""
+
     records: tuple
-    summaries: tuple
+    summaries: tuple = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "summaries", tuple(summarize(self.records)))
 
     def to_records_csv(self) -> str:
         header = ("generator_id", "method_id", "T", "seed", "auc", "error")
@@ -297,9 +302,7 @@ def run_benchmark(
         for s in range(seeds)
     ]
 
-    return BenchmarkReport(
-        records=tuple(records), summaries=tuple(summarize(records))
-    )
+    return BenchmarkReport(tuple(records))
 
 
 def summarize(records):

@@ -10,11 +10,11 @@ comparing the full model against the model refit without that node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import TimeSeriesPanel, _check_lag, _csv_text, _finite_nonnegative, _freeze, _node_names, normalize_columns
+from .data import TimeSeriesPanel, _check_lag, _csv_text, _finite_nonnegative, _freeze, _frozen_array, _node_names, normalize_columns
 from .errors import (
     DegenerateModelError,
     InsufficientSamplesError,
@@ -52,7 +52,7 @@ class PipelineConfig:
             raise ValueError(f"ridge_var and ridge_preimage must be finite and >= 0, got {self.ridge_var!r}, {self.ridge_preimage!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FullModelResult:
     """One fitted pipeline: inputs, features, stage models, reconstruction.
 
@@ -153,8 +153,8 @@ def run_full_model(panel: TimeSeriesPanel, config: PipelineConfig | None = None)
     return _fit_pipeline(panel.values, config, node_names=panel.node_names)
 
 
-def causality_index(var_reduced: float, var_full: float) -> float:
-    """max(ln(var_reduced / var_full), 0): how much removing a node hurts.
+def _log_ratio(var_reduced: float, var_full: float) -> float:
+    """ln(var_reduced / var_full), the unclamped leave-one-out score.
 
     Both variances must be strictly positive; a nonpositive one means the
     model degenerated (typically a zero ridge on rank-deficient features).
@@ -165,35 +165,37 @@ def causality_index(var_reduced: float, var_full: float) -> float:
                 f"{label}-model residual variance must be positive, got {v}; "
                 "increase the ridge penalties"
             )
-    return max(math.log(var_reduced / var_full), 0.0)
+    return math.log(var_reduced / var_full)
 
 
-@dataclass(frozen=True)
+def causality_index(var_reduced: float, var_full: float) -> float:
+    """max(ln(var_reduced / var_full), 0): how much removing a node hurts."""
+    return max(_log_ratio(var_reduced, var_full), 0.0)
+
+
+@dataclass(frozen=True, eq=False)
 class CausalGraph:
     """Estimated influence matrix: delta[i, j] is evidence for i -> j.
 
-    raw_log_ratios keeps the unclamped log variance ratios, useful for
-    null calibration; delta is its nonnegative clamp.
+    raw_log_ratios holds the unclamped log variance ratios, useful for
+    null calibration; delta is worked out from them, as their clamp at zero.
     """
 
-    delta: np.ndarray
-    node_names: tuple
     raw_log_ratios: np.ndarray
+    node_names: tuple
+    delta: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        _freeze(self, "delta", "raw_log_ratios")
-        delta, raw = self.delta, self.raw_log_ratios
-        if delta.ndim != 2 or delta.shape[0] != delta.shape[1]:
-            raise ValueError(f"delta must be square, got shape {delta.shape}")
-        if raw.shape != delta.shape:
-            raise ValueError("raw_log_ratios must match delta's shape")
-        names = _node_names(self.node_names, delta.shape[0], "delta")
-        if not (np.isfinite(delta).all() and np.isfinite(raw).all()):
+        _freeze(self, "raw_log_ratios")
+        raw = self.raw_log_ratios
+        if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
+            raise ValueError(f"raw_log_ratios must be square, got shape {raw.shape}")
+        names = _node_names(self.node_names, raw.shape[0], "raw_log_ratios")
+        if not np.isfinite(raw).all():
             raise ValueError("graph entries must be finite")
-        if (delta < 0).any():
-            raise ValueError("delta entries must be nonnegative")
-        if delta.diagonal().any() or raw.diagonal().any():
+        if raw.diagonal().any():
             raise ValueError("diagonal entries must be zero")
+        object.__setattr__(self, "delta", _frozen_array(np.maximum(raw, 0.0)))
         object.__setattr__(self, "node_names", names)
 
     @property
@@ -203,12 +205,7 @@ class CausalGraph:
     def edge_rows(self):
         """(cause, effect, delta) triples, strongest first, stable order."""
         N = self.n_nodes
-        rows = [
-            (i, j)
-            for i in range(N)
-            for j in range(N)
-            if i != j
-        ]
+        rows = [(i, j) for i in range(N) for j in range(N) if i != j]
         rows.sort(key=lambda ij: (-self.delta[ij[0], ij[1]], ij[0], ij[1]))
         return [
             (self.node_names[i], self.node_names[j], float(self.delta[i, j]))
@@ -238,11 +235,11 @@ class CausalGraph:
             raise ValueError(f"node_names must be a list, got {type(names).__name__}")
         if not all(isinstance(name, str) for name in names):
             raise ValueError(f"node_names must hold only strings, got {names!r}")
-        return cls(
-            delta=_number_array(payload, "delta"),
-            node_names=tuple(names),
-            raw_log_ratios=_number_array(payload, "raw_log_ratios"),
-        )
+        delta = _number_array(payload, "delta")
+        graph = cls(_number_array(payload, "raw_log_ratios"), tuple(names))
+        if not np.array_equal(delta, graph.delta):
+            raise ValueError("delta must be raw_log_ratios clamped at zero")
+        return graph
 
 
 def _number_array(payload, key):
@@ -278,7 +275,6 @@ def infer_graph(panel: TimeSeriesPanel, config: PipelineConfig | None = None) ->
     # Python floats: their division and log are numpy's bits, without its scalar overhead
     sigma_full = full.residual_variance.tolist()
 
-    delta = np.zeros((N, N))
     raw = np.zeros((N, N))
     for i in range(N):
         rest = [j for j in range(N) if j != i]
@@ -294,10 +290,9 @@ def infer_graph(panel: TimeSeriesPanel, config: PipelineConfig | None = None) ->
             reduced = _fit_pipeline(reduced_values, config, cap_rank=True, node_names=reduced_names)
         sigma_reduced = reduced.residual_variance.tolist()
         for k, j in enumerate(rest):
-            delta[i, j] = causality_index(sigma_reduced[k], sigma_full[j])
-            raw[i, j] = math.log(sigma_reduced[k] / sigma_full[j])
+            raw[i, j] = _log_ratio(sigma_reduced[k], sigma_full[j])
 
-    return CausalGraph(delta=delta, node_names=names, raw_log_ratios=raw)
+    return CausalGraph(raw, names)
 
 
 def linear_gc_baseline(panel: TimeSeriesPanel, lag: int = 1) -> CausalGraph:

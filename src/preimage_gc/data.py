@@ -95,7 +95,7 @@ def _node_names(names, count, what):
     return names
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeriesPanel:
     """A multivariate series: ``values`` is T x N, column j belongs to ``node_names[j]``.
 

@@ -162,7 +162,7 @@ class KernelSpec:
             )
         if self.kind == "polynomial":
             if not (_is_integer(self.degree) and self.degree >= 1):
-                raise ValueError("polynomial degree must be a positive integer")
+                raise ValueError(f"polynomial degree must be a positive integer, got {self.degree!r}")
             if not _finite_nonnegative(self.offset):
                 raise ValueError(f"polynomial offset must be finite and nonnegative, got {self.offset!r}")
 
@@ -226,7 +226,7 @@ def _rbf_gram(spec, X):
     return spec, K
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelPcaModel:
     """Fitted kernel principal axes of the training points.
 

@@ -12,7 +12,7 @@ from .errors import ShapeError
 from .varm import DEFAULT_RIDGE, _solve_ridge
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreimageMap:
     """gamma (D x P) maps a feature coordinate row h to the input row gamma @ h.
 

@@ -86,7 +86,7 @@ _DEFAULTS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticDataset:
     """A generated panel together with the graph that produced it."""
 

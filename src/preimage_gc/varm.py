@@ -21,7 +21,7 @@ DEFAULT_RIDGE = 1e-3
 _RCOND_FLOOR = np.finfo(float).eps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VarModelFit:
     """Interceptless VAR(L) fit.
 

@@ -7,6 +7,7 @@ import pytest
 import preimage_gc
 from preimage_gc import (
     KernelSpec,
+    PipelineConfig,
     TimeSeriesPanel,
     fit_kernel_pca,
     fit_var,
@@ -15,6 +16,7 @@ from preimage_gc import (
     normalize_columns,
     run_full_model,
 )
+from preimage_gc.bench import BenchmarkReport, CellRecord, summarize
 from preimage_gc.causality import CausalGraph
 from preimage_gc.errors import ShapeError
 from preimage_gc.kernels import KernelPcaModel
@@ -109,10 +111,9 @@ def _pmap(a):
 
 
 def _graph(a):
-    delta = np.abs(a["square"])
-    np.fill_diagonal(delta, 0.0)
-    a["square"] = delta
-    return CausalGraph(delta, ("a", "b", "c"), delta), {"delta": delta, "raw_log_ratios": delta}
+    raw = a["square"]
+    np.fill_diagonal(raw, 0.0)
+    return CausalGraph(raw, ("a", "b", "c")), {"raw_log_ratios": raw, "delta": raw}
 
 
 def _dataset(a):
@@ -140,6 +141,38 @@ def test_array_fields_are_read_only_copies(build):
         source[...] = 1
     for name in fields:
         np.testing.assert_array_equal(getattr(obj, name), before[name])
+
+
+def _full_model(a):
+    return run_full_model(TimeSeriesPanel(a["tall"], ("a", "b", "c"))), {}
+
+
+# numpy cannot say whether two arrays are equal in one bool, so records
+# that hold arrays compare, and hash, by identity
+@pytest.mark.parametrize(
+    "build", [_panel, _kpca, _var_fit, _pmap, _graph, _dataset, _full_model],
+    ids=lambda f: f.__name__.lstrip("_"),
+)
+def test_records_holding_arrays_compare_by_identity(build):
+    arrays = _caller_arrays()
+    a, _ = build(arrays)
+    b, _ = build(arrays)
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert len({a, b, a}) == 2 and a in {a} and b not in {a}
+
+
+def test_records_without_arrays_compare_by_value():
+    records = (CellRecord("linear5", "m", 50, 0, auc=0.5), CellRecord("linear5", "m", 50, 1, auc=0.7))
+    for make in (
+        lambda: KernelSpec("polynomial", degree=3),
+        lambda: PipelineConfig(kernel=KernelSpec("linear"), lag=2),
+        lambda: CellRecord("linear5", "m", 50, 0, auc=0.5),
+        lambda: summarize(records)[0],
+        lambda: BenchmarkReport(records),
+    ):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
 
 
 def test_var_coefficients_are_read_only_copies():

@@ -20,7 +20,7 @@ from preimage_gc import (
     roc_auc,
     run_benchmark,
 )
-from preimage_gc.bench import CellRecord, _checked_grid, summarize
+from preimage_gc.bench import BenchmarkReport, CellRecord, _checked_grid, summarize
 from preimage_gc.errors import ConfigError, InstabilityError, ShapeError, UndefinedAucError
 from whole_numbers import NOT_WHOLE
 
@@ -178,6 +178,17 @@ class TestSummarize:
         out = summarize(records)
         assert len(out) == 2
         assert {s.T for s in out} == {50, 100}
+
+    def test_report_works_out_its_summaries(self):
+        records = [
+            self.record(0.5, 0, T=50),
+            self.record(0.6, 1, T=50),
+            self.record(0.9, 0, T=100),
+            CellRecord("linear5", "m", 100, 1, auc=None, error="RankError: x"),
+        ]
+        report = BenchmarkReport(tuple(records))
+        assert report.summaries == tuple(summarize(records))
+        assert report == BenchmarkReport(tuple(records))
 
 
 def _grid_case(what, value):

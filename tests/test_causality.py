@@ -33,7 +33,7 @@ from preimage_gc.errors import (
     RankError,
 )
 from preimage_gc.kernels import LANCZOS_MIN_ORDER
-from preimage_gc.synthgen import generate
+from preimage_gc.synthgen import GENERATOR_IDS, generate
 from whole_numbers import NOT_WHOLE
 
 
@@ -281,6 +281,26 @@ class TestInferGraph:
             graph.delta, np.maximum(graph.raw_log_ratios, 0.0), atol=0
         )
 
+    def test_delta_is_the_entrywise_clamp_on_the_identity_grid(self):
+        # the identity grid of tools/bench_record.py without its T = 1000
+        # (10 s): np.maximum gives the bits of max(log ratio, 0.0)
+        configs = [
+            PipelineConfig(),
+            PipelineConfig(lag=2),
+            PipelineConfig(p_select=0.999),
+            PipelineConfig(kernel=KernelSpec("polynomial"), p_select=4),
+            PipelineConfig(kernel=KernelSpec("linear"), p_select=2),
+        ]
+        for generator in GENERATOR_IDS:
+            for T in (50, 300):
+                for seed in (0, 1):
+                    panel = generate(generator, T, seed).panel
+                    graphs = [infer_graph(panel, config) for config in configs]
+                    for graph in graphs + [linear_gc_baseline(panel)]:
+                        raw = graph.raw_log_ratios
+                        clamped = np.array([[max(x, 0.0) for x in row] for row in raw.tolist()])
+                        assert graph.delta.tobytes() == clamped.tobytes(), (generator, T, seed)
+
     def test_detects_chain_edge(self):
         hits = 0
         for seed in range(20):
@@ -491,9 +511,16 @@ class TestInferGraphProperties:
 
 class TestCausalGraph:
     def make_graph(self):
-        delta = np.array([[0.0, 0.5, 0.1], [0.0, 0.0, 0.9], [0.2, 0.0, 0.0]])
         raw = np.array([[0.0, 0.5, 0.1], [-0.3, 0.0, 0.9], [0.2, -0.1, 0.0]])
-        return CausalGraph(delta=delta, node_names=("a", "b", "c"), raw_log_ratios=raw)
+        return CausalGraph(raw, ("a", "b", "c"))
+
+    def test_delta_is_read_only_clamped_raw(self):
+        raw = np.array([[0.0, 0.5, -0.1], [-0.3, 0.0, 0.9], [0.2, -1e-300, 0.0]])
+        graph = CausalGraph(raw, ("a", "b", "c"))
+        assert graph.delta.tobytes() == np.maximum(raw, 0.0).tobytes()
+        assert not graph.delta.flags.writeable
+        with pytest.raises(ValueError):
+            graph.delta[0, 1] = 0.0
 
     def test_edge_rows_sorted_by_strength(self):
         rows = self.make_graph().edge_rows()
@@ -504,10 +531,7 @@ class TestCausalGraph:
         assert len(rows) == 6
 
     def test_edge_ties_break_by_index(self):
-        delta = np.zeros((3, 3))
-        graph = CausalGraph(
-            delta=delta, node_names=("a", "b", "c"), raw_log_ratios=delta
-        )
+        graph = CausalGraph(np.zeros((3, 3)), ("a", "b", "c"))
         pairs = [(r[0], r[1]) for r in graph.edge_rows()]
         assert pairs == [
             ("a", "b"), ("a", "c"), ("b", "a"), ("b", "c"), ("c", "a"), ("c", "b"),
@@ -527,7 +551,7 @@ class TestCausalGraph:
     def test_edge_csv_quotes_names_that_need_it(self):
         names = ("a,b", 'say "c"', "d\ne")
         delta = np.array([[0.0, 0.5, 0.1], [0.0, 0.0, 0.9], [0.2, 0.0, 0.0]])
-        graph = CausalGraph(delta=delta, node_names=names, raw_log_ratios=delta)
+        graph = CausalGraph(delta, names)
         rows = list(csv.reader(io.StringIO(graph.to_edge_csv())))
         assert rows[0] == ["cause", "effect", "delta"]
         assert [tuple(r) for r in rows[1:]] == [
@@ -544,11 +568,11 @@ class TestCausalGraph:
     @pytest.mark.parametrize("names, message", [
         (("a", "a"), "node names must be unique"),
         (("", "b"), "node names must be nonempty"),
-        (("a", "b", "c"), "node_names length must match delta: got 3, need 2"),
+        (("a", "b", "c"), "node_names length must match raw_log_ratios: got 3, need 2"),
     ])
     def test_rejects_node_names_a_panel_refuses(self, names, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            CausalGraph(delta=np.zeros((2, 2)), node_names=names, raw_log_ratios=np.zeros((2, 2)))
+            CausalGraph(np.zeros((2, 2)), names)
 
     @pytest.mark.parametrize("names, message", [
         ([None, None], "node_names must hold only strings, got [None, None]"),
@@ -569,20 +593,24 @@ class TestCausalGraph:
         assert again.node_names == graph.node_names
 
     def test_rejects_negative_delta(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            CausalGraph(
-                delta=np.array([[0.0, -0.1], [0.0, 0.0]]),
-                node_names=("a", "b"),
-                raw_log_ratios=np.zeros((2, 2)),
-            )
+        # a graph works delta out, so only a file can hold a negative one
+        payload = {"node_names": ["a", "b"], "delta": [[0.0, -0.1], [0.0, 0.0]], "raw_log_ratios": [[0, 0], [0, 0]]}
+        with pytest.raises(ValueError, match="^delta must be raw_log_ratios clamped at zero$"):
+            CausalGraph.from_dict(payload)
+
+    @pytest.mark.parametrize("raw, delta", [
+        ([[0, -1], [-3, 0]], [[0, 1], [0.5, 0]]),  # contradicts its log ratios
+        ([[0, 2], [0, 0]], [[0, 0], [0, 0]]),
+        ([[0, 0], [0, 0]], [[0]]),
+    ])
+    def test_from_dict_refuses_delta_that_is_not_the_clamp(self, raw, delta):
+        payload = {"node_names": ["a", "b"], "delta": delta, "raw_log_ratios": raw}
+        with pytest.raises(ValueError, match="^delta must be raw_log_ratios clamped at zero$"):
+            CausalGraph.from_dict(payload)
 
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(ValueError, match="diagonal"):
-            CausalGraph(
-                delta=np.eye(2),
-                node_names=("a", "b"),
-                raw_log_ratios=np.zeros((2, 2)),
-            )
+            CausalGraph(np.eye(2), ("a", "b"))
 
     def test_from_dict_missing_key(self):
         with pytest.raises(ValueError, match="missing"):
@@ -605,7 +633,7 @@ class TestCausalGraph:
 
     def test_from_dict_reads_ints_and_floats(self):
         graph = CausalGraph.from_dict(
-            {"node_names": ["a", "b"], "delta": [[0, 1], [0.5, 0]], "raw_log_ratios": [[0, -1], [0.5, 0]]}
+            {"node_names": ["a", "b"], "delta": [[0, 0], [0.5, 0]], "raw_log_ratios": [[0, -1], [0.5, 0]]}
         )
-        assert graph.delta.tolist() == [[0.0, 1.0], [0.5, 0.0]]
+        assert graph.delta.tolist() == [[0.0, 0.0], [0.5, 0.0]]
         assert graph.raw_log_ratios.tolist() == [[0.0, -1.0], [0.5, 0.0]]

@@ -468,17 +468,24 @@ class TestEval:
          "[[0, 1], [0, 0]]", "node_names must be a list, got str"),
         ('{"delta": [[0, 1], [0, 0]]}', "[[0, 1], [0, 0]]", "graph dict is missing keys: ['node_names', 'raw_log_ratios']"),
         ('{"node_names": ["a", "b"], "delta": [[0, 1, 1], [1, 0, 1]], "raw_log_ratios": [[0, 1, 1], [1, 0, 1]]}',
-         "[[0, 1], [0, 0]]", "delta must be square, got shape (2, 3)"),
+         "[[0, 1], [0, 0]]", "raw_log_ratios must be square, got shape (2, 3)"),
         ('{"node_names": ["a", "b"], "delta": [[0, 1], [1, 0]], "raw_log_ratios": [[0]]}',
-         "[[0, 1], [0, 0]]", "raw_log_ratios must match delta's shape"),
+         "[[0, 1], [0, 0]]", "node_names length must match raw_log_ratios: got 2, need 1"),
+        ('{"node_names": ["a", "b"], "delta": [[0]], "raw_log_ratios": [[0, 1], [1, 0]]}',
+         "[[0, 1], [0, 0]]", "delta must be raw_log_ratios clamped at zero"),
         ('{"node_names": ["a", "b", "c"], "delta": [[0, 1], [1, 0]], "raw_log_ratios": [[0, 1], [1, 0]]}',
-         "[[0, 1], [0, 0]]", "node_names length must match delta"),
+         "[[0, 1], [0, 0]]", "node_names length must match raw_log_ratios"),
         ('{"node_names": [null, null], "delta": [[0, 1], [1, 0]], "raw_log_ratios": [[0, 1], [1, 0]]}',
          "[[0, 1], [0, 0]]", "node_names must hold only strings, got [None, None]"),
         ('{"node_names": ["a", "a"], "delta": [[0, 1], [1, 0]], "raw_log_ratios": [[0, 1], [1, 0]]}',
          "[[0, 1], [0, 0]]", "node names must be unique"),
         ('{"node_names": ["a", "b"], "delta": [[0, NaN], [1, 0]], "raw_log_ratios": [[0, 1], [1, 0]]}',
+         "[[0, 1], [0, 0]]", "delta must be raw_log_ratios clamped at zero"),
+        ('{"node_names": ["a", "b"], "delta": [[0, 1], [1, 0]], "raw_log_ratios": [[0, NaN], [1, 0]]}',
          "[[0, 1], [0, 0]]", "graph entries must be finite"),
+        # a delta that is not its log ratios' clamp, which eval scored at 1.0
+        ('{"node_names": ["a", "b"], "delta": [[0, 1], [0.5, 0]], "raw_log_ratios": [[0, -1], [-3, 0]]}',
+         "[[0, 1], [0, 0]]", "delta must be raw_log_ratios clamped at zero"),
         ('{"node_names": ["a", "b"], "delta": {"a": [0, 1]}, "raw_log_ratios": [[0, 1], [1, 0]]}',
          "[[0, 1], [0, 0]]", "delta must be a list, got dict"),
         ('{"node_names": ["a", "b"], "delta": [[0, "1"], [1, 0]], "raw_log_ratios": [[0, 1], [1, 0]]}',
