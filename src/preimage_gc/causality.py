@@ -59,7 +59,7 @@ class FullModelResult:
     reconstruction holds predicted inputs for rows lag..T-1 of the
     normalized series, the pre-image of var_fit.fitted; residual_variance
     is the per-column population variance of (normalized[lag:] -
-    reconstruction).
+    reconstruction). The arrays are read-only copies.
     """
 
     normalized: np.ndarray
@@ -69,6 +69,9 @@ class FullModelResult:
     preimage_map: PreimageMap
     reconstruction: np.ndarray
     residual_variance: np.ndarray
+
+    def __post_init__(self):
+        _freeze(self, "normalized", "features", "reconstruction", "residual_variance")
 
 
 class _tagged:

@@ -136,7 +136,8 @@ def ingest_csv(source) -> TimeSeriesPanel:
     pass ``pathlib.Path`` for files), or an open file object. Every row
     must have exactly as many cells as the header, and every cell must be
     a finite float written in ASCII without digit grouping; violations
-    name the offending row/column.
+    name the offending row/column. A panel needs at least two columns and
+    two data rows; fewer is a CsvFormatError naming the count.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -148,8 +149,8 @@ def ingest_csv(source) -> TimeSeriesPanel:
     if text.startswith("﻿"):
         text = text[1:]
     lines = [line for line in text.splitlines() if line.strip() != ""]
-    if len(lines) < 2:
-        raise CsvFormatError("need a header line and at least one data row")
+    if not lines:
+        raise CsvFormatError("need a header line, got an empty file")
     header = [cell.strip() for cell in lines[0].split(",")]
     if any(not name for name in header):
         raise CsvSchemaError("header contains an empty column name")
@@ -157,6 +158,8 @@ def ingest_csv(source) -> TimeSeriesPanel:
         dupes = sorted({n for n in header if header.count(n) > 1})
         raise CsvSchemaError(f"duplicate column names: {', '.join(dupes)}")
     n_cols = len(header)
+    if n_cols < 2:
+        raise CsvFormatError(f"need at least 2 columns, got {n_cols}")
     # math.isfinite on Python floats and one store per row; a list of all
     # rows would instead hold every cell as a Python object until the end
     rows = np.empty((len(lines) - 1, n_cols))
@@ -184,6 +187,8 @@ def ingest_csv(source) -> TimeSeriesPanel:
                 )
             row.append(value)
         rows[r - 2] = row
+    if len(rows) < 2:
+        raise CsvFormatError(f"need at least 2 data rows, got {len(rows)}")
     return TimeSeriesPanel(values=rows, node_names=tuple(header))
 
 

@@ -18,7 +18,7 @@ class CsvError(PreimageGCError):
 
 
 class CsvFormatError(CsvError):
-    """Structural CSV problem: ragged rows, missing header, no data rows."""
+    """Structural CSV problem: ragged rows, no header, too few rows or columns."""
 
 
 class CsvParseError(CsvError):

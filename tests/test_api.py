@@ -147,6 +147,19 @@ def _full_model(a):
     return run_full_model(TimeSeriesPanel(a["tall"], ("a", "b", "c"))), {}
 
 
+@pytest.mark.parametrize("kernel", [KernelSpec("rbf"), "linear-identity"])
+def test_full_model_arrays_are_read_only_copies(kernel):
+    panel = generate("linear5", 80, 0).panel
+    result = run_full_model(panel, PipelineConfig(kernel=kernel))
+    for name in ("normalized", "features", "reconstruction", "residual_variance"):
+        field = getattr(result, name)
+        assert not field.flags.writeable, name
+        with pytest.raises(ValueError):
+            field[...] = 0
+    # under linear-identity the features are the normalized inputs themselves
+    assert not np.shares_memory(result.features, result.normalized)
+
+
 # numpy cannot say whether two arrays are equal in one bool, so records
 # that hold arrays compare, and hash, by identity
 @pytest.mark.parametrize(

@@ -126,6 +126,16 @@ class TestInfer:
         assert code == 1
         assert "row 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n1,2\n", "need at least 2 data rows, got 1"),
+        ("a\n1\n2\n3\n", "need at least 2 columns, got 1"),
+    ], ids=["one row", "one column"])
+    def test_csv_too_small_for_a_panel_is_runtime_error(self, tmp_path, capsys, text, message):
+        small = tmp_path / "small.csv"
+        small.write_text(text)
+        assert run(["infer", str(small), "--out", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("config_text", [None, "[pipeline]\nkernel = linear-identity\n"])
     def test_overflowing_panel_is_tagged_runtime_error(self, tmp_path, capsys, config_text):
         data = self.synth_csv(tmp_path)

@@ -130,6 +130,15 @@ class TestIngestCsv:
         with pytest.raises(CsvFormatError):
             ingest_csv("a,b\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "need a header line, got an empty file"),
+        ("a,b\n1,2\n", "need at least 2 data rows, got 1"),
+        ("a\n1\n2\n3\n", "need at least 2 columns, got 1"),
+    ], ids=["empty", "one row", "one column"])
+    def test_too_small_for_a_panel_rejected(self, text, message):
+        with pytest.raises(CsvFormatError, match=f"^{message}$"):
+            ingest_csv(text)
+
     def test_strips_bom_and_blank_lines(self):
         panel = ingest_csv("﻿a,b\n1,2\n\n3,4\n\n")
         assert panel.n_samples == 2
