@@ -20,6 +20,7 @@ from .errors import (
     InsufficientSamplesError,
     PreimageGCError,
     RankError,
+    ShapeError,
 )
 from .kernels import KernelPcaModel, KernelSpec, _check_p_select, fit_kernel_pca
 from .preimage import PreimageMap, learn_preimage, reconstruct
@@ -54,24 +55,34 @@ class PipelineConfig:
 
 @dataclass(frozen=True, eq=False)
 class FullModelResult:
-    """One fitted pipeline: inputs, features, stage models, reconstruction.
+    """One fitted pipeline: the normalized inputs and its stage models.
 
-    reconstruction holds predicted inputs for rows lag..T-1 of the
-    normalized series, the pre-image of var_fit.fitted; residual_variance
-    is the per-column population variance of (normalized[lag:] -
-    reconstruction). The arrays are read-only copies.
+    The rest is worked out, read-only. features is normalized under
+    linear-identity (kpca None), else kpca.coordinates. reconstruction,
+    the pre-image of var_fit.fitted, predicts normalized[lag:], lag being
+    len(var_fit.coefficients); another shape raises ShapeError.
+    residual_variance is the column variance (ddof 0) of their difference.
     """
 
     normalized: np.ndarray
-    features: np.ndarray
     kpca: KernelPcaModel | None
     var_fit: VarModelFit
     preimage_map: PreimageMap
-    reconstruction: np.ndarray
-    residual_variance: np.ndarray
+    reconstruction: np.ndarray = field(init=False)
+    residual_variance: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        _freeze(self, "normalized", "features", "reconstruction", "residual_variance")
+        _freeze(self, "normalized")
+        targets = self.normalized[len(self.var_fit.coefficients) :]
+        reconstruction = reconstruct(self.preimage_map, self.var_fit.fitted)
+        if reconstruction.shape != targets.shape:
+            raise ShapeError(f"reconstruction has shape {reconstruction.shape}, normalized[lag:] has {targets.shape}")
+        object.__setattr__(self, "reconstruction", _frozen_array(reconstruction))
+        object.__setattr__(self, "residual_variance", _frozen_array(_column_variance(targets - reconstruction)))
+
+    @property
+    def features(self) -> np.ndarray:
+        return self.normalized if self.kpca is None else self.kpca.coordinates
 
 
 class _tagged:
@@ -97,10 +108,8 @@ class _tagged:
         return False
 
 
-def _fit_pipeline(
-    values, config: PipelineConfig, cap_rank: bool = False, node_names=None
-) -> FullModelResult:
-    """Run the full pipeline on a raw value matrix.
+def _fit_pipeline(values, config: PipelineConfig, node_names, cap_rank: bool = False) -> FullModelResult:
+    """Run the full pipeline on a raw value matrix whose columns are node_names.
 
     cap_rank softens an integer p_select to the achievable rank; the
     leave-one-out loop uses it so a component count valid on the full
@@ -133,27 +142,15 @@ def _fit_pipeline(
         var_fit = fit_var(H, config.lag, config.ridge_var)
 
     with _tagged("[preimage]"):
-        Y_t = X[config.lag :]
-        pmap = learn_preimage(Y_t, H[config.lag :], config.ridge_preimage)
-        Y_hat = reconstruct(pmap, var_fit.fitted)
-        residual_variance = _column_variance(Y_t - Y_hat)
-
-    return FullModelResult(
-        normalized=X,
-        features=H,
-        kpca=kpca,
-        var_fit=var_fit,
-        preimage_map=pmap,
-        reconstruction=Y_hat,
-        residual_variance=residual_variance,
-    )
+        pmap = learn_preimage(X[config.lag :], H[config.lag :], config.ridge_preimage)
+        return FullModelResult(X, kpca, var_fit, pmap)
 
 
 def run_full_model(panel: TimeSeriesPanel, config: PipelineConfig | None = None) -> FullModelResult:
     """Fit the pipeline on all nodes of a panel."""
     if config is None:
         config = PipelineConfig()
-    return _fit_pipeline(panel.values, config, node_names=panel.node_names)
+    return _fit_pipeline(panel.values, config, panel.node_names)
 
 
 def _log_ratio(var_reduced: float, var_full: float) -> float:
@@ -247,7 +244,8 @@ class CausalGraph:
 
 def _number_array(payload, key):
     """payload[key] as a float array; ValueError unless it is nested
-    lists of numbers (a bool or a numeric string is not a number)."""
+    lists of numbers (a bool or a numeric string is not a number) that
+    float64 holds."""
     pending = [payload[key]]
     if not isinstance(pending[0], list):
         raise ValueError(f"{key} must be a list, got {type(pending[0]).__name__}")
@@ -257,7 +255,10 @@ def _number_array(payload, key):
             pending.extend(item)
         elif isinstance(item, bool) or not isinstance(item, (int, float)):
             raise ValueError(f"{key} must hold only numbers, got {item!r}")
-    return np.asarray(payload[key], dtype=float)
+    try:
+        return np.asarray(payload[key], dtype=float)
+    except OverflowError:  # an integer too large for a float
+        raise ValueError(f"{key} holds an integer too large for float64") from None
 
 
 def infer_graph(panel: TimeSeriesPanel, config: PipelineConfig | None = None) -> CausalGraph:
@@ -274,7 +275,7 @@ def infer_graph(panel: TimeSeriesPanel, config: PipelineConfig | None = None) ->
     names = panel.node_names
     N = panel.n_nodes
 
-    full = _fit_pipeline(values, config, node_names=names)
+    full = _fit_pipeline(values, config, names)
     # Python floats: their division and log are numpy's bits, without its scalar overhead
     sigma_full = full.residual_variance.tolist()
 
@@ -290,7 +291,7 @@ def infer_graph(panel: TimeSeriesPanel, config: PipelineConfig | None = None) ->
         reduced_values = values.take(rest, axis=1)
         reduced_names = names[:i] + names[i + 1 :]
         with _tagged(f"excluding node {names[i]!r}:"):
-            reduced = _fit_pipeline(reduced_values, config, cap_rank=True, node_names=reduced_names)
+            reduced = _fit_pipeline(reduced_values, config, reduced_names, cap_rank=True)
         sigma_reduced = reduced.residual_variance.tolist()
         for k, j in enumerate(rest):
             raw[i, j] = _log_ratio(sigma_reduced[k], sigma_full[j])

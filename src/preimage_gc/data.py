@@ -55,11 +55,15 @@ def _refuse_overflow(values, what, fix="rescale the input or normalize it"):
 
 
 def _finite_nonnegative(value):
-    """Whether value is a real number in [0, inf) that is not a bool: 0,
-    1e-3 and np.float64(2) are; True, "1", None, [1.0], nan and inf are not."""
+    """Whether value is a real number in [0, inf) that is not a bool and
+    that float64 holds: 0, 1e-3 and np.float64(2) are; True, "1", None,
+    [1.0], nan, inf and 10**400 are not."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
         return False
-    return 0 <= value < math.inf
+    try:
+        return 0 <= value and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def _is_integer(value):

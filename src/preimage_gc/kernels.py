@@ -251,8 +251,10 @@ class KernelPcaModel:
     def coordinates(self) -> np.ndarray:
         """The training points' coordinates on the axes, Kc @ dual_coefficients
         for their centered gram Kc, without that gram: Kc @ U / sqrt(lam) =
-        U sqrt(lam)."""
-        return self.dual_coefficients * self.eigenvalues
+        U sqrt(lam). A fresh array each call, read-only as the fields are."""
+        coordinates = self.dual_coefficients * self.eigenvalues
+        coordinates.setflags(write=False)
+        return coordinates
 
 
 def _check_p_select(p_select):

@@ -25,15 +25,17 @@ from preimage_gc import (
     reconstruct,
     run_full_model,
 )
-from preimage_gc.causality import CausalGraph
+from preimage_gc.causality import CausalGraph, FullModelResult
 from preimage_gc.errors import (
     DegenerateInputError,
     DegenerateModelError,
     InsufficientSamplesError,
     RankError,
+    ShapeError,
 )
 from preimage_gc.kernels import LANCZOS_MIN_ORDER
 from preimage_gc.synthgen import GENERATOR_IDS, generate
+from preimage_gc.varm import VarModelFit
 from whole_numbers import NOT_WHOLE
 
 
@@ -140,7 +142,7 @@ class TestPipelineConfig:
         assert PipelineConfig(lag=np.int64(2)).lag == 2
 
     @pytest.mark.parametrize("key", ["ridge_var", "ridge_preimage"])
-    @pytest.mark.parametrize("ridge", [np.nan, np.inf, None, "1", True, np.bool_(True)])
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf, pytest.param(10**400, id="10**400"), None, "1", True, np.bool_(True)])
     def test_rejects_nonfinite_ridge(self, key, ridge):
         # nan and inf used to be reported as overflowing normal equations;
         # None and "1" raised an untyped TypeError, and True passed as 1;
@@ -239,6 +241,33 @@ class TestRunFullModel:
             result.residual_variance,
             (result.normalized[config.lag :] - result.reconstruction).var(axis=0),
         )
+
+    @pytest.mark.parametrize("config", [
+        PipelineConfig(),
+        PipelineConfig(kernel=IDENTITY),
+        PipelineConfig(lag=2),
+    ], ids=["rbf", "identity", "rbf-lag2"])
+    def test_rebuilt_record_works_out_the_same_bits(self, config):
+        # a FullModelResult is its normalized inputs and stage models; the
+        # reconstruction and residual variance are worked out from them
+        r = run_full_model(random_panel(90, 3, seed=7), config)
+        rebuilt = FullModelResult(r.normalized, r.kpca, r.var_fit, r.preimage_map)
+        assert rebuilt.reconstruction.tobytes() == r.reconstruction.tobytes()
+        assert rebuilt.residual_variance.tobytes() == r.residual_variance.tobytes()
+
+    def test_record_whose_rows_do_not_match_is_refused(self):
+        r = run_full_model(random_panel(90, 3, seed=8))
+        fit = r.var_fit
+        one_row = VarModelFit(fit.coefficients, fit.fitted[:1], fit.residual_variance)
+        for normalized, var_fit, shapes in (
+            (r.normalized[1:], fit, "(89, 3), normalized[lag:] has (88, 3)"),
+            (np.vstack([r.normalized, r.normalized[:1]]), fit, "(89, 3), normalized[lag:] has (90, 3)"),
+            (r.normalized[:, :2], fit, "(89, 3), normalized[lag:] has (89, 2)"),
+            # a 1-row fitted used to broadcast against every row
+            (r.normalized, one_row, "(1, 3), normalized[lag:] has (89, 3)"),
+        ):
+            with pytest.raises(ShapeError, match="^reconstruction has shape " + re.escape(shapes) + "$"):
+                FullModelResult(normalized, r.kpca, var_fit, r.preimage_map)
 
 
 class TestInferGraph:
@@ -376,12 +405,13 @@ class TestInferGraph:
         config = PipelineConfig(p_select=40)
         monkeypatch.setattr(causality_module, "fit_kernel_pca", fit_seen)
         monkeypatch.setattr(kernels_module, "_rbf_gram", gram_seen)
-        capped = causality_module._fit_pipeline(values, config, cap_rank=True)
+        names = ("n0",)
+        capped = causality_module._fit_pipeline(values, config, names, cap_rank=True)
         # the refused fit and the refit each build one gram
         assert events == ["fit", "gram", "fit", "gram"]
         P = capped.kpca.n_components
         assert P < 40
-        direct = causality_module._fit_pipeline(values, PipelineConfig(p_select=P))
+        direct = causality_module._fit_pipeline(values, PipelineConfig(p_select=P), names)
         assert capped.kpca.spec == direct.kpca.spec
         np.testing.assert_array_equal(capped.features, direct.features)
         np.testing.assert_array_equal(capped.residual_variance, direct.residual_variance)
@@ -395,10 +425,10 @@ class TestInferGraph:
     def test_reduced_model_failure_names_node(self, monkeypatch):
         real = causality_module._fit_pipeline
 
-        def flaky(values, config, cap_rank=False, node_names=None):
+        def flaky(values, config, node_names, cap_rank=False):
             if values.shape[1] == 2:
                 raise RankError("synthetic failure", achievable_rank=1)
-            return real(values, config, cap_rank, node_names)
+            return real(values, config, node_names, cap_rank)
 
         monkeypatch.setattr(causality_module, "_fit_pipeline", flaky)
         panel = random_panel(80, 3, seed=11)

@@ -502,6 +502,11 @@ class TestEval:
          "[[0, 1], [0, 0]]", "delta must hold only numbers, got '1'"),
         ('{"node_names": ["a", "b"], "delta": [[0, 1], [1, 0]], "raw_log_ratios": [[0, true], [1, 0]]}',
          "[[0, 1], [0, 0]]", "raw_log_ratios must hold only numbers, got True"),
+        # a 401-digit integer, which float64 cannot hold, used to end in an OverflowError
+        ('{"node_names": ["a", "b"], "delta": [[0, 1%s], [1, 0]], "raw_log_ratios": [[0, 1], [1, 0]]}' % ("0" * 400),
+         "[[0, 1], [0, 0]]", "delta holds an integer too large for float64"),
+        ('{"node_names": ["a", "b"], "delta": [[0, 1], [1, 0]], "raw_log_ratios": [[0, -1%s], [1, 0]]}' % ("0" * 400),
+         "[[0, 1], [0, 0]]", "raw_log_ratios holds an integer too large for float64"),
         (None, "[[0, 1], [0, ", "cannot read ground truth from"),
         (None, '{"truth": [[0, 1], [0, 0]]}', "has no 'ground_truth' key"),
     ])

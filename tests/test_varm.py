@@ -97,7 +97,7 @@ class TestFitVar:
         with pytest.raises(RankError, match="ridge"):
             fit_var(series, lag=1, ridge_lambda=0.0)
 
-    @pytest.mark.parametrize("ridge", [np.nan, np.inf, -1.0, None, "1", True, np.bool_(True)])
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf, pytest.param(10**400, id="10**400"), -1.0, None, "1", True, np.bool_(True)])
     def test_rejects_ridge_that_is_negative_or_not_finite(self, ridge):
         # nan used to be reported as overflowing normal equations; None and
         # "1" raised an untyped TypeError, and True was used as 1.0
