@@ -17,7 +17,6 @@ from .preimage import learn_preimage, reconstruct
 from .causality import (
     IDENTITY,
     PipelineConfig,
-    causality_index,
     infer_graph,
     linear_gc_baseline,
     run_full_model,
@@ -31,7 +30,6 @@ __all__ = [
     "KernelSpec",
     "PipelineConfig",
     "TimeSeriesPanel",
-    "causality_index",
     "fit_kernel_pca",
     "fit_var",
     "generate",

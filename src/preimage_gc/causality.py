@@ -168,17 +168,13 @@ def _log_ratio(var_reduced: float, var_full: float) -> float:
     return math.log(var_reduced / var_full)
 
 
-def causality_index(var_reduced: float, var_full: float) -> float:
-    """max(ln(var_reduced / var_full), 0): how much removing a node hurts."""
-    return max(_log_ratio(var_reduced, var_full), 0.0)
-
-
 @dataclass(frozen=True, eq=False)
 class CausalGraph:
     """Estimated influence matrix: delta[i, j] is evidence for i -> j.
 
     raw_log_ratios holds the unclamped log variance ratios, useful for
-    null calibration; delta is worked out from them, as their clamp at zero.
+    null calibration; delta, the paper's causality index, is worked out
+    from them, as their clamp at zero.
     """
 
     raw_log_ratios: np.ndarray

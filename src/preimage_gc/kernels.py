@@ -141,7 +141,8 @@ class KernelSpec:
     bandwidth   rbf only: positive length scale in exp(-d^2 / (2 bw^2)),
                 or None for the median pairwise distance of the points
                 fit_kernel_pca is given (the model's spec then carries it)
-    degree      polynomial only: integer exponent >= 1, not 2.0 or True
+    degree      polynomial only: integer exponent >= 1 that float64 holds,
+                not 2.0, True or 10**400
     offset      polynomial only: finite nonnegative additive constant
     """
 
@@ -161,7 +162,7 @@ class KernelSpec:
                 f"finite float64, got {self.bandwidth!r}"
             )
         if self.kind == "polynomial":
-            if not (_is_integer(self.degree) and self.degree >= 1):
+            if not (_is_integer(self.degree) and self.degree >= 1 and _finite_nonnegative(self.degree)):
                 raise ValueError(f"polynomial degree must be a positive integer, got {self.degree!r}")
             if not _finite_nonnegative(self.offset):
                 raise ValueError(f"polynomial offset must be finite and nonnegative, got {self.offset!r}")

@@ -17,7 +17,6 @@ import pytest
 from preimage_gc import (
     IDENTITY,
     PipelineConfig,
-    causality_index,
     fit_kernel_pca,
     fit_var,
     generate,
@@ -32,6 +31,7 @@ from preimage_gc import (
     KernelSpec,
     TimeSeriesPanel,
 )
+from preimage_gc.causality import CausalGraph, _log_ratio
 from preimage_gc.cli import main as cli_main
 
 RIVER_CSV = Path(__file__).resolve().parent.parent / "data" / "river.csv"
@@ -150,10 +150,14 @@ def test_check_05_null_calibration_on_white_noise(capsys):
 
 
 def test_check_06_causality_index_branches(capsys):
-    equal = causality_index(1.0, 1.0)
-    e_ratio = causality_index(math.e, 1.0)
-    clamped = causality_index(1.0, math.e)
-    ok = equal == 0.0 and e_ratio == 1.0 and clamped == 0.0
+    # the index is the pipeline's score, _log_ratio, clamped at zero by CausalGraph
+    raw = np.zeros((3, 3))
+    raw[0, 1] = _log_ratio(1.0, 1.0)
+    raw[1, 2] = _log_ratio(math.e, 1.0)
+    raw[2, 0] = _log_ratio(1.0, math.e)
+    graph = CausalGraph(raw, ("a", "b", "c"))
+    equal, e_ratio, clamped = (float(graph.delta[ij]) for ij in ((0, 1), (1, 2), (2, 0)))
+    ok = equal == 0.0 and e_ratio == 1.0 and clamped == 0.0 and graph.raw_log_ratios[2, 0] == -1.0
     report(capsys, 6, "causality index branch values", ok,
            f"{equal!r}, {e_ratio!r}, {clamped!r}")
 

@@ -1,6 +1,9 @@
 """The package's top-level names, the array arguments of its stages, and
 the frozen result dataclasses."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,14 +27,14 @@ from preimage_gc.preimage import PreimageMap, reconstruct
 from preimage_gc.synthgen import LINEAR5_COEFFICIENTS, SyntheticDataset
 from preimage_gc.varm import VarModelFit
 
-# what the CLI, demos/, README.md and tests/test_acceptance.py use
+# what the CLI, demos/ and tests/test_acceptance.py use; README.md's
+# export table lists the same names (test_readme_export_table_is_all)
 TOP_LEVEL = [
     "GENERATOR_IDS",
     "IDENTITY",
     "KernelSpec",
     "PipelineConfig",
     "TimeSeriesPanel",
-    "causality_index",
     "fit_kernel_pca",
     "fit_var",
     "generate",
@@ -54,6 +57,17 @@ def test_all_is_exactly_the_used_api():
     namespace = {}
     exec("from preimage_gc import *", namespace)
     assert sorted(k for k in namespace if not k.startswith("__")) == TOP_LEVEL
+
+
+def test_readme_export_table_is_all():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    count = re.search(r"The top-level package exports the (\d+) names", text)
+    # the sentence's paragraph, then the table: a header, a rule and one
+    # "| stage | `name`, `name` |" row per stage
+    rows = text[count.end() :].split("\n\n")[1].splitlines()[2:]
+    names = [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[2])]
+    assert sorted(names) == sorted(preimage_gc.__all__)
+    assert len(names) == int(count.group(1)) == len(preimage_gc.__all__)
 
 
 def test_no_version_attribute():

@@ -17,7 +17,6 @@ from preimage_gc import (
     KernelSpec,
     PipelineConfig,
     TimeSeriesPanel,
-    causality_index,
     fit_var,
     infer_graph,
     linear_gc_baseline,
@@ -25,7 +24,7 @@ from preimage_gc import (
     reconstruct,
     run_full_model,
 )
-from preimage_gc.causality import CausalGraph, FullModelResult
+from preimage_gc.causality import CausalGraph, FullModelResult, _log_ratio
 from preimage_gc.errors import (
     DegenerateInputError,
     DegenerateModelError,
@@ -84,23 +83,30 @@ def chain_panel(T, seed):
     return TimeSeriesPanel(y[200:], ("a", "b", "c"))
 
 
+def _clamped(log_ratio):
+    """The delta a CausalGraph works out for one log ratio."""
+    return CausalGraph(np.array([[0.0, log_ratio], [0.0, 0.0]]), ("i", "j")).delta[0, 1]
+
+
 class TestCausalityIndex:
+    """The paper's index: the pipeline's score, _log_ratio, clamped at zero
+    by CausalGraph."""
+
     def test_equal_variances_give_zero(self):
-        assert causality_index(1.0, 1.0) == 0.0
+        assert _clamped(_log_ratio(1.0, 1.0)) == 0.0
 
     def test_e_ratio_gives_one(self):
-        assert causality_index(math.e, 1.0) == 1.0
+        assert _clamped(_log_ratio(math.e, 1.0)) == 1.0
 
     def test_smaller_reduced_clamps_to_zero(self):
-        assert causality_index(0.5, 1.0) == 0.0
+        raw = _log_ratio(0.5, 1.0)
+        assert raw == math.log(0.5)
+        assert _clamped(raw) == 0.0
 
     def test_nonpositive_variance_rejected(self):
-        with pytest.raises(DegenerateModelError, match="ridge"):
-            causality_index(0.0, 1.0)
-        with pytest.raises(DegenerateModelError):
-            causality_index(1.0, -2.0)
-        with pytest.raises(DegenerateModelError):
-            causality_index(float("nan"), 1.0)
+        for var_reduced, var_full in ((0.0, 1.0), (1.0, -2.0), (float("nan"), 1.0)):
+            with pytest.raises(DegenerateModelError, match="ridge"):
+                _log_ratio(var_reduced, var_full)
 
 
 class TestPipelineConfig:

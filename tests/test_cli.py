@@ -365,6 +365,8 @@ class TestUsageErrors:
         ("ridge_preimage = nan\n", "[pipeline] ridge_var and ridge_preimage must be finite and >= 0"),
         ("kernel = polynomial\noffset = nan\n", "[pipeline] polynomial offset must be finite and nonnegative"),
         ("kernel = polynomial\noffset = inf\n", "[pipeline] polynomial offset must be finite and nonnegative"),
+        pytest.param("kernel = polynomial\ndegree = 1%s\n" % ("0" * 400),
+                     "[pipeline] polynomial degree must be a positive integer", id="degree-10**400"),
     ])
     def test_bad_pipeline_value(self, tmp_path, capsys, data, keys, message):
         assert self.infer_with(tmp_path, data, "[pipeline]\n" + keys) == 2

@@ -90,8 +90,9 @@ class TestKernelSpec:
 
     # inf used to raise a raw OverflowError, nan and None errors that did
     # not name the degree, True was taken for 1, and 2.0 passed although
-    # lag and the CLI's degree refuse it
-    @pytest.mark.parametrize("degree", [0, 1.5, *NOT_WHOLE])
+    # lag and the CLI's degree refuse it; 10**400 raised a raw
+    # OverflowError from fit_kernel_pca
+    @pytest.mark.parametrize("degree", [0, 1.5, *NOT_WHOLE, pytest.param(10**400, id="10**400")])
     def test_rejects_bad_degree(self, degree):
         message = f"polynomial degree must be a positive integer, got {degree!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
