@@ -9,7 +9,7 @@ bit for bit.
 
 import numpy as np
 
-from preimage_gc import GENERATOR_IDS, generate, ground_truth_edges
+from preimage_gc import GENERATOR_IDS, generate
 
 T = 200
 
@@ -17,7 +17,7 @@ for gen in GENERATOR_IDS:
     ds = generate(gen, T=T, seed=0)
     edges = ", ".join(
         f"{ds.panel.node_names[i]}->{ds.panel.node_names[j]}"
-        for i, j in ground_truth_edges(ds)
+        for i, j in np.argwhere(ds.ground_truth)
     )
     print(f"{gen:<10s}  {ds.panel.values.shape}  true edges: {edges}")
 

@@ -11,7 +11,6 @@ import numpy as np
 
 from preimage_gc import (
     generate,
-    ground_truth_edges,
     infer_graph,
     linear_gc_baseline,
     off_diagonal,
@@ -44,7 +43,7 @@ for seed in SEEDS:
     squared_rank_linear.append(rank_of(linear_graph))
 
 print(f"true edges: "
-      + ", ".join(f"y{i+1}->y{j+1}" for i, j in ground_truth_edges(generate('nonlinear5', 50, 0))))
+      + ", ".join(f"y{i+1}->y{j+1}" for i, j in np.argwhere(generate('nonlinear5', 50, 0).ground_truth)))
 print()
 print(f"mean ROC-AUC over {len(kernel_auc)} seeds at T={T}:")
 print(f"  kernel pipeline   {np.mean(kernel_auc):.3f}")

@@ -21,7 +21,7 @@ from .causality import (
     linear_gc_baseline,
     run_full_model,
 )
-from .synthgen import GENERATOR_IDS, generate, ground_truth_edges
+from .synthgen import GENERATOR_IDS, generate
 from .bench import off_diagonal, roc_auc, run_benchmark
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "fit_kernel_pca",
     "fit_var",
     "generate",
-    "ground_truth_edges",
     "infer_graph",
     "ingest_csv",
     "learn_preimage",

@@ -231,20 +231,20 @@ class CausalGraph:
             raise ValueError(f"node_names must be a list, got {type(names).__name__}")
         if not all(isinstance(name, str) for name in names):
             raise ValueError(f"node_names must hold only strings, got {names!r}")
-        delta = _number_array(payload, "delta")
-        graph = cls(_number_array(payload, "raw_log_ratios"), tuple(names))
+        delta = _number_array(payload["delta"], "delta")
+        graph = cls(_number_array(payload["raw_log_ratios"], "raw_log_ratios"), tuple(names))
         if not np.array_equal(delta, graph.delta):
             raise ValueError("delta must be raw_log_ratios clamped at zero")
         return graph
 
 
-def _number_array(payload, key):
-    """payload[key] as a float array; ValueError unless it is nested
-    lists of numbers (a bool or a numeric string is not a number) that
-    float64 holds."""
-    pending = [payload[key]]
-    if not isinstance(pending[0], list):
-        raise ValueError(f"{key} must be a list, got {type(pending[0]).__name__}")
+def _number_array(value, key):
+    """A JSON value as a float array; ValueError, naming key, unless it is
+    rectangular nested lists of numbers (a bool or a numeric string is
+    not a number) that float64 holds."""
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list, got {type(value).__name__}")
+    pending = [value]
     while pending:
         item = pending.pop()
         if isinstance(item, list):
@@ -252,9 +252,11 @@ def _number_array(payload, key):
         elif isinstance(item, bool) or not isinstance(item, (int, float)):
             raise ValueError(f"{key} must hold only numbers, got {item!r}")
     try:
-        return np.asarray(payload[key], dtype=float)
+        return np.asarray(value, dtype=float)
     except OverflowError:  # an integer too large for a float
         raise ValueError(f"{key} holds an integer too large for float64") from None
+    except ValueError:  # ragged lists
+        raise ValueError(f"{key} must be a rectangular list of lists") from None
 
 
 def infer_graph(panel: TimeSeriesPanel, config: PipelineConfig | None = None) -> CausalGraph:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import _checked_grid, off_diagonal, roc_auc, run_benchmark
-from .causality import IDENTITY, CausalGraph, PipelineConfig, infer_graph
+from .causality import IDENTITY, CausalGraph, PipelineConfig, _number_array, infer_graph
 from .data import ingest_csv, panel_to_csv
 from .errors import ConfigError, PreimageGCError
 from .kernels import KERNEL_KINDS, KernelSpec
@@ -249,20 +249,22 @@ def _cmd_bench(args) -> int:
 def _cmd_eval(args) -> int:
     graph_path = _require_file(args.graph)
     truth_path = _require_file(args.truth)
+    # a json.JSONDecodeError is a ValueError
     try:
         graph = CausalGraph.from_dict(json.loads(graph_path.read_text(encoding="utf-8")))
-    except (json.JSONDecodeError, ValueError) as err:
+    except ValueError as err:
         raise ConfigError(f"cannot read graph from {graph_path}: {err}") from None
     try:
         payload = json.loads(truth_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
+        if isinstance(payload, dict):
+            if "ground_truth" not in payload:
+                raise ValueError("it has no 'ground_truth' key")
+            payload = payload["ground_truth"]
+        truth = _number_array(payload, "ground_truth")
+        if not ((truth == 0) | (truth == 1)).all():
+            raise ValueError("ground_truth entries must be 0 or 1")
+    except ValueError as err:
         raise ConfigError(f"cannot read ground truth from {truth_path}: {err}") from None
-    if isinstance(payload, dict):
-        if "ground_truth" not in payload:
-            raise ConfigError(f"{truth_path} has no 'ground_truth' key")
-        truth = np.asarray(payload["ground_truth"])
-    else:
-        truth = np.asarray(payload)
     if truth.shape != graph.delta.shape:
         raise ConfigError(
             f"shape mismatch: graph is {graph.delta.shape}, ground truth is {truth.shape}"

@@ -217,8 +217,7 @@ def panel_to_csv(panel: TimeSeriesPanel) -> str:
                 "name and starts with a byte-order mark"
             )
     lines = [",".join(panel.node_names)]
-    for row in panel.values:
-        lines.append(",".join(repr(float(v)) for v in row))
+    lines += [",".join(map(repr, row)) for row in panel.values.tolist()]
     return "\n".join(lines) + "\n"
 
 

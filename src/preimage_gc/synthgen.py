@@ -100,13 +100,6 @@ class SyntheticDataset:
         _freeze(self, "ground_truth", dtype=int)
 
 
-def ground_truth_edges(dataset: SyntheticDataset):
-    """All (cause, effect) index pairs of the true graph, row-major."""
-    gt = dataset.ground_truth
-    N = gt.shape[0]
-    return [(i, j) for i in range(N) for j in range(N) if gt[i, j] == 1]
-
-
 def _resolve_params(generator_id, overrides):
     defaults = _DEFAULTS[generator_id]
     unknown = set(overrides) - set(defaults)

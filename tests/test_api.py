@@ -38,7 +38,6 @@ TOP_LEVEL = [
     "fit_kernel_pca",
     "fit_var",
     "generate",
-    "ground_truth_edges",
     "infer_graph",
     "ingest_csv",
     "learn_preimage",

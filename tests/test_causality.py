@@ -35,6 +35,7 @@ from preimage_gc.errors import (
 from preimage_gc.kernels import LANCZOS_MIN_ORDER
 from preimage_gc.synthgen import GENERATOR_IDS, generate
 from preimage_gc.varm import VarModelFit
+from granger_reference import lstsq_granger_log_ratios
 from whole_numbers import NOT_WHOLE
 
 
@@ -43,31 +44,6 @@ def random_panel(T, N, seed, names=None):
     if names is None:
         names = tuple(f"n{j}" for j in range(N))
     return TimeSeriesPanel(rng.normal(size=(T, N)), names)
-
-
-def lstsq_granger_log_ratios(values, lag):
-    """Reference linear Granger log variance ratios from numpy least squares.
-
-    Interceptless VAR(lag) per target node on the mean-centered panel
-    (the pipeline's unit-variance scaling cannot change a variance
-    ratio), once with every node's past and once without node i's.
-    """
-    Y = values - values.mean(axis=0)
-    T, N = Y.shape
-    past = np.stack([Y[lag - ell : T - ell] for ell in range(1, lag + 1)], axis=1)
-    targets = Y[lag:]
-
-    def residual_variance(j, causes):
-        design = past[:, :, causes].reshape(len(targets), -1)
-        coef, *_ = np.linalg.lstsq(design, targets[:, j], rcond=None)
-        return np.var(targets[:, j] - design @ coef)
-
-    raw = np.zeros((N, N))
-    for i in range(N):
-        rest = [k for k in range(N) if k != i]
-        for j in rest:
-            raw[i, j] = math.log(residual_variance(j, rest) / residual_variance(j, list(range(N))))
-    return raw
 
 
 def chain_panel(T, seed):

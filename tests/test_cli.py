@@ -509,8 +509,22 @@ class TestEval:
          "[[0, 1], [0, 0]]", "delta holds an integer too large for float64"),
         ('{"node_names": ["a", "b"], "delta": [[0, 1], [1, 0]], "raw_log_ratios": [[0, -1%s], [1, 0]]}' % ("0" * 400),
          "[[0, 1], [0, 0]]", "raw_log_ratios holds an integer too large for float64"),
+        ('{"node_names": ["a", "b"], "delta": [[0, 1], [1]], "raw_log_ratios": [[0, 1], [1, 0]]}',
+         "[[0, 1], [0, 0]]", "delta must be a rectangular list of lists"),
         (None, "[[0, 1], [0, ", "cannot read ground truth from"),
         (None, '{"truth": [[0, 1], [0, 0]]}', "has no 'ground_truth' key"),
+        # each row below used to be scored or to end in numpy's own error text
+        (None, '{"ground_truth": [[null, 1], [0, 0]]}', "ground_truth must hold only numbers, got None"),
+        (None, '[[0, 1], [0, "junk"]]', "ground_truth must hold only numbers, got 'junk'"),
+        (None, '{"ground_truth": [[0, true], [false, 0]]}', "ground_truth must hold only numbers, got"),
+        (None, "[[0, 1], [0]]", "ground_truth must be a rectangular list of lists"),
+        (None, '{"ground_truth": [[0, 1], 0]}', "ground_truth must be a rectangular list of lists"),
+        (None, '{"ground_truth": [[0, 0.5], [0, 0]]}', "ground_truth entries must be 0 or 1"),
+        (None, "[[2, 1], [0, 0]]", "ground_truth entries must be 0 or 1"),
+        (None, "[[NaN, 1], [0, 0]]", "ground_truth entries must be 0 or 1"),
+        (None, '{"ground_truth": [[0, 1%s], [0, 0]]}' % ("0" * 400),
+         "ground_truth holds an integer too large for float64"),
+        (None, '{"ground_truth": "[[0, 1], [0, 0]]"}', "ground_truth must be a list, got str"),
     ])
     def test_unreadable_graph_or_truth(self, tmp_path, capsys, graph_text, truth_text, message):
         graph = self.write_graph(tmp_path, [[0.0, 0.9], [0.2, 0.0]])
@@ -522,6 +536,7 @@ class TestEval:
         err = capsys.readouterr().err
         assert message in err
         assert ("cannot read graph from" in err) == (graph_text is not None)
+        assert ("cannot read ground truth from" in err) == (graph_text is None)
 
     def test_shape_mismatch(self, tmp_path, capsys):
         graph = self.write_graph(tmp_path, np.zeros((3, 3)))

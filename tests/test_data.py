@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from preimage_gc import TimeSeriesPanel, ingest_csv, normalize_columns
+from preimage_gc import GENERATOR_IDS, TimeSeriesPanel, generate, ingest_csv, normalize_columns
 from preimage_gc.data import _column_moments, panel_to_csv
 from preimage_gc.errors import (
     CsvFormatError,
@@ -172,6 +172,20 @@ class TestIngestCsv:
         again = ingest_csv(panel_to_csv(panel))
         assert again.node_names == panel.node_names
         np.testing.assert_array_equal(again.values, panel.values)
+
+    def test_writes_the_repr_of_each_value(self):
+        # rows through tolist(), the bytes of a repr(float(v)) per numpy scalar
+        def scalar_by_scalar(panel):
+            rows = [",".join(repr(float(v)) for v in row) for row in panel.values]
+            return "\n".join([",".join(panel.node_names)] + rows) + "\n"
+
+        panels = [
+            generate(gen, T, seed).panel
+            for gen in GENERATOR_IDS for T in (50, 1000) for seed in range(5)
+        ]
+        panels.append(make_panel([[-0.0, 5e-324, 1e308], [0.1 + 0.2, -1e-308, 1.0]]))
+        for panel in panels:
+            assert panel_to_csv(panel) == scalar_by_scalar(panel)
 
 class TestNormalize:
     def test_hand_example(self):
