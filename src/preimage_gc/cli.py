@@ -16,7 +16,7 @@ import numpy as np
 from .bench import _checked_grid, off_diagonal, roc_auc, run_benchmark
 from .causality import IDENTITY, CausalGraph, PipelineConfig, _number_array, infer_graph
 from .data import ingest_csv, panel_to_csv
-from .errors import ConfigError, PreimageGCError
+from .errors import ConfigError, PreimageGCError, UndefinedAucError
 from .kernels import KERNEL_KINDS, KernelSpec
 from .synthgen import GENERATOR_IDS, generate
 
@@ -259,6 +259,10 @@ def _cmd_eval(args) -> int:
         if isinstance(payload, dict):
             if "ground_truth" not in payload:
                 raise ValueError("it has no 'ground_truth' key")
+            # rows and columns are scored by position, so named ones must be the graph's
+            names = list(graph.node_names)
+            if payload.get("node_names", names) != names:
+                raise ValueError(f"its node_names {payload['node_names']!r} are not the graph's {names!r}")
             payload = payload["ground_truth"]
         truth = _number_array(payload, "ground_truth")
         if not ((truth == 0) | (truth == 1)).all():
@@ -269,7 +273,10 @@ def _cmd_eval(args) -> int:
         raise ConfigError(
             f"shape mismatch: graph is {graph.delta.shape}, ground truth is {truth.shape}"
         )
-    auc = roc_auc(off_diagonal(graph.delta), off_diagonal(truth))
+    try:
+        auc = roc_auc(off_diagonal(graph.delta), off_diagonal(truth))
+    except UndefinedAucError as err:
+        raise ConfigError(f"cannot score against {truth_path}: {err}") from None
     print(f"{auc:.6f}")
     return 0
 

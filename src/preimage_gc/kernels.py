@@ -10,8 +10,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError, eigh_tridiagonal
 from scipy.linalg.blas import daxpy, ddot, dgemm, dgemv, dnrm2, dscal, dsymv
-from scipy.linalg.lapack import dstevd, dsyevd
+from scipy.linalg.lapack import dsyevd
 from scipy.spatial.distance import pdist, squareform
 
 from .data import _as_matrix, _finite_nonnegative, _freeze, _is_integer, _refuse_overflow
@@ -314,16 +315,6 @@ def _dense_top(Kc, p_select):
     return evals[:P], evecs[:, :P]
 
 
-def _tridiagonal_eigh(alpha, beta):
-    """Ascending eigenvalues, eigenvectors and LAPACK info of the symmetric
-    tridiagonal with diagonal alpha and off-diagonal beta: LAPACK stevd,
-    scipy.linalg.eigh_tridiagonal's driver, with its info returned rather
-    than raised, and its exact 1 x 1 case."""
-    if alpha.size == 1:
-        return alpha.copy(), np.ones((1, 1)), 0
-    return dstevd(alpha, beta)
-
-
 def _ritz_settled(theta, S, residual, total, p_select):
     """The top Ritz pairs of a Lanczos tridiagonal, if they settle p_select.
 
@@ -343,16 +334,11 @@ def _ritz_settled(theta, S, residual, total, p_select):
     return theta[:P], S[:, :P]
 
 
-@functools.lru_cache(maxsize=8)
 def _start_vector(M):
-    """The unit Lanczos start vector of order M, read-only: the same
-    seeded draw for every gram of that order, built once per order (about
-    20 us), so each leave-one-out fit of a panel reuses its full fit's.
-    Not a vector of ones: Kc annihilates it."""
+    """The unit Lanczos start vector of order M: the same seeded draw for
+    every gram of that order. Not a vector of ones: Kc annihilates it."""
     v0 = np.random.default_rng(0).standard_normal(M)
-    q0 = dscal(1.0 / dnrm2(v0), v0)
-    q0.setflags(write=False)
-    return q0
+    return dscal(1.0 / dnrm2(v0), v0)
 
 
 def _lanczos_top(K, col_means, grand_mean, p_select):
@@ -370,15 +356,20 @@ def _lanczos_top(K, col_means, grand_mean, p_select):
     LANCZOS_CHECK_EVERY steps it tests the Ritz pairs: a fraction's total
     mass is trace(Kc) = trace(K) - M g, the sum of all eigenvalues, so
     the top converged pairs alone settle the count. Returns None, leaving
-    the answer (and any RankError) to the dense path, for p_select ==
-    1.0, for a non-finite gram, after LANCZOS_MAX_STEPS steps, when the
-    Krylov space becomes invariant before the count is settled, and when
-    LAPACK fails on the tridiagonal.
+    the answer (and any RankError) to the dense path: before its first
+    step for p_select == 1.0, for an integer p_select above its step
+    count min(LANCZOS_MAX_STEPS, M), and for a non-finite gram; after
+    LANCZOS_MAX_STEPS steps; when the Krylov space becomes invariant
+    before the count is settled; and when LAPACK fails on the
+    tridiagonal.
     """
     fraction = isinstance(p_select, (float, np.floating))
-    if fraction and p_select == 1.0:
-        return None
     M = K.shape[0]
+    steps = min(LANCZOS_MAX_STEPS, M)
+    # neither can settle: a count needs as many converged pairs, and a run
+    # converges at most one per step; a fraction of 1.0 needs the whole spectrum
+    if (p_select == 1.0) if fraction else (p_select > steps):
+        return None
     total = float(np.trace(K)) - M * grand_mean
     # a non-finite entry reaches grand_mean through its column's mean; a trace can overflow alone
     if not np.isfinite(total):
@@ -387,7 +378,6 @@ def _lanczos_top(K, col_means, grand_mean, p_select):
     # alpha.sum() of the tridiagonal: while that is short of a fraction's
     # target (less a rounding margin), a test of the Ritz pairs cannot settle
     unreachable = p_select * total * (1.0 - 1e-9) if fraction else -np.inf
-    steps = min(LANCZOS_MAX_STEPS, M)
     # a residual at the rounding level of one matvec: the Krylov space is invariant
     breakdown = _EPS * np.sqrt(M) * total
     # K is symmetric, so its transpose is itself in Fortran order: dsymv
@@ -420,8 +410,11 @@ def _lanczos_top(K, col_means, grand_mean, p_select):
         invariant = not beta[j] > breakdown
         check = (j + 1) % LANCZOS_CHECK_EVERY == 0 or j + 1 == steps
         if invariant or (check and alpha[: j + 1].sum() >= unreachable):
-            theta, S, info = _tridiagonal_eigh(alpha[: j + 1], beta[:j])
-            if info:
+            try:
+                theta, S = eigh_tridiagonal(
+                    alpha[: j + 1], beta[:j], lapack_driver="stevd", check_finite=False
+                )
+            except LinAlgError:
                 return None
             pairs = _ritz_settled(theta, S, beta[j], total, p_select)
             if pairs is not None:
@@ -477,17 +470,15 @@ def fit_kernel_pca(spec: KernelSpec, X, p_select) -> KernelPcaModel:
             # X @ X.T is not exactly symmetric on every view; halving before the sum
             # keeps entries above half the float64 maximum finite
             K = 0.5 * K + 0.5 * K.T
-        # one pass, shared by the Lanczos run and the dense path's centering:
-        # K.mean(axis=0)'s reduction and in-place division, without its wrapper
-        col_means = np.add.reduce(K, axis=0)
-        col_means /= M
+        # one pass, shared by the Lanczos run and the dense path's centering
+        col_means = K.mean(axis=0)
     # X is finite, so a non-finite entry, which reaches its column's mean, is an overflow
     if spec.kind == "polynomial":
         _refuse_overflow(col_means, "the polynomial gram overflows", "lower the degree or offset")
     else:
         _refuse_overflow(col_means, f"the {spec.kind} gram overflows")
     # the mean of the column means, which the Lanczos run needs before any centering
-    grand_mean = float(np.add.reduce(col_means) / M)
+    grand_mean = float(col_means.mean())
     # one hold for both solvers: a dense fallback on two threads made T = 400-500 infers 22-28% slower
     with _eigensolve(M < ONE_THREAD_ORDER):
         pairs = _lanczos_top(K, col_means, grand_mean, p_select) if M >= LANCZOS_MIN_ORDER else None

@@ -51,8 +51,7 @@ def learn_preimage(Y, H, ridge_lambda: float = DEFAULT_RIDGE) -> PreimageMap:
     with np.errstate(over="ignore", invalid="ignore"):
         residuals = Y - H @ Gt
         np.square(residuals, out=residuals)
-        # np.mean's reduction and division, without its wrapper
-        fit_error = float(np.add.reduce(residuals, axis=None) / residuals.size)
+        fit_error = float(residuals.mean())
     _refuse_overflow(fit_error, "pre-image training error overflows")
     return PreimageMap(gamma=Gt.T, training_fit_error=fit_error)
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import preimage_gc
 import preimage_gc.kernels as kernels_module
@@ -244,19 +245,19 @@ class TestInfer:
         assert (capped / "graph.json").read_bytes() == (dense / "graph.json").read_bytes()
 
     def test_ritz_lapack_failure_falls_back_to_dense(self, tmp_path, monkeypatch):
-        # a tridiagonal solve that reports no convergence ends every Lanczos
-        # run; the dense path answers instead of a ValueError's exit 2
+        # a tridiagonal solve that does not converge ends every Lanczos
+        # run; the dense path answers instead of a LinAlgError's exit 2
         calls = []
 
         def fail(d, e, **kwargs):
             calls.append(len(d))
-            return d.copy(), np.eye(len(d)), len(d)
+            raise scipy.linalg.LinAlgError("stevd (eigh_tridiagonal) did not converge")
 
         T = 300
         data = self.synth_csv(tmp_path, gen="nonlinear5", T=T, seed=0)
         failed, dense = tmp_path / "failed", tmp_path / "dense"
         with monkeypatch.context() as patch:
-            patch.setattr(kernels_module, "dstevd", fail)
+            patch.setattr(kernels_module, "eigh_tridiagonal", fail)
             assert run(["infer", str(data), "--out", str(failed)]) == 0
         assert len(calls) == 6
         with monkeypatch.context() as patch:
@@ -543,6 +544,34 @@ class TestEval:
         truth = self.write_truth(tmp_path, [[0, 1], [0, 0]])
         assert run(["eval", str(graph), str(truth)]) == 2
         assert "shape mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edge", [0, 1])
+    def test_truth_with_one_class_off_the_diagonal(self, tmp_path, capsys, edge):
+        # no edge, or every edge: the file gives the AUC nothing to rank
+        graph = self.write_graph(tmp_path, [[0.0, 0.9, 0.1], [0.2, 0.0, 0.4], [0.3, 0.5, 0.0]])
+        truth = [[0 if i == j else edge for j in range(3)] for i in range(3)]
+        assert run(["eval", str(graph), str(self.write_truth(tmp_path, truth))]) == 2
+        err = capsys.readouterr().err
+        assert "cannot score against" in err
+        assert "need both classes" in err
+
+    def test_sidecar_names_must_be_the_graphs_in_order(self, tmp_path, capsys):
+        # a graph inferred from the panel's columns reversed pairs its rows
+        # with the wrong nodes of the sidecar; eval scored it 0.328125
+        run(["synth", "nonlinear5", "--T", "300", "--seed", "0", "--out", str(tmp_path)])
+        sidecar = tmp_path / "nonlinear5_T300_seed0.json"
+        panel = ingest_csv(tmp_path / "nonlinear5_T300_seed0.csv")
+        reversed_csv = tmp_path / "reversed.csv"
+        reversed_csv.write_text(panel_to_csv(TimeSeriesPanel(panel.values[:, ::-1], panel.node_names[::-1])))
+        for data, out in ((tmp_path / "nonlinear5_T300_seed0.csv", "same"), (reversed_csv, "reversed")):
+            assert run(["infer", str(data), "--out", str(tmp_path / out)]) == 0
+        capsys.readouterr()
+        assert run(["eval", str(tmp_path / "same" / "graph.json"), str(sidecar)]) == 0
+        assert capsys.readouterr().out.strip() == "0.984375"
+        assert run(["eval", str(tmp_path / "reversed" / "graph.json"), str(sidecar)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read ground truth from" in err
+        assert "are not the graph's ['y5', 'y4', 'y3', 'y2', 'y1']" in err
 
     def test_end_to_end_with_synth_and_infer(self, tmp_path, capsys):
         run(["synth", "linear5", "--T", "200", "--seed", "1", "--out", str(tmp_path)])

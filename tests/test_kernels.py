@@ -638,15 +638,26 @@ class TestLanczosPath:
         lam, _ = kernels_module._dense_top(Kc, 0.95)
         np.testing.assert_allclose(lam, [5.0, 1.0], rtol=1e-12)
 
-    def test_start_vector_is_one_read_only_draw_per_order(self):
-        # built once per order and kept for at most 8 orders; it is the
-        # unit-normalized default_rng(0) draw the run always started from
+    def test_start_vector_is_the_seeded_unit_draw(self):
+        # the unit-normalized default_rng(0) draw the run always started from
         start = kernels_module._start_vector(self.M)
         v0 = np.random.default_rng(0).standard_normal(self.M)
         assert start.tobytes() == dscal(1.0 / dnrm2(v0), v0).tobytes()
-        assert not start.flags.writeable
-        assert kernels_module._start_vector(self.M) is start
-        assert kernels_module._start_vector.cache_info().maxsize == 8
+
+    def test_count_above_the_step_cap_goes_dense_before_any_step(self, solver_calls, matvecs, monkeypatch):
+        # the run settles a count on as many converged pairs, at most one
+        # per step: 97 pairs cannot settle within 96 steps, so it makes no
+        # matvec, and the dense path gives the model it would have given
+        M, p_select = LANCZOS_MIN_ORDER, kernels_module.LANCZOS_MAX_STEPS + 1
+        spec, X = KernelSpec("rbf"), np.random.default_rng(16).normal(size=(M, 5))
+        model = fit_kernel_pca(spec, X, p_select)
+        assert solver_calls == {"lanczos": 1, "eigh": 1}
+        assert matvecs[0] == 0
+        monkeypatch.setattr(kernels_module, "LANCZOS_MIN_ORDER", M + 1)
+        dense = fit_kernel_pca(spec, X, p_select)
+        assert model.n_components == p_select
+        assert model.eigenvalues.tobytes() == dense.eigenvalues.tobytes()
+        assert model.dual_coefficients.tobytes() == dense.dual_coefficients.tobytes()
 
     def test_mass_target_within_the_step_cap_matches_dense(self, solver_calls):
         self.assert_matches_dense(*self.rbf_case(), 0.999)
