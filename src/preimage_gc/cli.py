@@ -163,11 +163,13 @@ def _cmd_infer(args) -> int:
         config = PipelineConfig()
     else:
         config = _pipeline_config_from_file(_require_file(args.config))
+    try:
+        panel = ingest_csv(data_path)
+    except ValueError as err:
+        raise ConfigError(f"cannot read panel from {data_path}: {err}") from None
+    graph = infer_graph(panel, config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    panel = ingest_csv(data_path)
-    graph = infer_graph(panel, config)
 
     graph_path = out_dir / "graph.json"
     edges_path = out_dir / "edges.csv"

@@ -11,13 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CsvFormatError,
-    CsvParseError,
-    CsvSchemaError,
-    DegenerateInputError,
-    ShapeError,
-)
+from .errors import DegenerateInputError, ShapeError
 
 
 def _frozen_array(values, dtype=float, order="K"):
@@ -88,14 +82,16 @@ def _csv_text(rows):
 
 def _node_names(names, count, what):
     """names as a tuple of str, one per entry of what; ValueError unless
-    there are count of them, each nonempty and all distinct."""
+    there are count of them, each nonempty and all distinct, naming the
+    repeated ones in sorted order."""
     names = tuple(str(n) for n in names)
     if len(names) != count:
         raise ValueError(f"node_names length must match {what}: got {len(names)}, need {count}")
     if any(not n for n in names):
         raise ValueError("node names must be nonempty")
     if len(set(names)) != len(names):
-        raise ValueError("node names must be unique")
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        raise ValueError(f"node names must be unique; repeated: {', '.join(repeated)}")
     return names
 
 
@@ -137,11 +133,13 @@ def ingest_csv(source) -> TimeSeriesPanel:
     """Parse a header + float-rows CSV into a panel.
 
     ``source`` may be CSV text, a path (str paths are treated as text, so
-    pass ``pathlib.Path`` for files), or an open file object. Every row
-    must have exactly as many cells as the header, and every cell must be
-    a finite float written in ASCII without digit grouping; violations
-    name the offending row/column. A panel needs at least two columns and
-    two data rows; fewer is a CsvFormatError naming the count.
+    pass ``pathlib.Path`` for files), or an open file object. Malformed
+    text raises ValueError: an empty file, a row without exactly as many
+    cells as the header, or a cell that is not a finite float written in
+    ASCII without digit grouping, naming the offending row/column. The
+    header is checked as node names before any row is read, and the
+    panel's own refusals (fewer than two columns or two data rows) are
+    ``TimeSeriesPanel``'s.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -154,25 +152,17 @@ def ingest_csv(source) -> TimeSeriesPanel:
         text = text[1:]
     lines = [line for line in text.splitlines() if line.strip() != ""]
     if not lines:
-        raise CsvFormatError("need a header line, got an empty file")
+        raise ValueError("need a header line, got an empty file")
     header = [cell.strip() for cell in lines[0].split(",")]
-    if any(not name for name in header):
-        raise CsvSchemaError("header contains an empty column name")
-    if len(set(header)) != len(header):
-        dupes = sorted({n for n in header if header.count(n) > 1})
-        raise CsvSchemaError(f"duplicate column names: {', '.join(dupes)}")
     n_cols = len(header)
-    if n_cols < 2:
-        raise CsvFormatError(f"need at least 2 columns, got {n_cols}")
+    header = _node_names(header, n_cols, "the header")
     # math.isfinite on Python floats and one store per row; a list of all
     # rows would instead hold every cell as a Python object until the end
     rows = np.empty((len(lines) - 1, n_cols))
     for r, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != n_cols:
-            raise CsvFormatError(
-                f"row {r} has {len(cells)} cells, expected {n_cols}"
-            )
+            raise ValueError(f"row {r} has {len(cells)} cells, expected {n_cols}")
         # float also reads digit grouping and non-ASCII digits ("1_000",
         # "\u0663"); only the cells of a line that holds either are searched
         unplain = "_" in line or not line.isascii()
@@ -185,15 +175,13 @@ def ingest_csv(source) -> TimeSeriesPanel:
             if not math.isfinite(value) or unplain and ("_" in cell or not cell.isascii()):
                 # ASCII blanks only, so the repr shows a non-ASCII space
                 shown = cell.strip(" \t")
-                raise CsvParseError(
+                raise ValueError(
                     f"row {r}, column {header[c]!r}: "
                     f"cannot parse {shown!r} as a finite number"
                 )
             row.append(value)
         rows[r - 2] = row
-    if len(rows) < 2:
-        raise CsvFormatError(f"need at least 2 data rows, got {len(rows)}")
-    return TimeSeriesPanel(values=rows, node_names=tuple(header))
+    return TimeSeriesPanel(values=rows, node_names=header)
 
 
 def panel_to_csv(panel: TimeSeriesPanel) -> str:

@@ -3,7 +3,8 @@
 Everything raised deliberately by this library derives from
 :class:`PreimageGCError`, so callers can catch one base class at the
 boundary (the CLI does exactly that). Genuine usage errors such as bad
-argument values raise the builtin ``ValueError`` instead.
+argument values, and malformed input text such as a panel CSV with an
+unparseable cell, raise the builtin ``ValueError`` instead.
 """
 
 from __future__ import annotations
@@ -11,22 +12,6 @@ from __future__ import annotations
 
 class PreimageGCError(Exception):
     """Base class for all errors raised by this package."""
-
-
-class CsvError(PreimageGCError):
-    """Base class for CSV ingestion failures."""
-
-
-class CsvFormatError(CsvError):
-    """Structural CSV problem: ragged rows, no header, too few rows or columns."""
-
-
-class CsvParseError(CsvError):
-    """A cell could not be parsed as a finite float; names row and column."""
-
-
-class CsvSchemaError(CsvError):
-    """Header-level problem such as duplicate column names."""
 
 
 class DegenerateInputError(PreimageGCError):

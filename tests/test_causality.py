@@ -578,7 +578,7 @@ class TestCausalGraph:
         assert {len(r) for r in rows} == {3}
 
     @pytest.mark.parametrize("names, message", [
-        (("a", "a"), "node names must be unique"),
+        (("a", "a"), "node names must be unique; repeated: a"),
         (("", "b"), "node names must be nonempty"),
         (("a", "b", "c"), "node_names length must match raw_log_ratios: got 3, need 2"),
     ])

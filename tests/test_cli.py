@@ -120,22 +120,37 @@ class TestInfer:
         assert code == 2
         assert "shrinkage" in capsys.readouterr().err
 
-    def test_unparseable_cell_is_runtime_error(self, tmp_path, capsys):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("a,b\n1,2\n3,oops\n")
-        code = run(["infer", str(bad), "--out", str(tmp_path)])
-        assert code == 1
-        assert "row 3" in capsys.readouterr().err
+    def refuse_panel(self, tmp_path, capsys, text, message):
+        """infer on a CSV holding text exits 2 with the panel refusal
+        message, and makes no --out directory."""
+        data = tmp_path / "panel.csv"
+        data.write_text(text)
+        out = tmp_path / "out"
+        assert run(["infer", str(data), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot read panel from {data}: {message}\n"
+        assert not out.exists()
+
+    def test_unparseable_cell_is_usage_error(self, tmp_path, capsys):
+        self.refuse_panel(
+            tmp_path, capsys, "a,b\n1,2\n3,oops\n", "row 3, column 'b': cannot parse 'oops' as a finite number"
+        )
 
     @pytest.mark.parametrize("text, message", [
-        ("a,b\n1,2\n", "need at least 2 data rows, got 1"),
-        ("a\n1\n2\n3\n", "need at least 2 columns, got 1"),
-    ], ids=["one row", "one column"])
-    def test_csv_too_small_for_a_panel_is_runtime_error(self, tmp_path, capsys, text, message):
-        small = tmp_path / "small.csv"
-        small.write_text(text)
-        assert run(["infer", str(small), "--out", str(tmp_path)]) == 1
-        assert message in capsys.readouterr().err
+        ("", "need a header line, got an empty file"),
+        ("a,b\n1,2\n", "panel needs at least 2 rows, got 1"),
+        ("a\n1\n2\n3\n", "panel needs at least 2 nodes, got 1"),
+    ], ids=["empty", "one row", "one column"])
+    def test_csv_too_small_for_a_panel_is_usage_error(self, tmp_path, capsys, text, message):
+        self.refuse_panel(tmp_path, capsys, text, message)
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n1,2\n3\n", "row 3 has 1 cells, expected 2"),
+        ("a,a\n1,2\n3,4\n", "node names must be unique; repeated: a"),
+        ("a,a\n1,x\n2,3\n", "node names must be unique; repeated: a"),
+        ("a, ,b\n1,2,3\n4,5,6\n", "node names must be nonempty"),
+    ], ids=["ragged", "repeated name", "repeated name before bad cell", "empty name"])
+    def test_malformed_panel_csv_is_usage_error(self, tmp_path, capsys, text, message):
+        self.refuse_panel(tmp_path, capsys, text, message)
 
     @pytest.mark.parametrize("config_text", [None, "[pipeline]\nkernel = linear-identity\n"])
     def test_overflowing_panel_is_tagged_runtime_error(self, tmp_path, capsys, config_text):
@@ -207,6 +222,7 @@ class TestInfer:
         code = run(["infer", str(data), "--config", str(config), "--out", str(tmp_path / "linear")])
         assert code == 1
         assert "[var] design has rank 5 < 6" in capsys.readouterr().err
+        assert not (tmp_path / "linear").exists()
 
     def test_eigensolver_failure_is_tagged_runtime_error(self, tmp_path, capsys, monkeypatch):
         def fail(a, **kwargs):
@@ -491,7 +507,7 @@ class TestEval:
         ('{"node_names": [null, null], "delta": [[0, 1], [1, 0]], "raw_log_ratios": [[0, 1], [1, 0]]}',
          "[[0, 1], [0, 0]]", "node_names must hold only strings, got [None, None]"),
         ('{"node_names": ["a", "a"], "delta": [[0, 1], [1, 0]], "raw_log_ratios": [[0, 1], [1, 0]]}',
-         "[[0, 1], [0, 0]]", "node names must be unique"),
+         "[[0, 1], [0, 0]]", "node names must be unique; repeated: a"),
         ('{"node_names": ["a", "b"], "delta": [[0, NaN], [1, 0]], "raw_log_ratios": [[0, 1], [1, 0]]}',
          "[[0, 1], [0, 0]]", "delta must be raw_log_ratios clamped at zero"),
         ('{"node_names": ["a", "b"], "delta": [[0, 1], [1, 0]], "raw_log_ratios": [[0, NaN], [1, 0]]}',

@@ -10,12 +10,7 @@ from hypothesis import strategies as st
 
 from preimage_gc import GENERATOR_IDS, TimeSeriesPanel, generate, ingest_csv, normalize_columns
 from preimage_gc.data import _column_moments, panel_to_csv
-from preimage_gc.errors import (
-    CsvFormatError,
-    CsvParseError,
-    CsvSchemaError,
-    DegenerateInputError,
-)
+from preimage_gc.errors import DegenerateInputError
 
 
 def make_panel(values, names=None):
@@ -50,8 +45,8 @@ class TestPanel:
             make_panel([[1.0], [2.0]])
 
     def test_rejects_duplicate_names(self):
-        with pytest.raises(ValueError, match="unique"):
-            make_panel([[1.0, 2.0], [3.0, 4.0]], names=("a", "a"))
+        with pytest.raises(ValueError, match="^node names must be unique; repeated: a, b$"):
+            make_panel(np.eye(5), names=("b", "a", "c", "b", "a"))
 
     def test_rejects_name_count_mismatch(self):
         with pytest.raises(ValueError, match="^node_names length must match the columns: got 3, need 2$"):
@@ -73,24 +68,27 @@ class TestIngestCsv:
         np.testing.assert_array_equal(panel.values, [[1, 2], [3, 4], [5, 6]])
 
     def test_ragged_row_names_row_number(self):
-        with pytest.raises(CsvFormatError, match="row 3"):
+        with pytest.raises(ValueError, match="^row 3 has 1 cells, expected 2$"):
             ingest_csv("a,b\n1,2\n3\n")
 
     def test_bad_cell_names_row_and_column(self):
-        with pytest.raises(CsvParseError, match="row 2.*'b'"):
+        with pytest.raises(ValueError, match="row 2.*'b'"):
             ingest_csv("a,b\n1,x\n3,4\n")
 
     def test_nan_cell_rejected(self):
-        with pytest.raises(CsvParseError, match="finite"):
+        with pytest.raises(ValueError, match="finite"):
             ingest_csv("a,b\n1,nan\n3,4\n")
 
     def test_first_bad_cell_in_row_major_order_is_reported(self):
         # an inf cell precedes an unparsable one in the same row
-        with pytest.raises(CsvParseError, match=r"row 3, column 'b': cannot parse 'inf'"):
+        with pytest.raises(ValueError, match=r"row 3, column 'b': cannot parse 'inf'"):
             ingest_csv("a,b,c\n1,2,3\n4,inf,x\n5,y,6\n")
         # a bad cell precedes a later row's wrong cell count
-        with pytest.raises(CsvParseError, match="row 2, column 'c'"):
+        with pytest.raises(ValueError, match="row 2, column 'c'"):
             ingest_csv("a,b,c\n1,2,-inf\n4,5\n")
+        # a bad header precedes the first row's bad cell
+        with pytest.raises(ValueError, match="^node names must be unique; repeated: a$"):
+            ingest_csv("a,a\n1,x\n2,3\n")
 
     # float() reads each of these cells, as 1000, 3, 3, 10.5 and 2
     @pytest.mark.parametrize("text, where, cell", [
@@ -102,15 +100,15 @@ class TestIngestCsv:
     ])
     def test_digit_grouping_and_non_ascii_cells_rejected(self, text, where, cell):
         message = f"{where}: cannot parse {cell!r} as a finite number"
-        with pytest.raises(CsvParseError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ingest_csv(text)
 
     def test_non_ascii_cell_keeps_row_major_order(self):
         # an unparsable cell precedes a grouped one in the same row
-        with pytest.raises(CsvParseError, match="row 2, column 'a': cannot parse 'x'"):
+        with pytest.raises(ValueError, match="row 2, column 'a': cannot parse 'x'"):
             ingest_csv("a,b\nx,1_0\n")
         # a grouped cell precedes a later row's unparsable one
-        with pytest.raises(CsvParseError, match="row 2, column 'b': cannot parse '1_0'"):
+        with pytest.raises(ValueError, match="row 2, column 'b': cannot parse '1_0'"):
             ingest_csv("a,b\n1,1_0\ny,2\n")
 
     def test_reads_an_open_file_object(self):
@@ -119,24 +117,24 @@ class TestIngestCsv:
         np.testing.assert_array_equal(panel.values, [[1, 2], [3, 4]])
 
     def test_empty_header_cell_rejected(self):
-        with pytest.raises(CsvSchemaError, match="^header contains an empty column name$"):
+        with pytest.raises(ValueError, match="^node names must be nonempty$"):
             ingest_csv("a, ,b\n1,2,3\n")
 
     def test_duplicate_header_rejected(self):
-        with pytest.raises(CsvSchemaError, match="duplicate.*a"):
+        with pytest.raises(ValueError, match="^node names must be unique; repeated: a$"):
             ingest_csv("a,a\n1,2\n")
 
     def test_header_only_rejected(self):
-        with pytest.raises(CsvFormatError):
+        with pytest.raises(ValueError, match="^panel needs at least 2 rows, got 0$"):
             ingest_csv("a,b\n")
 
     @pytest.mark.parametrize("text, message", [
         ("", "need a header line, got an empty file"),
-        ("a,b\n1,2\n", "need at least 2 data rows, got 1"),
-        ("a\n1\n2\n3\n", "need at least 2 columns, got 1"),
+        ("a,b\n1,2\n", "panel needs at least 2 rows, got 1"),
+        ("a\n1\n2\n3\n", "panel needs at least 2 nodes, got 1"),
     ], ids=["empty", "one row", "one column"])
     def test_too_small_for_a_panel_rejected(self, text, message):
-        with pytest.raises(CsvFormatError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             ingest_csv(text)
 
     def test_strips_bom_and_blank_lines(self):
