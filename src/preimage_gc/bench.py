@@ -14,7 +14,7 @@ import numpy as np
 
 from .causality import PipelineConfig, infer_graph
 from .data import TimeSeriesPanel, _csv_text, _is_integer
-from .errors import ConfigError, PreimageGCError, ShapeError, UndefinedAucError
+from .errors import PreimageGCError
 from .synthgen import GENERATOR_IDS, MIN_T, generate
 
 # The environment bench workers start in. numpy's and scipy's OpenBLAS
@@ -50,9 +50,9 @@ def roc_auc(scores, labels) -> float:
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     if scores.ndim != 1 or labels.ndim != 1:
-        raise ShapeError("scores and labels must be 1-d")
+        raise ValueError("scores and labels must be 1-d")
     if scores.shape != labels.shape:
-        raise ShapeError(
+        raise ValueError(
             f"length mismatch: {scores.shape[0]} scores, {labels.shape[0]} labels"
         )
     if not ((labels == 0) | (labels == 1)).all():
@@ -63,7 +63,7 @@ def roc_auc(scores, labels) -> float:
     n_pos = int(positive.sum())
     n_neg = labels.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise UndefinedAucError(
+        raise ValueError(
             f"need both classes, got {n_pos} positives and {n_neg} negatives"
         )
     ranks = _average_ranks(scores)
@@ -75,7 +75,7 @@ def off_diagonal(matrix) -> np.ndarray:
     """The N(N-1) off-diagonal entries in row-major order."""
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {matrix.shape}")
+        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
     mask = ~np.eye(matrix.shape[0], dtype=bool)
     return matrix[mask]
 
@@ -210,45 +210,45 @@ def _map_in_workers(fn, tasks, jobs):
 
 
 def _whole(what, value) -> int:
-    """value as an int if its type is an integer type other than bool, else ConfigError."""
+    """value as an int if its type is an integer type other than bool, else ValueError."""
     if not _is_integer(value):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
+        raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
 
 def _checked_grid(generators, methods, T_grid, seeds, jobs):
     """run_benchmark's arguments as lists and int seed and job counts;
-    ConfigError for anything it cannot sweep, a repeated grid value
+    ValueError for anything it cannot sweep, a repeated grid value
     included, since its records would be pooled into one summary."""
     generators = list(generators)
     if not generators:
-        raise ConfigError("no generators given")
+        raise ValueError("no generators given")
     for g in generators:
         if g not in GENERATOR_IDS:
-            raise ConfigError(f"unknown generator {g!r}; choose from {GENERATOR_IDS}")
+            raise ValueError(f"unknown generator {g!r}; choose from {GENERATOR_IDS}")
     methods = list(methods)
     if not methods:
-        raise ConfigError("no methods given")
+        raise ValueError("no methods given")
     for method_id, config in methods:
         if not isinstance(config, PipelineConfig):
-            raise ConfigError(f"method {method_id!r} has no PipelineConfig")
+            raise ValueError(f"method {method_id!r} has no PipelineConfig")
     T_grid = [_whole("T", T) for T in T_grid]
     if not T_grid:
-        raise ConfigError("empty T grid")
+        raise ValueError("empty T grid")
     for T in T_grid:
         if T < MIN_T:
-            raise ConfigError(f"T values must be >= {MIN_T}, got {T}")
+            raise ValueError(f"T values must be >= {MIN_T}, got {T}")
     seeds = _whole("seed count", seeds)
     if seeds < 1:
-        raise ConfigError("no seeds given")
+        raise ValueError("no seeds given")
     jobs = _whole("jobs", jobs)
     if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     method_ids = [method_id for method_id, _ in methods]
     for label, values in (("generator", generators), ("method", method_ids), ("T", T_grid)):
         repeated = sorted({v for v in values if values.count(v) > 1})
         if repeated:
-            raise ConfigError(f"repeated {label} value(s) in the grid: {', '.join(map(str, repeated))}")
+            raise ValueError(f"repeated {label} value(s) in the grid: {', '.join(map(str, repeated))}")
     return generators, methods, T_grid, seeds, jobs
 
 
@@ -264,7 +264,7 @@ def run_benchmark(
 
     methods is a list of (method_id, PipelineConfig) pairs; seeds is a
     count, and the seeds are 0..seeds-1. A repeated generator, method id
-    or T is a ConfigError. Each (generator, seed) trajectory is
+    or T is a ValueError. Each (generator, seed) trajectory is
     generated once, at the largest T, and every T's panel is its prefix;
     every method runs on each panel. A trajectory whose generation fails
     records that one error in each of its (T, method) cells. Trajectories

@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import TimeSeriesPanel, _check_lag, _csv_text, _finite_nonnegative, _freeze, _frozen_array, _node_names, normalize_columns
-from .errors import (
-    DegenerateModelError,
-    InsufficientSamplesError,
-    PreimageGCError,
-    RankError,
-    ShapeError,
-)
+from .errors import DegenerateModelError, InsufficientSamplesError, PreimageGCError, RankError
 from .kernels import KernelPcaModel, KernelSpec, _check_p_select, fit_kernel_pca
 from .preimage import PreimageMap, learn_preimage, reconstruct
 from .varm import DEFAULT_RIDGE, VarModelFit, _column_variance, fit_var
@@ -60,7 +54,7 @@ class FullModelResult:
     The rest is worked out, read-only. features is normalized under
     linear-identity (kpca None), else kpca.coordinates. reconstruction,
     the pre-image of var_fit.fitted, predicts normalized[lag:], lag being
-    len(var_fit.coefficients); another shape raises ShapeError.
+    len(var_fit.coefficients); another shape raises ValueError.
     residual_variance is the column variance (ddof 0) of their difference.
     """
 
@@ -76,7 +70,7 @@ class FullModelResult:
         targets = self.normalized[len(self.var_fit.coefficients) :]
         reconstruction = reconstruct(self.preimage_map, self.var_fit.fitted)
         if reconstruction.shape != targets.shape:
-            raise ShapeError(f"reconstruction has shape {reconstruction.shape}, normalized[lag:] has {targets.shape}")
+            raise ValueError(f"reconstruction has shape {reconstruction.shape}, normalized[lag:] has {targets.shape}")
         object.__setattr__(self, "reconstruction", _frozen_array(reconstruction))
         object.__setattr__(self, "residual_variance", _frozen_array(_column_variance(targets - reconstruction)))
 

@@ -1,6 +1,7 @@
 """Command-line interface: infer, synth, bench, eval.
 
-Exit codes: 0 success, 1 runtime/numerical failure, 2 usage/config error.
+Exit codes: 0 success, 2 a ValueError or OSError (a bad argument, config
+or input file), 1 a PreimageGCError (the computation failed).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from .bench import _checked_grid, off_diagonal, roc_auc, run_benchmark
 from .causality import IDENTITY, CausalGraph, PipelineConfig, _number_array, infer_graph
 from .data import ingest_csv, panel_to_csv
-from .errors import ConfigError, PreimageGCError, UndefinedAucError
+from .errors import PreimageGCError
 from .kernels import KERNEL_KINDS, KernelSpec
 from .synthgen import GENERATOR_IDS, generate
 
@@ -36,7 +37,7 @@ BENCH_KEYS = ("generators", "T_grid", "seeds")
 def _require_file(path_str) -> Path:
     path = Path(path_str)
     if not path.is_file():
-        raise ConfigError(f"no such file: {path}")
+        raise ValueError(f"no such file: {path}")
     return path
 
 
@@ -44,32 +45,32 @@ def _parse_float(section, key, raw):
     try:
         return float(raw)
     except ValueError:
-        raise ConfigError(f"[{section}] {key} must be a number, got {raw!r}") from None
+        raise ValueError(f"[{section}] {key} must be a number, got {raw!r}") from None
 
 
 def _parse_int(section, key, raw):
     try:
         return int(raw)
     except ValueError:
-        raise ConfigError(f"[{section}] {key} must be an integer, got {raw!r}") from None
+        raise ValueError(f"[{section}] {key} must be an integer, got {raw!r}") from None
 
 
 def _pipeline_config_from_items(section, items) -> PipelineConfig:
     unknown = set(items) - set(PIPELINE_KEYS)
     if unknown:
-        raise ConfigError(
+        raise ValueError(
             f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}"
         )
     kernel_name = items.get("kernel", "rbf")
     if kernel_name != "rbf" and "bandwidth" in items:
-        raise ConfigError(f"[{section}] bandwidth only applies to the rbf kernel")
+        raise ValueError(f"[{section}] bandwidth only applies to the rbf kernel")
     if kernel_name not in KERNEL_KINDS + (IDENTITY,):
-        raise ConfigError(
+        raise ValueError(
             f"[{section}] unknown kernel {kernel_name!r}; "
             f"choose rbf, linear, polynomial, or {IDENTITY}"
         )
     if kernel_name != "polynomial" and ("degree" in items or "offset" in items):
-        raise ConfigError(f"[{section}] degree/offset only apply to the polynomial kernel")
+        raise ValueError(f"[{section}] degree/offset only apply to the polynomial kernel")
     spec_kwargs = {}
     if kernel_name == "rbf":
         bandwidth = items.get("bandwidth", "median")
@@ -96,7 +97,7 @@ def _pipeline_config_from_items(section, items) -> PipelineConfig:
         kernel = IDENTITY if kernel_name == IDENTITY else KernelSpec(kernel_name, **spec_kwargs)
         return PipelineConfig(kernel=kernel, **kwargs)
     except ValueError as err:
-        raise ConfigError(f"[{section}] {err}") from None
+        raise ValueError(f"[{section}] {err}") from None
 
 
 def _load_ini(path: Path) -> configparser.ConfigParser:
@@ -107,7 +108,7 @@ def _load_ini(path: Path) -> configparser.ConfigParser:
     try:
         parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
     except configparser.Error as err:
-        raise ConfigError(f"cannot parse {path}: {err}") from None
+        raise ValueError(f"cannot parse {path}: {err}") from None
     return parser
 
 
@@ -115,7 +116,7 @@ def _pipeline_config_from_file(path: Path) -> PipelineConfig:
     parser = _load_ini(path)
     sections = parser.sections()
     if sections != ["pipeline"]:
-        raise ConfigError(
+        raise ValueError(
             f"{path} must contain exactly one [pipeline] section, found {sections or 'none'}"
         )
     return _pipeline_config_from_items("pipeline", dict(parser["pipeline"]))
@@ -128,14 +129,14 @@ def _split_list(raw):
 def _bench_setup_from_file(path: Path):
     parser = _load_ini(path)
     if "bench" not in parser:
-        raise ConfigError(f"{path} has no [bench] section")
+        raise ValueError(f"{path} has no [bench] section")
     bench_items = dict(parser["bench"])
     unknown = set(bench_items) - set(BENCH_KEYS)
     if unknown:
-        raise ConfigError(f"unknown key(s) in [bench]: {', '.join(sorted(unknown))}")
+        raise ValueError(f"unknown key(s) in [bench]: {', '.join(sorted(unknown))}")
     missing = set(BENCH_KEYS) - set(bench_items)
     if missing:
-        raise ConfigError(f"[bench] is missing key(s): {', '.join(sorted(missing))}")
+        raise ValueError(f"[bench] is missing key(s): {', '.join(sorted(missing))}")
     generators = _split_list(bench_items["generators"])
     T_grid = [_parse_int("bench", "T_grid", t) for t in _split_list(bench_items["T_grid"])]
     seeds = _parse_int("bench", "seeds", bench_items["seeds"])
@@ -145,15 +146,15 @@ def _bench_setup_from_file(path: Path):
         if section == "bench":
             continue
         if not section.startswith("method "):
-            raise ConfigError(
+            raise ValueError(
                 f"unknown section [{section}]; expected [bench] and [method <name>]"
             )
         method_id = section[len("method ") :].strip()
         if not method_id:
-            raise ConfigError("method section needs a name: [method <name>]")
+            raise ValueError("method section needs a name: [method <name>]")
         methods.append((method_id, _pipeline_config_from_items(section, dict(parser[section]))))
     if not methods:
-        raise ConfigError(f"{path} defines no [method <name>] sections")
+        raise ValueError(f"{path} defines no [method <name>] sections")
     return generators, methods, T_grid, seeds
 
 
@@ -166,7 +167,7 @@ def _cmd_infer(args) -> int:
     try:
         panel = ingest_csv(data_path)
     except ValueError as err:
-        raise ConfigError(f"cannot read panel from {data_path}: {err}") from None
+        raise ValueError(f"cannot read panel from {data_path}: {err}") from None
     graph = infer_graph(panel, config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -255,7 +256,7 @@ def _cmd_eval(args) -> int:
     try:
         graph = CausalGraph.from_dict(json.loads(graph_path.read_text(encoding="utf-8")))
     except ValueError as err:
-        raise ConfigError(f"cannot read graph from {graph_path}: {err}") from None
+        raise ValueError(f"cannot read graph from {graph_path}: {err}") from None
     try:
         payload = json.loads(truth_path.read_text(encoding="utf-8"))
         if isinstance(payload, dict):
@@ -270,15 +271,15 @@ def _cmd_eval(args) -> int:
         if not ((truth == 0) | (truth == 1)).all():
             raise ValueError("ground_truth entries must be 0 or 1")
     except ValueError as err:
-        raise ConfigError(f"cannot read ground truth from {truth_path}: {err}") from None
+        raise ValueError(f"cannot read ground truth from {truth_path}: {err}") from None
     if truth.shape != graph.delta.shape:
-        raise ConfigError(
+        raise ValueError(
             f"shape mismatch: graph is {graph.delta.shape}, ground truth is {truth.shape}"
         )
     try:
         auc = roc_auc(off_diagonal(graph.delta), off_diagonal(truth))
-    except UndefinedAucError as err:
-        raise ConfigError(f"cannot score against {truth_path}: {err}") from None
+    except ValueError as err:
+        raise ValueError(f"cannot score against {truth_path}: {err}") from None
     print(f"{auc:.6f}")
     return 0
 
@@ -324,7 +325,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, ValueError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except PreimageGCError as err:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, ShapeError
+from .errors import DegenerateInputError
 
 
 def _frozen_array(values, dtype=float, order="K"):
@@ -28,10 +28,10 @@ def _frozen_array(values, dtype=float, order="K"):
 
 def _as_matrix(values, name):
     """values as a float64 array, with no copy when they already are one;
-    ShapeError naming the argument unless it is 2-d."""
+    ValueError naming the argument unless it is 2-d."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
-        raise ShapeError(f"{name} must be 2-d, got ndim={values.ndim}")
+        raise ValueError(f"{name} must be 2-d, got ndim={values.ndim}")
     return values
 
 

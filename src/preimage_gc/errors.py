@@ -1,10 +1,13 @@
 """Exception taxonomy shared across the package.
 
-Everything raised deliberately by this library derives from
-:class:`PreimageGCError`, so callers can catch one base class at the
-boundary (the CLI does exactly that). Genuine usage errors such as bad
-argument values, and malformed input text such as a panel CSV with an
-unparseable cell, raise the builtin ``ValueError`` instead.
+One rule splits what this library raises. What the caller passed is
+refused with the builtin ``ValueError``: a bad argument value or shape,
+a malformed config, and malformed input text such as a panel CSV with
+an unparseable cell. A failure of the computation on accepted input
+raises a subclass of :class:`PreimageGCError`, so a caller can catch
+that one base class at the boundary. The CLI exits 2 on a
+``ValueError`` (or an ``OSError`` reading a file) and 1 on a
+``PreimageGCError``.
 """
 
 from __future__ import annotations
@@ -20,10 +23,6 @@ class DegenerateInputError(PreimageGCError):
 
 class InsufficientSamplesError(PreimageGCError):
     """Too few rows for the requested operation."""
-
-
-class ShapeError(PreimageGCError):
-    """Array dimensions are incompatible with the operation."""
 
 
 class RankError(PreimageGCError):
@@ -52,9 +51,3 @@ class DegenerateModelError(PreimageGCError):
     """A fitted model produced a nonpositive residual variance."""
 
 
-class UndefinedAucError(PreimageGCError):
-    """ROC-AUC requested for a single-class labeling."""
-
-
-class ConfigError(PreimageGCError):
-    """A config file contains unknown sections/keys or unusable values."""

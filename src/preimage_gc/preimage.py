@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import _as_matrix, _freeze, _refuse_overflow
-from .errors import ShapeError
 from .varm import DEFAULT_RIDGE, _solve_ridge
 
 
@@ -37,7 +36,7 @@ def learn_preimage(Y, H, ridge_lambda: float = DEFAULT_RIDGE) -> PreimageMap:
     Y = _as_matrix(Y, "Y")
     H = _as_matrix(H, "H")
     if Y.shape[0] != H.shape[0]:
-        raise ShapeError(
+        raise ValueError(
             f"row mismatch: Y has {Y.shape[0]} rows, H has {H.shape[0]}"
         )
     T, P = H.shape
@@ -60,5 +59,5 @@ def reconstruct(pmap: PreimageMap, H) -> np.ndarray:
     """Map feature-coordinate rows back to input space."""
     H = _as_matrix(H, "H")
     if H.shape[1] != pmap.gamma.shape[1]:
-        raise ShapeError(f"H must have {pmap.gamma.shape[1]} columns, got {H.shape[1]}")
+        raise ValueError(f"H must have {pmap.gamma.shape[1]} columns, got {H.shape[1]}")
     return H @ pmap.gamma.T

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import preimage_gc
+import preimage_gc.errors
 from preimage_gc import (
     KernelSpec,
     PipelineConfig,
@@ -21,7 +22,6 @@ from preimage_gc import (
 )
 from preimage_gc.bench import BenchmarkReport, CellRecord, summarize
 from preimage_gc.causality import CausalGraph
-from preimage_gc.errors import ShapeError
 from preimage_gc.kernels import KernelPcaModel
 from preimage_gc.preimage import PreimageMap, reconstruct
 from preimage_gc.synthgen import LINEAR5_COEFFICIENTS, SyntheticDataset
@@ -69,6 +69,15 @@ def test_readme_export_table_is_all():
     assert len(names) == int(count.group(1)) == len(preimage_gc.__all__)
 
 
+def test_readme_error_class_count_is_the_errors_module():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    count = re.search(r"the (\d+)\s+error classes of `preimage_gc.errors`", text)
+    module = preimage_gc.errors
+    defined = [v for v in vars(module).values() if isinstance(v, type) and v.__module__ == module.__name__]
+    assert all(issubclass(cls, module.PreimageGCError) for cls in defined)
+    assert len(defined) == int(count.group(1))
+
+
 def test_no_version_attribute():
     # pyproject.toml holds the version
     assert not hasattr(preimage_gc, "__version__")
@@ -92,7 +101,7 @@ _GUARDED = {
 @pytest.mark.parametrize("site", _GUARDED)
 def test_non_2d_array_is_a_shape_error_naming_it(site, shape):
     name, call = _GUARDED[site]
-    with pytest.raises(ShapeError, match=f"^{name} must be 2-d"):
+    with pytest.raises(ValueError, match=f"^{name} must be 2-d"):
         call(np.ones(shape))
 
 

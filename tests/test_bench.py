@@ -21,7 +21,7 @@ from preimage_gc import (
     run_benchmark,
 )
 from preimage_gc.bench import BenchmarkReport, CellRecord, _checked_grid, summarize
-from preimage_gc.errors import ConfigError, InstabilityError, ShapeError, UndefinedAucError
+from preimage_gc.errors import InstabilityError
 from whole_numbers import NOT_WHOLE
 
 
@@ -37,15 +37,15 @@ class TestRocAuc:
         assert roc_auc([0.3, 0.3, 0.3, 0.3], [0, 1, 0, 1]) == 0.5
 
     def test_single_class_rejected(self):
-        with pytest.raises(UndefinedAucError):
+        with pytest.raises(ValueError, match="^need both classes, got 2 positives and 0 negatives$"):
             roc_auc([0.1, 0.2], [1, 1])
 
     def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError, match="^length mismatch: 3 scores, 2 labels$"):
             roc_auc([0.1, 0.2, 0.3], [1, 0])
 
     def test_2d_scores_rejected(self):
-        with pytest.raises(ShapeError, match="^scores and labels must be 1-d$"):
+        with pytest.raises(ValueError, match="^scores and labels must be 1-d$"):
             roc_auc([[0.1, 0.2]], [1, 0])
 
     def test_bad_labels(self):
@@ -119,7 +119,7 @@ class TestOffDiagonal:
         np.testing.assert_array_equal(off_diagonal(m), [1, 2, 3, 5, 6, 7])
 
     def test_rejects_nonsquare(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
             off_diagonal(np.zeros((2, 3)))
 
 
@@ -193,7 +193,7 @@ class TestSummarize:
 
 def _grid_case(what, value):
     """run_benchmark's T_grid, seeds and jobs with value in the place what
-    names, and the ConfigError message that refuses it."""
+    names, and the ValueError message that refuses it."""
     label = {"seeds": "seed count", "T": "T", "jobs": "jobs"}[what]
     return pytest.param(
         [value] if what == "T" else [50],
@@ -298,6 +298,15 @@ class TestRunBenchmark:
         with pytest.raises(TypeError, match="not a numerical failure"):
             run_benchmark(["linear5"], self.small_methods(), [50], 1, jobs=1)
 
+    def test_misuse_inside_a_cell_raises(self, monkeypatch):
+        # a refused argument is a bug in the caller, not a data failure
+        def misused(panel, config):
+            return off_diagonal(np.zeros(4))
+
+        monkeypatch.setattr(bench_module, "infer_graph", misused)
+        with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(4,\)$"):
+            run_benchmark(["linear5"], self.small_methods(), [50], 1, jobs=1)
+
     def test_each_trajectory_generated_once(self, monkeypatch):
         calls = []
 
@@ -351,11 +360,11 @@ class TestRunBenchmark:
         assert {r.error for r in report.records} == {f"InstabilityError: {exc.value}"}
 
     def test_empty_methods_rejected(self):
-        with pytest.raises(ConfigError, match="method"):
+        with pytest.raises(ValueError, match="method"):
             run_benchmark(["logistic2"], [], [50], 2)
 
     def test_unknown_generator_rejected(self):
-        with pytest.raises(ConfigError, match="generator"):
+        with pytest.raises(ValueError, match="generator"):
             run_benchmark(["lorenz"], self.small_methods(), [50], 2)
 
     @pytest.mark.parametrize("generators, T_grid, seeds, message", [
@@ -364,12 +373,12 @@ class TestRunBenchmark:
         (["logistic2"], [50], 0, "no seeds given"),
     ])
     def test_empty_grid_rejected(self, generators, T_grid, seeds, message):
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ValueError, match=message):
             run_benchmark(generators, self.small_methods(), T_grid, seeds)
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected(self, jobs):
-        with pytest.raises(ConfigError, match=f"jobs must be >= 1, got {jobs}"):
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
             run_benchmark(["logistic2"], self.small_methods(), [50], 2, jobs=jobs)
 
     @pytest.mark.parametrize("generators, method_ids, T_grid, seeds, message", [
@@ -381,7 +390,7 @@ class TestRunBenchmark:
         # a repeat used to be pooled into one summary: fanin3 twice at
         # T = 50, 50 with 2 seeds gave n = 8 and ci95_half_width = 0.0
         methods = [(m, config) for m, (_, config) in zip(method_ids, self.small_methods())]
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ValueError, match=message):
             run_benchmark(generators, methods, T_grid, seeds)
 
     @pytest.mark.parametrize("T_grid, seeds, jobs, message", [
@@ -391,7 +400,7 @@ class TestRunBenchmark:
     def test_non_integer_grid_value_rejected(self, T_grid, seeds, jobs, message):
         # these used to be truncated (T 50.7 ran as 50, jobs 1.5 as 1),
         # counted (True as one seed) or crash untyped (2.0 seeds)
-        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             run_benchmark(["logistic2"], self.small_methods(), T_grid, seeds, jobs=jobs)
 
     @pytest.mark.parametrize("integer", [int, np.int64])
@@ -403,11 +412,11 @@ class TestRunBenchmark:
 
     def test_method_without_pipeline_config_rejected(self):
         methods = [("kernel", PipelineConfig()), ("raw", {"kernel": "rbf"})]
-        with pytest.raises(ConfigError, match="^method 'raw' has no PipelineConfig$"):
+        with pytest.raises(ValueError, match="^method 'raw' has no PipelineConfig$"):
             run_benchmark(["logistic2"], methods, [50], 2)
 
     def test_low_T_rejected(self):
-        with pytest.raises(ConfigError, match="50"):
+        with pytest.raises(ValueError, match="50"):
             run_benchmark(["logistic2"], self.small_methods(), [10], 2)
 
     def test_progress_callback_sees_every_cell(self):

@@ -30,7 +30,6 @@ from preimage_gc.errors import (
     DegenerateModelError,
     InsufficientSamplesError,
     RankError,
-    ShapeError,
 )
 from preimage_gc.kernels import LANCZOS_MIN_ORDER
 from preimage_gc.synthgen import GENERATOR_IDS, generate
@@ -248,7 +247,7 @@ class TestRunFullModel:
             # a 1-row fitted used to broadcast against every row
             (r.normalized, one_row, "(1, 3), normalized[lag:] has (89, 3)"),
         ):
-            with pytest.raises(ShapeError, match="^reconstruction has shape " + re.escape(shapes) + "$"):
+            with pytest.raises(ValueError, match="^reconstruction has shape " + re.escape(shapes) + "$"):
                 FullModelResult(normalized, r.kpca, var_fit, r.preimage_map)
 
 

@@ -12,7 +12,7 @@ from preimage_gc import (
     normalize_columns,
     reconstruct,
 )
-from preimage_gc.errors import DegenerateInputError, RankError, ShapeError
+from preimage_gc.errors import DegenerateInputError, RankError
 from preimage_gc.preimage import PreimageMap
 from preimage_gc.varm import DEFAULT_RIDGE, _solve_ridge
 
@@ -87,7 +87,7 @@ class TestLearnPreimage:
             learn_preimage(Y, H, ridge_lambda=ridge)
 
     def test_row_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError, match="^row mismatch: Y has 10 rows, H has 9$"):
             learn_preimage(np.zeros((10, 2)), np.zeros((9, 2)))
 
     def test_warns_when_underdetermined(self):
@@ -123,7 +123,7 @@ class TestReconstruct:
 
     def test_wrong_feature_width(self):
         pmap = PreimageMap(gamma=np.ones((2, 3)), training_fit_error=0.0)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError, match="^H must have 3 columns, got 4$"):
             reconstruct(pmap, np.zeros((5, 4)))
 
 
