@@ -23,29 +23,15 @@ from .synthgen import GENERATOR_IDS, MIN_T, generate
 _WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
-def _average_ranks(x):
-    """1-based ranks of x, each tie group sharing the mean of its positions.
-
-    The "average" method of scipy.stats.rankdata, without importing
-    scipy.stats. Every rank is an integer or a half-integer, so both
-    agree exactly. x must hold no NaN.
-    """
-    order = np.argsort(x, kind="stable")
-    ordered = x[order]
-    # each tie group is a run of equal values in sorted order: [start, end)
-    bounds = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1], [True])))
-    # the mean of the 1-based positions start + 1 .. end
-    group_ranks = (bounds[:-1] + bounds[1:] + 1) / 2.0
-    ranks = np.empty(x.size)
-    ranks[order] = np.repeat(group_ranks, np.diff(bounds))
-    return ranks
-
-
 def roc_auc(scores, labels) -> float:
-    """Probability a random positive outranks a random negative, ties 1/2.
+    """The share of (positive, negative) pairs whose positive scores higher,
+    a tie counting one half: the Mann-Whitney U over n_pos * n_neg
+    (Hanley and McNeil, Radiology 143, 1982).
 
-    Computed from rank sums (the Mann-Whitney statistic with average
-    ranks), so it is exact under ties. Non-finite scores are refused.
+    Each positive's negatives below it and tied with it come from two
+    binary searches of the sorted negatives. The count is a multiple of
+    1/2 and exact in float64, so a tie, -0.0 against 0.0 included, is
+    exactly half a pair. Non-finite scores are refused.
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
@@ -66,9 +52,11 @@ def roc_auc(scores, labels) -> float:
         raise ValueError(
             f"need both classes, got {n_pos} positives and {n_neg} negatives"
         )
-    ranks = _average_ranks(scores)
-    auc = (ranks[positive].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-    return float(auc)
+    negatives = np.sort(scores[~positive])
+    positives = scores[positive]
+    below = np.searchsorted(negatives, positives, side="left").sum()
+    ties = np.searchsorted(negatives, positives, side="right").sum() - below
+    return float((below + 0.5 * ties) / (n_pos * n_neg))
 
 
 def off_diagonal(matrix) -> np.ndarray:

@@ -41,6 +41,16 @@ def _require_file(path_str) -> Path:
     return path
 
 
+def _out_dir(path_str) -> Path:
+    """path_str as a Path, refused when the first of it and its parents
+    that exists is not a directory, so mkdir cannot fail after a fit."""
+    path = Path(path_str)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ValueError(f"--out {path}: {existing} exists and is not a directory")
+    return path
+
+
 def _parse_float(section, key, raw):
     try:
         return float(raw)
@@ -164,12 +174,12 @@ def _cmd_infer(args) -> int:
         config = PipelineConfig()
     else:
         config = _pipeline_config_from_file(_require_file(args.config))
+    out_dir = _out_dir(args.out)
     try:
         panel = ingest_csv(data_path)
     except ValueError as err:
         raise ValueError(f"cannot read panel from {data_path}: {err}") from None
     graph = infer_graph(panel, config)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     graph_path = out_dir / "graph.json"

@@ -94,23 +94,48 @@ class TestRocAuc:
             roc_auc([0.1, bad, 0.3], [0, 1, 1])
 
 
-class TestAverageRanks:
-    # few distinct values, so most draws hold several tie groups
-    @given(
-        st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=40),
-        st.floats(min_value=1e-3, max_value=1e3),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_equals_scipy_rankdata(self, values, scale):
+class TestPairCount:
+    """roc_auc equals the rank-sum AUC bit for bit: both numerators are
+    exact multiples of 1/2, so they agree before the one division."""
+
+    @staticmethod
+    def rank_sum_auc(scores, labels):
         from scipy.stats import rankdata
 
-        x = np.array(values, dtype=float) * scale
-        ranks = bench_module._average_ranks(x)
-        assert np.array_equal(ranks, rankdata(x))
+        positive = labels == 1
+        n_pos = int(positive.sum())
+        n_neg = labels.size - n_pos
+        return float((rankdata(scores)[positive].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+    @staticmethod
+    def tied_case(n, seed, spread):
+        """n integer-valued scores in [-spread, spread], each zero signed
+        at random, and labels holding both classes."""
+        rng = np.random.default_rng(seed)
+        scores = rng.integers(-spread, spread + 1, size=n).astype(float)
+        zeros = scores == 0.0
+        scores[zeros] *= rng.choice([-1.0, 1.0], size=int(zeros.sum()))
+        labels = rng.integers(0, 2, size=n)
+        labels[rng.choice(n, size=2, replace=False)] = [0, 1]
+        return scores, labels
+
+    @given(
+        st.integers(min_value=2, max_value=5000),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=0, max_value=50),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_rank_sum_bit_for_bit(self, n, seed, spread):
+        scores, labels = self.tied_case(n, seed, spread)
+        assert roc_auc(scores, labels).hex() == self.rank_sum_auc(scores, labels).hex()
+
+    def test_equals_rank_sum_bit_for_bit_at_1e5(self):
+        scores, labels = self.tied_case(10**5, 0, 1000)
+        assert roc_auc(scores, labels).hex() == self.rank_sum_auc(scores, labels).hex()
 
     def test_signed_zeros_tie(self):
-        ranks = bench_module._average_ranks(np.array([0.0, -0.0, 1.0]))
-        np.testing.assert_array_equal(ranks, [1.5, 1.5, 3.0])
+        assert roc_auc([0.0, -0.0], [1, 0]) == 0.5
+        assert roc_auc([-0.0, 0.0], [1, 0]) == 0.5
 
 
 class TestOffDiagonal:

@@ -120,6 +120,20 @@ class TestInfer:
         assert code == 2
         assert "shrinkage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below a file"])
+    def test_out_blocked_by_a_file_is_refused_before_the_fit(self, tmp_path, capsys, monkeypatch, below):
+        data = self.synth_csv(tmp_path)
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept\n")
+        out = blocker / below if below else blocker
+        calls = []
+        monkeypatch.setattr(preimage_gc.cli, "ingest_csv", lambda *a: calls.append("ingest_csv"))
+        monkeypatch.setattr(preimage_gc.cli, "infer_graph", lambda *a: calls.append("infer_graph"))
+        assert run(["infer", str(data), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --out {out}: {blocker} exists and is not a directory\n"
+        assert calls == []
+        assert blocker.read_text() == "kept\n"
+
     def refuse_panel(self, tmp_path, capsys, text, message):
         """infer on a CSV holding text exits 2 with the panel refusal
         message, and makes no --out directory."""

@@ -84,18 +84,11 @@ def machine():
     }
 
 
-def identity_digest():
-    """sha256 over the raw_log_ratios bytes of the DIGEST_* grid."""
-    from preimage_gc import (
-        GENERATOR_IDS,
-        KernelSpec,
-        PipelineConfig,
-        generate,
-        infer_graph,
-        linear_gc_baseline,
-    )
+def digest_configs():
+    """The five infer_graph configs of the identity digest, by name."""
+    from preimage_gc import KernelSpec, PipelineConfig
 
-    configs = {
+    return {
         "default rbf": PipelineConfig(),
         "rbf, lag 2": PipelineConfig(lag=2),
         "rbf, p_select 0.999": PipelineConfig(p_select=0.999),
@@ -103,6 +96,13 @@ def identity_digest():
         # p_select 2: logistic2 has 2 nodes, so a linear gram has rank 2 at most
         "linear, p_select 2": PipelineConfig(kernel=KernelSpec("linear"), p_select=2),
     }
+
+
+def identity_digest():
+    """sha256 over the raw_log_ratios bytes of the DIGEST_* grid."""
+    from preimage_gc import GENERATOR_IDS, generate, infer_graph, linear_gc_baseline
+
+    configs = digest_configs()
     digest = hashlib.sha256()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
